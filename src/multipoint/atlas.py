@@ -11,11 +11,12 @@ source points from chart coordinates.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
-from .polyring import Poly, PolyError, VarRole, VarTable, _as_fraction
+from .polyring import Poly, PolyError, VarTable, _as_fraction
 
 
 class CollectionError(PolyError):
@@ -43,9 +44,6 @@ class LinearForm:
                 continue
             piece = c * v
             total = piece if total is None else total + piece
-        if total is None:
-            first = vec[0]
-            return Fraction(0) if isinstance(first, (int, Fraction)) else first * 0
         return total
 
     def text(self, names: Sequence[str]) -> str:
@@ -89,15 +87,15 @@ def _det(rows: list[list[Fraction]]) -> Fraction:
     return det
 
 
-def _invert(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Exact inverse of a square matrix over Q; raises on singular input."""
+def _invert(rows: list[list[Fraction]]) -> list[list[Fraction]] | None:
+    """Exact inverse of a square matrix over Q; None if it is singular."""
     n = len(rows)
     m = [[_as_fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
          for i, row in enumerate(rows)]
     for col in range(n):
         pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
         if pivot is None:
-            raise CollectionError("singular matrix in chart construction")
+            return None
         m[col], m[pivot] = m[pivot], m[col]
         inv = 1 / m[col][col]
         m[col] = [v * inv for v in m[col]]
@@ -116,7 +114,8 @@ class CoveringCollection:
     """Linear forms in general position with per-form companion choices.
 
     ``companions[i]`` lists, 0-based, the indices of the n-1 forms paired
-    with form i; the stacked matrix [L_i; companions] must be invertible.
+    with form i; the stacked matrix [L_i; companions] must be invertible,
+    and ``inverses[i]`` holds its inverse.
     """
 
     def __init__(self, n: int, ell: int,
@@ -154,22 +153,19 @@ class CoveringCollection:
         self.forms = forms
         self.companions = companions
         self._check_general_position()
+        self.inverses = tuple(_invert(self.matrix(i)) for i in range(m))
+        for i, inv in enumerate(self.inverses):
+            if inv is None:
+                raise CollectionError(
+                    f"form {i + 1} with its companions gives a singular matrix")
 
     def _check_general_position(self):
-        k = min(self.n, len(self.forms))
-        for subset in itertools.combinations(range(len(self.forms)), k):
+        # m = (ell-1)(n-1)+1 >= n, so every n-subset gives a square matrix
+        for subset in itertools.combinations(range(len(self.forms)), self.n):
             rows = [list(self.forms[i].coeffs) for i in subset]
-            # non-square only when m < n is impossible here; k = min guards it
-            if k < self.n:
-                # single form: nonzero is enough, guaranteed by LinearForm
-                continue
             if _det(rows) == 0:
                 labels = ", ".join(str(i + 1) for i in subset)
                 raise CollectionError(f"forms {labels} are linearly dependent")
-        for i in range(len(self.forms)):
-            if _det(self.matrix(i)) == 0:
-                raise CollectionError(
-                    f"form {i + 1} with its companions gives a singular matrix")
 
     def matrix(self, i: int) -> list[list[Fraction]]:
         """Rows [L_i; companion forms], the change of coordinates for form i."""
@@ -177,9 +173,6 @@ class CoveringCollection:
         for j in self.companions[i]:
             rows.append(list(self.forms[j].coeffs))
         return rows
-
-    def inverse_matrix(self, i: int) -> list[list[Fraction]]:
-        return _invert(self.matrix(i))
 
     def __repr__(self):
         return f"CoveringCollection(n={self.n}, ell={self.ell}, m={len(self.forms)})"
@@ -358,7 +351,6 @@ class Chart:
     base_names: tuple[str, ...]
     lambda_names: tuple[str, ...]
     a_names: tuple[tuple[str, ...], ...]
-    nu: tuple[tuple[Poly, ...], ...] = field(repr=False)
 
     @property
     def n(self) -> int:
@@ -383,13 +375,19 @@ class Chart:
             out.append(Poly.variable(self.table, nm))
         return out
 
+    @cached_property
+    def nu(self) -> tuple[tuple[Poly, ...], ...]:
+        """nu_i of every level i: nu_apply on the level's own coordinates."""
+        return tuple(tuple(self.nu_apply(i, self.level_tuple(i)))
+                     for i in range(1, self.r))
+
     def nu_apply(self, level: int, gamma: Sequence[Poly]) -> list[Poly]:
         """nu of level against an arbitrary coordinate vector.
 
         The vector (v_0, ..., v_{n-1}) is read as level coordinates, so the
         image is the matrix inverse applied to (v_0, v_0*v_1, ..., v_0*v_{n-1}).
         """
-        inv = self.cc.inverse_matrix(self.alpha[level - 1] - 1)
+        inv = self.cc.inverses[self.alpha[level - 1] - 1]
         v0 = gamma[0]
         unprojectivized = [v0] + [v0 * v for v in gamma[1:]]
         out = []
@@ -446,39 +444,17 @@ def build_chart(cc: CoveringCollection, alpha: Sequence[int], n: int, r: int,
     a_names = tuple(a_names)
 
     names = list(param_names) + list(base_names)
-    roles = [VarRole(VarRole.PARAM)] * params + [VarRole(VarRole.BASE)] * n
     for i in range(1, r):
         names.append(lambda_names[i - 1])
-        roles.append(VarRole(VarRole.LAMBDA, level=i))
-        for k, nm in enumerate(a_names[i - 1], start=1):
-            names.append(nm)
-            roles.append(VarRole(VarRole.A, level=i, slot=k))
+        names.extend(a_names[i - 1])
     if len(set(names)) != len(names):
         seen = set()
         dup = next(nm for nm in names if nm in seen or seen.add(nm))
         raise CollectionError(
             f"variable name {dup!r} collides with generated chart coordinates")
-    table = VarTable(names, roles)
-
-    nu_levels = []
-    for i in range(1, r):
-        inv = cc.inverse_matrix(alpha[i - 1] - 1)
-        lam = Poly.variable(table, lambda_names[i - 1])
-        avars = [Poly.variable(table, nm) for nm in a_names[i - 1]]
-        unprojectivized = [lam] + [lam * a for a in avars]
-        level = []
-        for row in inv:
-            acc = Poly.zero(table)
-            for c, v in zip(row, unprojectivized):
-                if c != 0:
-                    acc = acc + v * c
-            level.append(acc)
-        nu_levels.append(tuple(level))
-
-    return Chart(alpha=alpha, cc=cc, r=r, table=table,
+    return Chart(alpha=alpha, cc=cc, r=r, table=VarTable(names),
                  param_names=param_names, base_names=base_names,
-                 lambda_names=lambda_names, a_names=a_names,
-                 nu=tuple(nu_levels))
+                 lambda_names=lambda_names, a_names=a_names)
 
 
 def build_atlas(cc: CoveringCollection, n: int, r: int, params: int = 0,

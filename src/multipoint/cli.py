@@ -6,9 +6,11 @@ Subcommands:
   charts  list the chart atlas: forms, companions, substitutions, projections
   check   run the property suites against a map
 
-All output is a pure function of the parsed invocation: identical arguments
-produce byte-identical output, so runs can be diffed or cached.  Exit codes:
-0 success, 1 verification or computation failure, 2 bad input.
+Charts run one after another in atlas order; a map that starts with '-' may
+follow ``--map`` split or joined (``--map=...``).  All output is a pure
+function of the parsed invocation: identical arguments produce byte-identical
+output, so runs can be diffed or cached.  Exit codes: 0 success, 1
+verification or computation failure, 2 bad input.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .atlas import (
@@ -54,7 +55,6 @@ class RunSpec:
     suites: tuple[str, ...]
     seed: int
     trials: int
-    jobs: int
     corrupt: bool = False
 
     @classmethod
@@ -77,7 +77,6 @@ class RunSpec:
             suites=suites,
             seed=getattr(ns, "seed", 0),
             trials=getattr(ns, "trials", 25),
-            jobs=ns.jobs,
             corrupt=getattr(ns, "corrupt", False),
         )
 
@@ -86,13 +85,6 @@ def _styler(stream):
     if os.environ.get("MULTIPOINT_NO_COLOR") or not stream.isatty():
         return lambda text, code: text
     return lambda text, code: f"\x1b[{code}m{text}\x1b[0m"
-
-
-def _parallel(fn, items, jobs: int) -> list:
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 def _build_map(spec: RunSpec) -> PolyMap:
@@ -185,8 +177,8 @@ def _eqs_payload(f: PolyMap, spec: RunSpec, eqs_list) -> dict:
 def cmd_eqs(spec: RunSpec, out) -> int:
     f = _build_map(spec)
     cc = _build_collection(spec, f)
-    eqs_list = _parallel(lambda a: chart_equations(f, spec.order, cc, a),
-                         _alphas(spec, f, cc), spec.jobs)
+    eqs_list = [chart_equations(f, spec.order, cc, alpha)
+                for alpha in _alphas(spec, f, cc)]
     if spec.fmt == "json":
         json.dump(_eqs_payload(f, spec, eqs_list), out, indent=2)
         out.write("\n")
@@ -224,7 +216,7 @@ def cmd_dim(spec: RunSpec, out) -> int:
             return (eqs.chart, -1, True)
         return (eqs.chart, dimension(handle), False)
 
-    rows = _parallel(one, _alphas(spec, f, cc), spec.jobs)
+    rows = [one(alpha) for alpha in _alphas(spec, f, cc)]
     if spec.fmt == "json":
         payload = {
             "schema": "kr-dim/1",
@@ -277,7 +269,7 @@ def cmd_charts(spec: RunSpec, out) -> int:
         proj = [[str(c) for c in copy] for copy in projection_to_Xr(chart)]
         return chart, levels, proj
 
-    rows = _parallel(describe, _alphas(spec, f, cc), spec.jobs)
+    rows = [describe(alpha) for alpha in _alphas(spec, f, cc)]
     if spec.fmt == "json":
         payload = {
             "schema": "kr-charts/1",
@@ -328,7 +320,7 @@ def cmd_check(spec: RunSpec, out) -> int:
         kwargs = {"_corrupt": True} if (nm == "telescoping" and spec.corrupt) else {}
         return SUITES[nm](f, spec.order, cc, cfg, **kwargs)
 
-    reports = _parallel(one, names, spec.jobs)
+    reports = [one(nm) for nm in names]
     paint = _styler(out)
     ok = True
     for rep in reports:
@@ -362,8 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="default, vandermonde, or a file of forms")
         p.add_argument("--chart", action="append", metavar="A1,A2,...",
                        help="restrict to one chart index (repeatable)")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker threads for per-chart work")
         if with_format:
             p.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -394,8 +384,27 @@ def run(spec: RunSpec, out=None) -> int:
     return COMMANDS[spec.command](spec, out)
 
 
+def _glue_map_value(parser: argparse.ArgumentParser, argv: list) -> list:
+    """Rewrite ``--map -x2+y;y3`` as ``--map=-x2+y;y3``, since argparse reads
+    a value that starts with '-' as an option; real options are left alone."""
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = {opt for p in sub.choices.values()
+               for opt in p._option_string_actions}
+    out = []
+    for tok in argv:
+        if (out and out[-1] == "--map" and tok.startswith("-")
+                and tok.split("=", 1)[0] not in options):
+            out[-1] = f"--map={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
-    ns = build_parser().parse_args(argv)
+    parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    ns = parser.parse_args(_glue_map_value(parser, argv))
     try:
         spec = RunSpec.from_args(ns)
         return run(spec)

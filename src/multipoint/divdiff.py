@@ -143,6 +143,20 @@ def _check_compatible(f: PolyMap, chart: Chart):
             "chart variable names do not match the map's parameter/fiber names")
 
 
+def level_shift(chart: Chart, j: int) -> dict[str, Poly]:
+    """The substitution gamma^(j-1) -> gamma^(j-1) + nu_j that level j differences.
+
+    Level 0 is the lifted map, whose coordinates are the base variables;
+    level i > 0 has coordinates (lambda_i, a_i).
+    """
+    if j == 1:
+        prev_names = chart.base_names
+    else:
+        prev_names = (chart.lambda_names[j - 2], *chart.a_names[j - 2])
+    return {nm: Poly.variable(chart.table, nm) + d
+            for nm, d in zip(prev_names, chart.nu[j - 1])}
+
+
 def difference_chain(f: PolyMap, chart: Chart, depth: int | None = None) -> DifferenceChain:
     """Compute difference levels 1..depth of f on the chart."""
     _check_compatible(f, chart)
@@ -151,22 +165,13 @@ def difference_chain(f: PolyMap, chart: Chart, depth: int | None = None) -> Diff
     if not 1 <= depth <= chart.r - 1:
         raise ValueError(f"depth {depth} out of range 1..{chart.r - 1}")
 
-    lifted = [transplant(c, chart.table) for c in f.fiber_coords]
-    shift1 = {nm: Poly.variable(chart.table, nm) + d
-              for nm, d in zip(chart.base_names, chart.nu[0])}
-    level = tuple(
-        divide_by_variable(substitute(g, shift1) - g, chart.lambda_names[0])
-        for g in lifted)
-    levels = [level]
-    for j in range(2, depth + 1):
-        prev_names = [chart.lambda_names[j - 2], *chart.a_names[j - 2]]
-        shift = {nm: Poly.variable(chart.table, nm) + d
-                 for nm, d in zip(prev_names, chart.nu[j - 1])}
-        level = tuple(
+    levels = [tuple(transplant(c, chart.table) for c in f.fiber_coords)]
+    for j in range(1, depth + 1):
+        shift = level_shift(chart, j)
+        levels.append(tuple(
             divide_by_variable(substitute(g, shift) - g, chart.lambda_names[j - 1])
-            for g in levels[-1])
-        levels.append(level)
-    return DifferenceChain(f=f, chart=chart, levels=tuple(levels))
+            for g in levels[-1]))
+    return DifferenceChain(f=f, chart=chart, levels=tuple(levels[1:]))
 
 
 # ---- classical corank-one divided differences ------------------------------

@@ -25,13 +25,8 @@ Mono = tuple
 
 
 def _to_int_terms(p: Poly) -> dict:
-    if p.is_zero():
-        return {}
-    den = 1
-    for c in p.terms.values():
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    terms = {m: c.numerator * (den // c.denominator) for m, c in p.terms.items()}
-    return _strip(terms)
+    """Coprime integer coefficients with a positive leading one."""
+    return {m: c.numerator for m, c in normalize(p).terms.items()}
 
 
 def _strip(terms: dict) -> dict:
@@ -237,20 +232,17 @@ def _buchberger(polys: Iterable[dict]) -> list[dict]:
 class IdealHandle:
     """A generator set with a lazily computed reduced Groebner basis."""
 
-    __slots__ = ("generators", "order", "_basis")
+    __slots__ = ("generators", "_basis")
 
-    def __init__(self, generators: Sequence[Poly], order: str = "degrevlex"):
+    def __init__(self, generators: Sequence[Poly]):
         generators = tuple(generators)
         if not generators:
             raise ValueError("an ideal handle needs at least one generator")
-        if order != "degrevlex":
-            raise ValueError(f"unsupported term order {order!r}")
         table = generators[0].table
         for g in generators:
             if g.table != table:
                 raise ValueError("generators must share one variable table")
         self.generators = generators
-        self.order = order
         self._basis = None
 
     @property
@@ -293,8 +285,7 @@ def dimension(h: IdealHandle) -> int:
         return -1
     supports = set()
     for g in basis:
-        terms = _to_int_terms(g)
-        m = max(terms, key=degrevlex_key)
+        m = g.leading_monomial()
         supports.add(frozenset(i for i, e in enumerate(m) if e))
     # a support containing another is hit whenever the smaller one is
     minimal = [s for s in supports

@@ -1,8 +1,8 @@
 """Exact multivariate polynomial arithmetic over Q.
 
 Polynomials live in a ring described by a VarTable (an ordered list of named
-variables with block roles: parameters, base variables, then per-level
-lambda/a blocks).  Coefficients are exact rationals; terms are stored as a
+variables; on a chart: parameters, base variables, then per-level lambda/a
+blocks).  Coefficients are exact rationals; terms are stored as a
 dense exponent tuple -> nonzero coefficient map.  The ambient term order is
 degree-reverse-lexicographic with earlier variables larger.
 """
@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
-
-Rational = Fraction
+from typing import Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -48,62 +46,19 @@ class NotDivisibleError(PolyError):
         self.monomial = monomial
 
 
-class VarRole:
-    """Block tag of a variable: param, base, lambda(level) or a(level, slot)."""
-
-    __slots__ = ("kind", "level", "slot")
-
-    PARAM = "param"
-    BASE = "base"
-    LAMBDA = "lambda"
-    A = "a"
-
-    def __init__(self, kind: str, level: int = 0, slot: int = 0):
-        if kind not in (self.PARAM, self.BASE, self.LAMBDA, self.A):
-            raise ValueError(f"unknown variable role {kind!r}")
-        if kind in (self.LAMBDA, self.A) and level < 1:
-            raise ValueError("lambda/a roles need a level >= 1")
-        if kind == self.A and slot < 1:
-            raise ValueError("a roles need a slot >= 1")
-        self.kind = kind
-        self.level = level
-        self.slot = slot
-
-    def __eq__(self, other):
-        return (isinstance(other, VarRole)
-                and (self.kind, self.level, self.slot) == (other.kind, other.level, other.slot))
-
-    def __hash__(self):
-        return hash((self.kind, self.level, self.slot))
-
-    def __repr__(self):
-        if self.kind == self.A:
-            return f"VarRole(a, level={self.level}, slot={self.slot})"
-        if self.kind == self.LAMBDA:
-            return f"VarRole(lambda, level={self.level})"
-        return f"VarRole({self.kind})"
-
-
 class VarTable:
     """Ordered, named variable set shared by all polynomials of a ring."""
 
-    __slots__ = ("names", "roles", "_index")
+    __slots__ = ("names", "_index")
 
-    def __init__(self, names: Sequence[str], roles: Sequence[VarRole] | None = None):
+    def __init__(self, names: Sequence[str]):
         names = tuple(names)
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate variable names in {names}")
         for nm in names:
             if not nm or not (nm[0].isalpha()) or not all(c.isalnum() or c == "_" for c in nm):
                 raise ValueError(f"invalid variable name {nm!r}")
-        if roles is None:
-            roles = tuple(VarRole(VarRole.BASE) for _ in names)
-        else:
-            roles = tuple(roles)
-            if len(roles) != len(names):
-                raise ValueError("names and roles differ in length")
         self.names = names
-        self.roles = roles
         self._index = {nm: i for i, nm in enumerate(names)}
 
     def index(self, name: str) -> int:
@@ -126,9 +81,6 @@ class VarTable:
 
     def __repr__(self):
         return f"VarTable({', '.join(self.names)})"
-
-    def names_with_role(self, kind: str) -> list[str]:
-        return [nm for nm, rl in zip(self.names, self.roles) if rl.kind == kind]
 
 
 def degrevlex_key(exps: Sequence[int]):

@@ -19,6 +19,7 @@ from .divdiff import (
     classical_corank1,
     corank1_translate,
     difference_chain,
+    level_shift,
 )
 from .polyring import (
     Poly,
@@ -135,23 +136,11 @@ def telescoping_failures(f: PolyMap, chain: DifferenceChain) -> list[tuple[str, 
     """Violations of the defining recursion of the chain, as report rows."""
     chart = chain.chart
     out = []
-    lifted = [transplant(c, chart.table) for c in f.fiber_coords]
-    shift1 = {nm: Poly.variable(chart.table, nm) + d
-              for nm, d in zip(chart.base_names, chart.nu[0])}
-    lam1 = Poly.variable(chart.table, chart.lambda_names[0])
-    for idx, (g0, g1) in enumerate(zip(lifted, chain.levels[0])):
-        lhs = lam1 * g1
-        rhs = substitute(g0, shift1) - g0
-        if lhs != rhs:
-            out.append((f"{chart.name()} level 1 component {idx + 1}",
-                        str(rhs), str(lhs)))
-    for j in range(2, chain.depth + 1):
-        prev_names = [chart.lambda_names[j - 2], *chart.a_names[j - 2]]
-        shift = {nm: Poly.variable(chart.table, nm) + d
-                 for nm, d in zip(prev_names, chart.nu[j - 1])}
+    levels = [[transplant(c, chart.table) for c in f.fiber_coords], *chain.levels]
+    for j in range(1, chain.depth + 1):
+        shift = level_shift(chart, j)
         lam = Poly.variable(chart.table, chart.lambda_names[j - 1])
-        for idx, (prev, cur) in enumerate(zip(chain.levels[j - 2],
-                                              chain.levels[j - 1])):
+        for idx, (prev, cur) in enumerate(zip(levels[j - 1], levels[j])):
             lhs = lam * cur
             rhs = substitute(prev, shift) - prev
             if lhs != rhs:
@@ -187,7 +176,7 @@ def check_telescoping(f: PolyMap, r: int, cc: CoveringCollection,
 # ---- strict points ---------------------------------------------------------
 
 
-def _projected_tuple(eqs_chart: Chart, projections, point: Sequence[Fraction]):
+def _projected_tuple(projections, point: Sequence[Fraction]):
     """Fiber coordinates of the r projected source points at a chart point."""
     return [tuple(evaluate(comp, point) for comp in proj)
             for proj in projections]
@@ -251,7 +240,7 @@ def check_strict_points(f: PolyMap, r: int, cc: CoveringCollection,
         for nm in chart.lambda_names:
             if evaluate(Poly.variable(chart.table, nm), point) == 0:
                 return None
-        tup = _projected_tuple(chart, eqs.projections, point)
+        tup = _projected_tuple(eqs.projections, point)
         if len(set(tup)) != len(tup):
             return None
         report.trials += 1
@@ -306,7 +295,9 @@ def check_diagonal_kernel(f: PolyMap, cc: CoveringCollection,
         chain = difference_chain(f, chart)
         table = chart.table
         lam = chart.lambda_names[0]
-        direction = [divided for divided in _unit_direction(chart)]
+        # nu_1 / lambda_1: the matrix inverse applied to (1, a_1, ...)
+        direction = chart.nu_apply(
+            1, [Poly.constant(table, 1), *chart.level_tuple(1)[1:]])
         for idx, g in enumerate(chain.levels[0]):
             at_diag = substitute(g, {lam: Poly.zero(table)})
             coord = transplant(f.fiber_coords[idx], table)
@@ -318,21 +309,6 @@ def check_diagonal_kernel(f: PolyMap, cc: CoveringCollection,
                 report.record(f"{chart.name()} component {idx + 1}",
                               str(want), str(at_diag))
     return report
-
-
-def _unit_direction(chart: Chart) -> list[Poly]:
-    """The direction nu/lambda: the matrix inverse applied to (1, a_1, ...)."""
-    inv = chart.cc.inverse_matrix(chart.alpha[0] - 1)
-    one = Poly.constant(chart.table, 1)
-    coords = [one] + [Poly.variable(chart.table, nm) for nm in chart.a_names[0]]
-    out = []
-    for row in inv:
-        acc = Poly.zero(chart.table)
-        for c, v in zip(row, coords):
-            if c != 0:
-                acc = acc + v * c
-        out.append(acc)
-    return out
 
 
 # ---- chart overlap ---------------------------------------------------------
@@ -389,7 +365,7 @@ def check_overlap(f: PolyMap, r: int, cc: CoveringCollection,
             if evaluate(Poly.variable(chart.table, nm), point) == 0:
                 return
         params = point[:chart.s]
-        tup = _projected_tuple(chart, src_eqs.projections, point)
+        tup = _projected_tuple(src_eqs.projections, point)
         if len(set(tup)) != len(tup):
             return
         report.trials += 1

@@ -1,5 +1,6 @@
 """End to end checks of the command line: exit codes, formats, determinism."""
 
+import hashlib
 import io
 import json
 
@@ -40,6 +41,22 @@ class TestExitCodes:
     def test_missing_map_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["eqs", "--vars", "x,y", "-r", "2"])
+        assert exc.value.code == 2
+
+    def test_map_starting_with_minus(self, capsys):
+        assert main(["eqs", "--vars", "x,y", "--map", "-x2+y;y3"]) == 0
+        split = capsys.readouterr().out
+        assert main(["eqs", "--vars", "x,y", "--map=-x2+y;y3"]) == 0
+        assert split == capsys.readouterr().out
+        assert split.startswith("map (x, y) -> (-x^2+y; y^3)")
+
+    @pytest.mark.parametrize("argv", [
+        ["eqs", "--map", "--vars", "x,y"],
+        ["eqs", "--vars", "x,y", "--map"],
+    ])
+    def test_map_without_value_is_usage_error(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
         assert exc.value.code == 2
 
     def test_bad_suite_is_usage_error(self):
@@ -104,10 +121,6 @@ class TestDim:
         assert payload["schema"] == "kr-dim/1"
         assert [c["empty"] for c in payload["charts"]] == [True, True]
         assert [c["dimension"] for c in payload["charts"]] == [-1, -1]
-
-    def test_jobs_do_not_change_output(self):
-        argv = ["dim", *FAMILY, "-r", "3"]
-        assert capture(argv) == capture([*argv, "--jobs", "4"])
 
 
 class TestCharts:
@@ -179,6 +192,30 @@ class TestDeterminism:
         assert _styler(FakeTty())("hi", "32") == "\x1b[32mhi\x1b[0m"
         monkeypatch.setenv("MULTIPOINT_NO_COLOR", "1")
         assert _styler(FakeTty())("hi", "32") == "hi"
+
+
+TRIFOLD = ["--vars", "t,x,y", "--map", "t;x2+ty;y2-tx;x3+y3+xy", "-r", "3"]
+FIBER3 = ["--vars", "x,y,z", "--map", "x2+yz;y2-xz;z2+xy", "-r", "3",
+          "--collection", "vandermonde"]
+
+
+class TestPinnedOutput:
+    """Stdout digests of outputs that print nu and the projections."""
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["charts", *TRIFOLD, "--format", "json"],
+         "7033132740ddbc6e0880198ffc26e7a0b4702af5217577201f103e56e222c2d9"),
+        (["eqs", *TRIFOLD],
+         "0d675a89b7f9467c3a8553e362982896e5d492fd81a0b9e5e0a3703f57950877"),
+        (["charts", *FIBER3, "--format", "json"],
+         "27769462033a691d32e688f552843d134fd5a55b6c05e92f16512632133597e4"),
+        (["eqs", *FIBER3],
+         "702e5854f0626e07fe2a4f03a4c1400ef00147c57cb1770fcf0f7ca280bbd50b"),
+    ])
+    def test_stdout_digest(self, argv, digest):
+        code, text = capture(argv)
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestDimFlags:

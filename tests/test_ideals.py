@@ -141,8 +141,6 @@ def test_ideal_handle_validation():
     with pytest.raises(ValueError):
         IdealHandle([])
     with pytest.raises(ValueError):
-        IdealHandle([P("x")], order="lex")
-    with pytest.raises(ValueError):
         IdealHandle([P("x"), P("x", VarTable(["x"]))])
 
 
