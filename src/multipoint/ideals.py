@@ -3,16 +3,21 @@
 The basis engine is a plain Buchberger loop over integer-coefficient
 polynomials (fractions are cleared up front and content is stripped after
 every combination step), with the product and chain pair criteria, followed
-by minimalization and tail interreduction.  Dimension is the standard
-combinatorial dimension of the leading-term ideal.
+by minimalization and tail interreduction.  S-pairs are taken from a heap
+keyed once, when each pair is created, by the degrevlex key of its lcm
+(ties by index); the degrevlex keys that reduction compares are cached
+per monomial for one basis run and dropped with it.
+Dimension is the standard combinatorial dimension of the leading-term ideal.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .atlas import Chart, CoveringCollection, multi_indices, projection_to_Xr
@@ -63,32 +68,34 @@ def _mono_sub(a: Mono, b: Mono) -> Mono:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def _combine(f: dict, a: int, g: dict, b: int, shift: Mono) -> dict:
-    """a*f - b*(x^shift * g), in place over a fresh dict."""
-    out = {m: a * v for m, v in f.items()} if a != 1 else dict(f)
-    for m, v in g.items():
-        key = _mono_mul(m, shift)
-        w = out.get(key, 0) - b * v
-        if w:
-            out[key] = w
-        else:
-            out.pop(key, None)
-    return out
+class _KeyCache(dict):
+    """Monomial -> degrevlex_key, computed on first lookup."""
+
+    __slots__ = ()
+
+    def __missing__(self, m: Mono):
+        k = self[m] = degrevlex_key(m)
+        return k
 
 
-def _normal_form(p: dict, basis: Sequence[tuple]) -> dict:
+def _normal_form(p: dict, basis: Sequence[tuple],
+                 keys: _KeyCache | None = None) -> dict:
     """Full remainder of p against basis entries (lm, lc, terms).
 
     Fraction-free: instead of dividing, both the work polynomial and the
     emitted remainder are scaled by the reducer's leading coefficient, and
     joint content is stripped to keep coefficients small.  The remainder is
     therefore a unit multiple of the true normal form, which preserves
-    zero-ness and leading monomials.
+    zero-ness and leading monomials.  `keys` caches monomial sort keys
+    across calls; a fresh one is used when none is given.
     """
+    if keys is None:
+        keys = _KeyCache()
+    key = keys.__getitem__
     work = dict(p)
     out: dict = {}
     while work:
-        m = max(work, key=degrevlex_key)
+        m = max(work, key=key)
         c = work[m]
         hit = None
         for lm, lc, g in basis:
@@ -109,12 +116,12 @@ def _normal_form(p: dict, basis: Sequence[tuple]) -> dict:
                 work[k] *= a
         shift = _mono_sub(m, lm)
         for mg, vg in g.items():
-            key = _mono_mul(mg, shift)
-            w = work.get(key, 0) - b * vg
+            mm = _mono_mul(mg, shift)
+            w = work.get(mm, 0) - b * vg
             if w:
-                work[key] = w
+                work[mm] = w
             else:
-                work.pop(key, None)
+                work.pop(mm, None)
         if abs(a) > 1 and (work or out):
             joint = 0
             for v in itertools.chain(work.values(), out.values()):
@@ -170,17 +177,23 @@ def _buchberger(polys: Iterable[dict]) -> list[dict]:
     if not basis:
         return []
 
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
+    # pairs leave the heap by (degrevlex key of their lcm, i, j); each
+    # entry is keyed once, when the pair is created
+    keys = _KeyCache()
+    heap = []
+
+    def push(i, j):
+        l = _mono_lcm(basis[i][0], basis[j][0])
+        heapq.heappush(heap, (keys[l], i, j, l))
+
+    for j in range(len(basis)):
+        for i in range(j):
+            push(i, j)
     done = set()
 
-    def lcm_of(i, j):
-        return _mono_lcm(basis[i][0], basis[j][0])
-
-    while pairs:
-        i, j = min(pairs, key=lambda ij: (degrevlex_key(lcm_of(*ij)), ij))
-        pairs.discard((i, j))
+    while heap:
+        _, i, j, l = heapq.heappop(heap)
         done.add((i, j))
-        l = lcm_of(i, j)
         if l == _mono_mul(basis[i][0], basis[j][0]):
             continue  # coprime leading monomials reduce to zero
         chained = False
@@ -194,7 +207,7 @@ def _buchberger(polys: Iterable[dict]) -> list[dict]:
                 break
         if chained:
             continue
-        h = _normal_form(_spoly(basis[i], basis[j]), basis)
+        h = _normal_form(_spoly(basis[i], basis[j]), basis, keys)
         if not h:
             continue
         if _is_unit(h):
@@ -203,7 +216,7 @@ def _buchberger(polys: Iterable[dict]) -> list[dict]:
         basis.append(_entry(h))
         new = len(basis) - 1
         for k in range(new):
-            pairs.add((k, new))
+            push(k, new)
 
     # minimalize: drop entries whose leading monomial another one divides
     keep = []
@@ -218,11 +231,10 @@ def _buchberger(polys: Iterable[dict]) -> list[dict]:
     reduced = []
     for i, e in enumerate(keep):
         others = keep[:i] + keep[i + 1:]
-        h = _normal_form(e[2], others) if others else _strip(dict(e[2]))
+        h = _normal_form(e[2], others, keys) if others else _strip(dict(e[2]))
         if h:
             reduced.append(h)
-    reduced.sort(key=lambda t: degrevlex_key(max(t, key=degrevlex_key)),
-                 reverse=True)
+    reduced.sort(key=lambda t: max(map(keys.__getitem__, t)), reverse=True)
     return reduced
 
 
@@ -320,11 +332,15 @@ class ChartEquations:
     chart: Chart
     chain: DifferenceChain = field(repr=False)
     generators: tuple[Poly, ...]
-    projections: tuple[tuple[Poly, ...], ...] = field(repr=False)
 
     @property
     def levels(self) -> tuple[tuple[Poly, ...], ...]:
         return self.chain.levels
+
+    @cached_property
+    def projections(self) -> tuple[tuple[Poly, ...], ...]:
+        """Projection formulas to the r source copies, built on first read."""
+        return tuple(tuple(v) for v in projection_to_Xr(self.chart))
 
     def handle(self) -> IdealHandle:
         if not self.generators:
@@ -342,9 +358,7 @@ def chart_equations(f: PolyMap, r: int, cc: CoveringCollection,
     chart = f.chart_for(cc, alpha, r)
     chain = difference_chain(f, chart)
     gens = tuple(normalize(g) for level in chain.levels for g in level)
-    proj = tuple(tuple(v) for v in projection_to_Xr(chart))
-    return ChartEquations(chart=chart, chain=chain,
-                          generators=gens, projections=proj)
+    return ChartEquations(chart=chart, chain=chain, generators=gens)
 
 
 def kr_equations(f: PolyMap, r: int, cc: CoveringCollection) -> list[ChartEquations]:

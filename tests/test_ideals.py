@@ -1,14 +1,19 @@
 """Tests for chart equations, Buchberger bases, dimension and membership."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import multipoint.ideals as ideals_mod
 from multipoint.atlas import covering_collection, standard_collection
 from multipoint.divdiff import PolyMap
 from multipoint.ideals import (
     ChartEquations,
     IdealHandle,
+    chart_equations,
     contains,
     diagonal_fiber_dimension,
     dimension,
@@ -22,7 +27,13 @@ from multipoint.ideals import (
     _spoly,
     _to_int_terms,
 )
-from multipoint.polyring import Poly, VarTable, normalize, parse_poly
+from multipoint.polyring import (
+    Poly,
+    VarTable,
+    degrevlex_key,
+    normalize,
+    parse_poly,
+)
 
 XY = VarTable(["x", "y"])
 
@@ -215,6 +226,24 @@ def test_kr_equations_trifold_r2():
     assert list(chart1.generators) == [parse_poly(w, tb) for w in want]
 
 
+def test_chart_equations_build_projections_on_first_read(monkeypatch):
+    calls = []
+    real = ideals_mod.projection_to_Xr
+
+    def counting(chart):
+        calls.append(chart)
+        return real(chart)
+
+    monkeypatch.setattr(ideals_mod, "projection_to_Xr", counting)
+    eqs = chart_equations(trifold(), 2, standard_collection(2, 2), (1,))
+    assert calls == []
+    proj = eqs.projections
+    assert calls == [eqs.chart]
+    assert eqs.projections is proj
+    assert len(calls) == 1
+    assert proj == tuple(tuple(v) for v in real(eqs.chart))
+
+
 def test_kr_equations_generator_count():
     f = trifold()
     cc = standard_collection(2, 3)
@@ -267,6 +296,101 @@ def test_trifold_k3_chart12_dimension():
     cc = standard_collection(2, 3)
     eqs = {e.chart.alpha: e for e in kr_equations(f, 3, cc)}
     assert dimension(eqs[(1, 2)].handle()) == 2
+
+
+# ---- trifold bases (pinned) -------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def trifold_r3_bases():
+    """Reduced bases of the six trifold-cone r=3 charts, keyed by alpha."""
+    return {e.chart.alpha: groebner(e.handle())
+            for e in kr_equations(trifold(), 3, standard_collection(2, 3))}
+
+
+def test_trifold_r3_bases_pinned(trifold_r3_bases):
+    # digest of the bases as computed before the pair heap and key cache
+    assert list(trifold_r3_bases) == [(1, 1), (1, 2), (2, 1), (2, 2),
+                                      (3, 1), (3, 2)]
+    assert [len(b) for b in trifold_r3_bases.values()] == [38, 16, 34, 16,
+                                                           36, 24]
+    lines = []
+    for alpha, basis in trifold_r3_bases.items():
+        lines.append("U(%s)" % ",".join(map(str, alpha)))
+        lines.extend(str(g) for g in basis)
+    text = "\n".join(lines) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "aa245ee0b3ad7f91394ec5a0d1acf49d13603ead483d70789682b5b33e03b2c1")
+
+
+# ---- independent oracle: sympy ----------------------------------------------
+
+
+def _monic(terms: dict) -> dict:
+    lc = terms[max(terms, key=degrevlex_key)]
+    return {m: Fraction(c) / lc for m, c in terms.items()}
+
+
+def _to_sympy(p: Poly):
+    sympy = pytest.importorskip("sympy")
+    syms = sympy.symbols(list(p.table.names))
+    return sympy.Poly.from_dict(
+        {m: sympy.Rational(c.numerator, c.denominator)
+         for m, c in p.terms.items()}, *syms, domain="QQ")
+
+
+def _sympy_groebner(gens):
+    """sympy's reduced grevlex basis, symbols in table order."""
+    sympy = pytest.importorskip("sympy")
+    syms = sympy.symbols(list(gens[0].table.names))
+    return sympy.groebner([_to_sympy(g) for g in gens], *syms,
+                          order="grevlex")
+
+
+def _sympy_monic(basis) -> list[dict]:
+    # sympy's own monic() divides by the lex leading coefficient
+    return [_monic({m: Fraction(int(c.p), int(c.q)) for m, c in p.terms()})
+            for p in basis.polys]
+
+
+@pytest.mark.parametrize("alpha", [(1, 2), (2, 2)])
+def test_trifold_r3_basis_matches_sympy(trifold_r3_bases, alpha):
+    eqs = chart_equations(trifold(), 3, standard_collection(2, 3), alpha)
+    want = _sympy_monic(_sympy_groebner(eqs.generators))
+    assert [_monic(g.terms) for g in trifold_r3_bases[alpha]] == want
+
+
+def _int_poly(n):
+    mono = st.tuples(*[st.integers(0, 3)] * n).filter(lambda m: sum(m) <= 3)
+    return st.dictionaries(mono, st.integers(-3, 3).filter(bool),
+                           min_size=1, max_size=4)
+
+
+@st.composite
+def _small_ideals(draw):
+    n = draw(st.integers(2, 3))
+    gens = draw(st.lists(_int_poly(n), min_size=2, max_size=3))
+    mults = draw(st.lists(_int_poly(n), min_size=len(gens),
+                          max_size=len(gens)))
+    other = draw(_int_poly(n))
+    return n, gens, mults, other
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_ideals())
+def test_groebner_and_contains_match_sympy(case):
+    n, gens, mults, other = case
+    table = VarTable(["x", "y", "z"][:n])
+    gens = [Poly(table, g) for g in gens]
+    h = IdealHandle(gens)
+    oracle = _sympy_groebner(gens)
+    assert [_monic(g.terms) for g in groebner(h)] == _sympy_monic(oracle)
+    combo = Poly.zero(table)
+    for q, g in zip(mults, gens):
+        combo = combo + Poly(table, q) * g
+    assert contains(h, combo)
+    other = Poly(table, other)
+    assert contains(h, other) == oracle.contains(_to_sympy(other))
 
 
 # ---- diagonal fiber --------------------------------------------------------
