@@ -66,27 +66,6 @@ class LinearForm:
         return out
 
 
-def _det(rows: list[list[Fraction]]) -> Fraction:
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
-    n = len(rows)
-    m = [[_as_fraction(v) for v in row] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                factor = m[r][col] * inv
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return det
-
-
 def _invert(rows: list[list[Fraction]]) -> list[list[Fraction]] | None:
     """Exact inverse of a square matrix over Q; None if it is singular."""
     n = len(rows)
@@ -163,7 +142,7 @@ class CoveringCollection:
         # m = (ell-1)(n-1)+1 >= n, so every n-subset gives a square matrix
         for subset in itertools.combinations(range(len(self.forms)), self.n):
             rows = [list(self.forms[i].coeffs) for i in subset]
-            if _det(rows) == 0:
+            if _invert(rows) is None:
                 labels = ", ".join(str(i + 1) for i in subset)
                 raise CollectionError(f"forms {labels} are linearly dependent")
 

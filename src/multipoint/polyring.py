@@ -10,6 +10,7 @@ degree-reverse-lexicographic with earlier variables larger.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
@@ -90,6 +91,19 @@ def degrevlex_key(exps: Sequence[int]):
 
 def _as_fraction(c: Scalar) -> Fraction:
     return c if isinstance(c, Fraction) else Fraction(c)
+
+
+def _add_product(out: dict, t1: Mapping, t2: Mapping) -> dict:
+    """Add the product of term maps t1 and t2 into out, dropping zero sums."""
+    for e1, c1 in t1.items():
+        for e2, c2 in t2.items():
+            e = tuple(map(operator.add, e1, e2))
+            s = out.get(e, 0) + c1 * c2
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return out
 
 
 class Poly:
@@ -205,16 +219,7 @@ class Poly:
                 return Poly.zero(self.table)
             return Poly(self.table, {e: c * v for e, v in self.terms.items()})
         self._check(other)
-        terms: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, 0) + c1 * c2
-                if s:
-                    terms[e] = s
-                else:
-                    terms.pop(e, None)
-        return Poly(self.table, terms)
+        return Poly(self.table, _add_product({}, self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -248,40 +253,9 @@ class Poly:
 
 def substitute(p: Poly, assignment: Mapping[str, Poly | Scalar]) -> Poly:
     """Simultaneous substitution of variables by polynomials, exact expansion."""
-    table = p.table
-    subs: dict[int, Poly] = {}
-    for name, repl in assignment.items():
-        if isinstance(repl, (int, Fraction)):
-            repl = Poly.constant(table, repl)
-        if repl.table != table:
-            raise TableMismatchError(f"replacement for {name!r} uses a different table")
-        subs[table.index(name)] = repl
-    if not subs:
-        return p
-    # powers of each replacement are cached: chains reuse the same exponents a lot
-    power_cache: dict[tuple[int, int], Poly] = {}
-
-    def power(i: int, e: int) -> Poly:
-        key = (i, e)
-        got = power_cache.get(key)
-        if got is None:
-            got = subs[i] ** e
-            power_cache[key] = got
-        return got
-
-    out = Poly.zero(table)
-    for exps, c in p.terms.items():
-        residual = list(exps)
-        factor = None
-        for i in subs:
-            e = residual[i]
-            if e:
-                residual[i] = 0
-                piece = power(i, e)
-                factor = piece if factor is None else factor * piece
-        mono = Poly(table, {tuple(residual): c})
-        out = out + (mono if factor is None else mono * factor)
-    return out
+    for name in assignment:
+        p.table.index(name)
+    return transplant(p, p.table, assignment) if assignment else p
 
 
 def divide_by_variable(p: Poly, name: str) -> Poly:
@@ -347,11 +321,14 @@ def transplant(p: Poly, table: VarTable,
                mapping: Mapping[str, Poly | Scalar] | None = None) -> Poly:
     """Rebuild p over another table, mapping variables by name.
 
-    Variables listed in ``mapping`` are replaced by the given polynomial over
-    the target table; all others must exist in the target table by name.
+    Variables listed in ``mapping`` are replaced, simultaneously, by the given
+    polynomial over the target table; all others keep their name and must
+    exist in the target table wherever they occur in p.
     """
-    mapping = dict(mapping or {})
+    mapping = mapping or {}
+    gather = [-1] * len(table)  # target index -> kept source index (-1: none)
     images: dict[int, Poly] = {}
+    missing = []
     for i, nm in enumerate(p.table.names):
         if nm in mapping:
             repl = mapping[nm]
@@ -361,20 +338,30 @@ def transplant(p: Poly, table: VarTable,
                 raise TableMismatchError(f"image of {nm!r} is over the wrong table")
             images[i] = repl
         elif nm in table:
-            images[i] = Poly.variable(table, nm)
+            gather[table.index(nm)] = i
         else:
-            images[i] = None  # only legal if nm never occurs
-    out = Poly.zero(table)
+            missing.append(i)
+    # powers of each image are cached: chains reuse the same exponents a lot
+    powers: dict[tuple[int, int], dict] = {}
+    unit = {(0,) * len(table): 1}
+    out: dict = {}
     for exps, c in p.terms.items():
-        acc = Poly.constant(table, c)
-        for i, e in enumerate(exps):
+        for i in missing:
+            if exps[i]:
+                raise KeyError(
+                    f"variable {p.table.names[i]!r} has no image in {table!r}")
+        factor = None
+        for i, img in images.items():
+            e = exps[i]
             if e:
-                if images[i] is None:
-                    raise KeyError(
-                        f"variable {p.table.names[i]!r} has no image in {table!r}")
-                acc = acc * images[i] ** e
-        out = out + acc
-    return out
+                piece = powers.get((i, e))
+                if piece is None:
+                    piece = powers[(i, e)] = (img ** e).terms
+                factor = piece if factor is None else _add_product({}, factor, piece)
+        padded = exps + (0,)
+        mono = tuple([padded[k] for k in gather])
+        _add_product(out, {mono: c}, unit if factor is None else factor)
+    return Poly(table, out)
 
 
 # ---- parsing ---------------------------------------------------------

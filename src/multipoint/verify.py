@@ -238,7 +238,7 @@ def check_strict_points(f: PolyMap, r: int, cc: CoveringCollection,
     def run_case(eqs, point, label):
         chart = eqs.chart
         for nm in chart.lambda_names:
-            if evaluate(Poly.variable(chart.table, nm), point) == 0:
+            if point[chart.table.index(nm)] == 0:
                 return None
         tup = _projected_tuple(eqs.projections, point)
         if len(set(tup)) != len(tup):
@@ -362,7 +362,7 @@ def check_overlap(f: PolyMap, r: int, cc: CoveringCollection,
     def transfer(src_eqs, point):
         chart = src_eqs.chart
         for nm in chart.lambda_names:
-            if evaluate(Poly.variable(chart.table, nm), point) == 0:
+            if point[chart.table.index(nm)] == 0:
                 return
         params = point[:chart.s]
         tup = _projected_tuple(src_eqs.projections, point)

@@ -20,7 +20,7 @@ from multipoint.atlas import (
     standard_collection,
     projection_to_Xr,
     vandermonde_collection,
-    _det,
+    _invert,
 )
 from multipoint.polyring import Poly, divide_by_variable, parse_poly, substitute
 
@@ -29,7 +29,7 @@ def chart_poly(chart, src):
     return parse_poly(src, chart.table)
 
 
-# ---- linear forms and determinants ----------------------------------------
+# ---- linear forms and inverses --------------------------------------------
 
 
 def test_linear_form_rejects_zero():
@@ -48,10 +48,14 @@ def test_linear_form_text():
     assert LinearForm((Fraction(1, 2), 0)).text(["x", "y"]) == "(1/2)*x"
 
 
-def test_det_oracle():
-    assert _det([[1, 2], [3, 4]]) == -2
-    assert _det([[1, 1], [2, 2]]) == 0
-    assert _det([[2]]) == 2
+def test_invert_oracle():
+    assert _invert([[1, 1], [2, 2]]) is None
+    for rows in ([[1, 2], [3, 4]], [[2]], [[0, 1, 2], [1, 0, 3], [4, -3, 8]]):
+        inv = _invert(rows)
+        n = len(rows)
+        product = [[sum(inv[i][k] * rows[k][j] for k in range(n)) for j in range(n)]
+                   for i in range(n)]
+        assert product == [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 # ---- collections -----------------------------------------------------------
@@ -88,7 +92,7 @@ def test_vandermonde_n3_ell3_all_triples_independent():
     import itertools
     for subset in itertools.combinations(range(5), 3):
         rows = [list(cc.forms[i].coeffs) for i in subset]
-        assert _det(rows) != 0
+        assert _invert(rows) is not None
 
 
 def test_vandermonde_companions_cyclic():

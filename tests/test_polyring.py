@@ -237,6 +237,16 @@ def test_substitute_wrong_table():
         substitute(P("x"), {"x": P("x", TXY)})
 
 
+def test_substitute_unknown_name():
+    with pytest.raises(KeyError):
+        substitute(P("x"), {"z": P("y")})
+
+
+def test_substitute_empty_returns_same_object():
+    p = P("x*y+1")
+    assert substitute(p, {}) is p
+
+
 # ---- divide_by_variable ---------------------------------------------------
 
 
@@ -312,6 +322,16 @@ def test_transplant_missing_variable():
         transplant(P("x+y"), VarTable(["x"]))
 
 
+def test_transplant_absent_variable_needs_no_image():
+    tx = VarTable(["x"])
+    assert transplant(P("x^2+1"), tx) == parse_poly("x^2+1", tx)
+
+
+def test_transplant_wrong_table():
+    with pytest.raises(TableMismatchError):
+        transplant(P("x+y"), TXY, {"y": P("y")})
+
+
 # ---- render ---------------------------------------------------------------
 
 
@@ -381,3 +401,81 @@ def test_evaluation_is_ring_morphism(p, q):
     pt = [Fraction(2, 3), Fraction(-1, 5)]
     assert evaluate(p + q, pt) == evaluate(p, pt) + evaluate(q, pt)
     assert evaluate(p * q, pt) == evaluate(p, pt) * evaluate(q, pt)
+
+
+# ---- substitution against sympy ---------------------------------------------
+
+small_coeffs = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 3))
+
+
+def _rand_poly(draw, table, max_terms=3):
+    mono = st.tuples(*[st.integers(0, 2)] * len(table))
+    terms = draw(st.dictionaries(mono, small_coeffs, max_size=max_terms))
+    return Poly(table, terms)
+
+
+def _image(draw, table):
+    """A replacement over ``table``: a constant, one variable, or a polynomial."""
+    kind = draw(st.sampled_from(["constant", "variable", "poly"]))
+    if kind == "constant":
+        return draw(st.integers(-2, 2) | small_coeffs)
+    if kind == "variable":
+        return Poly.variable(table, draw(st.sampled_from(table.names)))
+    return _rand_poly(draw, table)
+
+
+def _sympy_expr(sympy, p):
+    syms = sympy.symbols(list(p.table.names))
+    return sum((sympy.Rational(c.numerator, c.denominator)
+                * sympy.Mul(*[x ** e for x, e in zip(syms, exps)])
+                for exps, c in p.terms.items()), sympy.Integer(0))
+
+
+def _sympy_image(sympy, img):
+    if isinstance(img, Poly):
+        return _sympy_expr(sympy, img)
+    img = Fraction(img)
+    return sympy.Rational(img.numerator, img.denominator)
+
+
+def _sympy_subs(sympy, p, mapping):
+    """sympy's simultaneous substitution of ``mapping`` into p, expanded."""
+    subs = {sympy.Symbol(nm): _sympy_image(sympy, img) for nm, img in mapping.items()}
+    return sympy.expand(_sympy_expr(sympy, p).subs(subs, simultaneous=True))
+
+
+@st.composite
+def _substitutions(draw):
+    table = VarTable(["x", "y", "z"][:draw(st.integers(2, 3))])
+    p = _rand_poly(draw, table, max_terms=4)
+    chosen = draw(st.lists(st.sampled_from(table.names), unique=True, max_size=len(table)))
+    return p, {nm: _image(draw, table) for nm in chosen}
+
+
+@st.composite
+def _transplants(draw):
+    source = VarTable(["x", "y", "z"][:draw(st.integers(2, 3))])
+    target = VarTable(draw(st.permutations([*source.names, "t", "w"])))
+    p = _rand_poly(draw, source, max_terms=4)
+    chosen = draw(st.lists(st.sampled_from(source.names), unique=True,
+                           max_size=len(source) - 1))
+    return p, target, {nm: _image(draw, target) for nm in chosen}
+
+
+@settings(max_examples=60, deadline=None)
+@given(_substitutions())
+def test_substitute_matches_sympy(case):
+    sympy = pytest.importorskip("sympy")
+    p, mapping = case
+    got = _sympy_expr(sympy, substitute(p, mapping))
+    assert sympy.expand(got - _sympy_subs(sympy, p, mapping)) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(_transplants())
+def test_transplant_matches_sympy(case):
+    sympy = pytest.importorskip("sympy")
+    p, target, mapping = case
+    got = transplant(p, target, mapping)
+    assert got.table == target
+    assert sympy.expand(_sympy_expr(sympy, got) - _sympy_subs(sympy, p, mapping)) == 0
