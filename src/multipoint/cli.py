@@ -10,7 +10,7 @@ Charts run one after another in atlas order; a map that starts with '-' may
 follow ``--map`` split or joined (``--map=...``).  All output is a pure
 function of the parsed invocation: identical arguments produce byte-identical
 output, so runs can be diffed or cached.  Exit codes: 0 success, 1
-verification or computation failure, 2 bad input.
+verification failure, 2 bad input, 3 internal error.
 """
 
 from __future__ import annotations
@@ -316,9 +316,12 @@ def cmd_check(spec: RunSpec, out) -> int:
             raise CliError(f"--suite: unknown suite {nm!r}; choose from "
                            f"{', '.join(SUITES)} or all")
 
+    eqs_list = [chart_equations(f, spec.order, cc, alpha)
+                for alpha in _alphas(spec, f, cc)]
+
     def one(nm):
         kwargs = {"_corrupt": True} if (nm == "telescoping" and spec.corrupt) else {}
-        return SUITES[nm](f, spec.order, cc, cfg, **kwargs)
+        return SUITES[nm](eqs_list, cfg, **kwargs)
 
     reports = [one(nm) for nm in names]
     paint = _styler(out)
@@ -411,9 +414,9 @@ def main(argv=None) -> int:
     except (CliError, PolyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # pragma: no cover - safety net
+    except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return 3
 
 
 if __name__ == "__main__":

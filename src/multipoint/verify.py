@@ -3,6 +3,8 @@
 Every check works in exact rational arithmetic; a suite returns a report
 whose failure list is empty exactly when the property held on every trial.
 Sampling is driven by a seeded generator, so reports are reproducible.
+Every suite takes ``(eqs, cfg)``: the chart equations of one run, built once
+and shared by all suites, and the sampling parameters.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .atlas import Chart, CoveringCollection, multi_indices
+from .atlas import Chart, standard_collection
 from .divdiff import (
     DifferenceChain,
     PolyMap,
@@ -21,6 +23,7 @@ from .divdiff import (
     difference_chain,
     level_shift,
 )
+from .ideals import ChartEquations
 from .polyring import (
     Poly,
     VarTable,
@@ -149,27 +152,23 @@ def telescoping_failures(f: PolyMap, chain: DifferenceChain) -> list[tuple[str, 
     return out
 
 
-def check_telescoping(f: PolyMap, r: int, cc: CoveringCollection,
-                      cfg: SampleConfig,
+def check_telescoping(eqs: Sequence[ChartEquations], cfg: SampleConfig,
                       _corrupt: bool = False) -> VerifyReport:
     """Exact symbolic telescoping on every chart and level.
 
     The check is deterministic; cfg is accepted for interface uniformity.
-    ``_corrupt`` deliberately breaks the first chain (negative control).
+    ``_corrupt`` checks a broken copy of the first chain (negative control).
     """
     report = VerifyReport(suite="telescoping")
-    first = True
-    for alpha in multi_indices(f.fiber_dim, r, cc.ell):
-        chart = f.chart_for(cc, alpha, r)
-        chain = difference_chain(f, chart)
-        if _corrupt and first:
-            first = False
+    for k, ce in enumerate(eqs):
+        chain = ce.chain
+        if _corrupt and k == 0:
             broken = list(list(level) for level in chain.levels)
             broken[0][0] = broken[0][0] + 1
             chain = DifferenceChain(f=chain.f, chart=chain.chart,
                                     levels=tuple(tuple(lv) for lv in broken))
         report.trials += chain.depth * len(chain.levels[0])
-        report.failures.extend(telescoping_failures(f, chain))
+        report.failures.extend(telescoping_failures(chain.f, chain))
     return report
 
 
@@ -217,8 +216,7 @@ def _antipodal_witnesses(f: PolyMap, chart: Chart, rng: random.Random,
     return out
 
 
-def check_strict_points(f: PolyMap, r: int, cc: CoveringCollection,
-                        cfg: SampleConfig,
+def check_strict_points(eqs: Sequence[ChartEquations], cfg: SampleConfig,
                         witnesses: Sequence[tuple[tuple, Sequence]] = ()) -> VerifyReport:
     """Vanishing of all generators <=> equal images, on strict configurations.
 
@@ -227,26 +225,22 @@ def check_strict_points(f: PolyMap, r: int, cc: CoveringCollection,
     points exercise the vanishing case.  ``witnesses`` entries are
     (alpha, chart point vector) pairs.
     """
-    from .ideals import kr_equations
-
     rng = random.Random(cfg.seed)
     report = VerifyReport(suite="strict-points")
-    by_alpha = {}
-    for eqs in kr_equations(f, r, cc):
-        by_alpha[eqs.chart.alpha] = eqs
+    by_alpha = {ce.chart.alpha: ce for ce in eqs}
 
-    def run_case(eqs, point, label):
-        chart = eqs.chart
+    def run_case(ce, point, label):
+        chart = ce.chart
         for nm in chart.lambda_names:
             if point[chart.table.index(nm)] == 0:
                 return None
-        tup = _projected_tuple(eqs.projections, point)
+        tup = _projected_tuple(ce.projections, point)
         if len(set(tup)) != len(tup):
             return None
         report.trials += 1
         params = point[:chart.s]
-        gens_vanish = all(evaluate(g, point) == 0 for g in eqs.generators)
-        images = [_eval_map(f, params, fib) for fib in tup]
+        gens_vanish = all(evaluate(g, point) == 0 for g in ce.generators)
+        images = [_eval_map(ce.chain.f, params, fib) for fib in tup]
         images_equal = all(im == images[0] for im in images[1:])
         if gens_vanish != images_equal:
             report.record(
@@ -255,25 +249,25 @@ def check_strict_points(f: PolyMap, r: int, cc: CoveringCollection,
                 f"generators vanish: {gens_vanish}")
         return gens_vanish
 
-    for alpha, eqs in by_alpha.items():
+    for ce in by_alpha.values():
         attempts = 0
         used = 0
         while used < cfg.trials and attempts < cfg.trials * 20:
             attempts += 1
-            point = _rand_chart_point(rng, eqs.chart, cfg)
-            if run_case(eqs, point, "random") is not None:
+            point = _rand_chart_point(rng, ce.chart, cfg)
+            if run_case(ce, point, "random") is not None:
                 used += 1
-        for point in _antipodal_witnesses(f, eqs.chart, rng, cfg,
+        for point in _antipodal_witnesses(ce.chain.f, ce.chart, rng, cfg,
                                           max(1, cfg.trials // 2)):
-            got = run_case(eqs, point, "witness")
+            got = run_case(ce, point, "witness")
             if got is None:
                 report.skipped += 1
     for alpha, point in witnesses:
-        eqs = by_alpha.get(tuple(alpha))
-        if eqs is None:
+        ce = by_alpha.get(tuple(alpha))
+        if ce is None:
             report.record(f"witness chart U{tuple(alpha)}", "a chart", "missing")
             continue
-        if run_case(eqs, list(point), "witness") is None:
+        if run_case(ce, list(point), "witness") is None:
             report.skipped += 1
     return report
 
@@ -281,24 +275,28 @@ def check_strict_points(f: PolyMap, r: int, cc: CoveringCollection,
 # ---- diagonal kernel -------------------------------------------------------
 
 
-def check_diagonal_kernel(f: PolyMap, cc: CoveringCollection,
+def check_diagonal_kernel(eqs: Sequence[ChartEquations],
                           cfg: SampleConfig) -> VerifyReport:
     """At lambda=0 the first differences are the Jacobian times the direction.
 
-    Symbolic check on every order-2 chart: substituting lambda=0 into level 1
-    must equal, componentwise, the derivative of f along the direction
-    carried by the chart's a-coordinates.
+    Symbolic check of level 1 on the first chart of each first index alpha[0]
+    (level 1 uses nu_1 alone, so it depends on alpha[0] only): substituting
+    lambda_1=0 must equal, componentwise, the derivative of f along the
+    direction carried by the chart's level-1 a-coordinates.
     """
     report = VerifyReport(suite="diagonal-kernel")
-    for alpha in multi_indices(f.fiber_dim, 2, cc.ell):
-        chart = f.chart_for(cc, alpha, 2)
-        chain = difference_chain(f, chart)
+    seen = set()
+    for ce in eqs:
+        chart, f = ce.chart, ce.chain.f
+        if chart.alpha[0] in seen:
+            continue
+        seen.add(chart.alpha[0])
         table = chart.table
         lam = chart.lambda_names[0]
         # nu_1 / lambda_1: the matrix inverse applied to (1, a_1, ...)
         direction = chart.nu_apply(
             1, [Poly.constant(table, 1), *chart.level_tuple(1)[1:]])
-        for idx, g in enumerate(chain.levels[0]):
+        for idx, g in enumerate(ce.chain.levels[0]):
             at_diag = substitute(g, {lam: Poly.zero(table)})
             coord = transplant(f.fiber_coords[idx], table)
             want = Poly.zero(table)
@@ -348,16 +346,12 @@ def chart_coords_from_tuple(chart: Chart, fiber_points: Sequence[Sequence[Fracti
     return point
 
 
-def check_overlap(f: PolyMap, r: int, cc: CoveringCollection,
-                  cfg: SampleConfig,
+def check_overlap(eqs: Sequence[ChartEquations], cfg: SampleConfig,
                   witnesses: Sequence[tuple[tuple, Sequence]] = ()) -> VerifyReport:
     """Generator vanishing is independent of the chart representing a tuple."""
-    from .ideals import kr_equations
-
     rng = random.Random(cfg.seed)
     report = VerifyReport(suite="overlap")
-    all_eqs = kr_equations(f, r, cc)
-    by_alpha = {eqs.chart.alpha: eqs for eqs in all_eqs}
+    by_alpha = {ce.chart.alpha: ce for ce in eqs}
 
     def transfer(src_eqs, point):
         chart = src_eqs.chart
@@ -370,45 +364,43 @@ def check_overlap(f: PolyMap, r: int, cc: CoveringCollection,
             return
         report.trials += 1
         home = all(evaluate(g, point) == 0 for g in src_eqs.generators)
-        for eqs in all_eqs:
-            other = chart_coords_from_tuple(eqs.chart, tup, params)
+        for ce in eqs:
+            other = chart_coords_from_tuple(ce.chart, tup, params)
             if other is None:
                 report.skipped += 1
                 continue
-            there = all(evaluate(g, other) == 0 for g in eqs.generators)
+            there = all(evaluate(g, other) == 0 for g in ce.generators)
             if there != home:
                 report.record(
-                    f"tuple from {chart.name()} seen in {eqs.chart.name()}",
+                    f"tuple from {chart.name()} seen in {ce.chart.name()}",
                     f"vanishing {home}", f"vanishing {there}")
 
-    for eqs in all_eqs:
+    for ce in eqs:
         used = 0
         attempts = 0
         while used < cfg.trials and attempts < cfg.trials * 20:
             attempts += 1
             before = report.trials
-            transfer(eqs, _rand_chart_point(rng, eqs.chart, cfg))
+            transfer(ce, _rand_chart_point(rng, ce.chart, cfg))
             if report.trials > before:
                 used += 1
-        for point in _antipodal_witnesses(f, eqs.chart, rng, cfg,
+        for point in _antipodal_witnesses(ce.chain.f, ce.chart, rng, cfg,
                                           max(1, cfg.trials // 2)):
-            transfer(eqs, point)
+            transfer(ce, point)
     for alpha, point in witnesses:
-        eqs = by_alpha.get(tuple(alpha))
-        if eqs is None:
+        ce = by_alpha.get(tuple(alpha))
+        if ce is None:
             report.record(f"witness chart U{tuple(alpha)}", "a chart", "missing")
             continue
-        transfer(eqs, list(point))
+        transfer(ce, list(point))
     return report
 
 
 # ---- corank-one oracle -----------------------------------------------------
 
 
-def check_corank1(cfg: SampleConfig) -> VerifyReport:
-    """Random corank-one normal forms against the classical recursion."""
-    from .atlas import standard_collection
-
+def check_corank1(eqs: Sequence[ChartEquations], cfg: SampleConfig) -> VerifyReport:
+    """Random corank-one maps against the classical recursion; ignores ``eqs``."""
     rng = random.Random(cfg.seed)
     report = VerifyReport(suite="corank1")
     for _ in range(cfg.trials):
@@ -438,9 +430,9 @@ def check_corank1(cfg: SampleConfig) -> VerifyReport:
 
 
 SUITES: dict[str, Callable] = {
-    "telescoping": lambda f, r, cc, cfg, **kw: check_telescoping(f, r, cc, cfg, **kw),
-    "strict": lambda f, r, cc, cfg, **kw: check_strict_points(f, r, cc, cfg),
-    "kernel": lambda f, r, cc, cfg, **kw: check_diagonal_kernel(f, cc, cfg),
-    "overlap": lambda f, r, cc, cfg, **kw: check_overlap(f, r, cc, cfg),
-    "corank1": lambda f, r, cc, cfg, **kw: check_corank1(cfg),
+    "telescoping": check_telescoping,
+    "strict": check_strict_points,
+    "kernel": check_diagonal_kernel,
+    "overlap": check_overlap,
+    "corank1": check_corank1,
 }

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from multipoint import cli, ideals, verify
 from multipoint.atlas import covering_collection
 from multipoint.cli import RunSpec, build_parser, main, run
 from multipoint.divdiff import PolyMap
@@ -33,6 +34,10 @@ class TestExitCodes:
 
     def test_unknown_chart(self, capsys):
         assert main(["eqs", *FAMILY, "-r", "2", "--chart", "9"]) == 2
+
+    def test_check_unknown_chart(self, capsys):
+        assert main(["check", *FAMILY, "-r", "3", "--chart", "9,9"]) == 2
+        assert "--chart: no chart (9, 9)" in capsys.readouterr().err
 
     def test_params_too_large(self, capsys):
         assert main(["eqs", "--vars", "x,y", "--map", "x;y2",
@@ -72,6 +77,14 @@ class TestExitCodes:
                      "--corrupt"]) == 1
         assert "FAIL" in capsys.readouterr().out
 
+    def test_internal_error(self, monkeypatch, capsys):
+        def broken(spec, out):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli.COMMANDS, "eqs", broken)
+        assert main(["eqs", *FAMILY]) == 3
+        assert "internal error: RuntimeError: boom" in capsys.readouterr().err
+
 
 class TestEqs:
     def test_text_shape(self):
@@ -106,6 +119,33 @@ class TestEqs:
             assert len(entry["projections"]) == 3
             for proj in entry["projections"]:
                 assert len(proj) == 2
+
+
+class TestCheck:
+    def test_chart_filter(self):
+        argv = ["check", *FAMILY, "-r", "3", "--suite", "telescoping"]
+        assert "(36 trials," in capture(argv)[1]
+        assert "(6 trials," in capture([*argv, "--chart", "1,1"])[1]
+
+    def test_each_chain_built_once(self, monkeypatch):
+        calls = {"ideals": 0, "verify": 0}
+
+        def counted(module):
+            original = module.difference_chain
+
+            def wrapper(*args, **kwargs):
+                calls[module.__name__.rsplit(".", 1)[1]] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, "difference_chain", wrapper)
+
+        counted(ideals)
+        counted(verify)
+        code, _ = capture(["check", *FAMILY, "-r", "3", "--trials", "5",
+                           "--seed", "3"])
+        assert code == 0
+        # one chain per chart for the suites, five for corank1's own maps
+        assert calls == {"ideals": 6, "verify": 5}
 
 
 class TestDim:
@@ -200,7 +240,9 @@ FIBER3 = ["--vars", "x,y,z", "--map", "x2+yz;y2-xz;z2+xy", "-r", "3",
 
 
 class TestPinnedOutput:
-    """Stdout digests of outputs that print nu and the projections."""
+    """Stdout digests of outputs that print nu and the projections, and of
+    check runs over every suite (the second takes the antipodal-witness
+    path)."""
 
     @pytest.mark.parametrize("argv, digest", [
         (["charts", *TRIFOLD, "--format", "json"],
@@ -211,6 +253,12 @@ class TestPinnedOutput:
          "27769462033a691d32e688f552843d134fd5a55b6c05e92f16512632133597e4"),
         (["eqs", *FIBER3],
          "702e5854f0626e07fe2a4f03a4c1400ef00147c57cb1770fcf0f7ca280bbd50b"),
+        (["check", *FAMILY, "-r", "3", "--trials", "5", "--seed", "3"],
+         "bbef176936dc08c47b19661d858fa299faea9eca4d75ebd7c2edf7c976312879"),
+        (["check", "--vars", "x,y", "--map", "x;y2", "-r", "2", "--trials", "5"],
+         "e2f8e0677ff201d8a51096d9a2cdfa6f8318125eced29ed4fe78859fcec36376"),
+        (["check", *FIBER3, "--trials", "3"],
+         "33af15001274c0e516dc3f16aa9d59c3a3be07c50c410e2887c53aa748fc386d"),
     ])
     def test_stdout_digest(self, argv, digest):
         code, text = capture(argv)

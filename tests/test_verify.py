@@ -5,12 +5,14 @@ known to hold.  The negative controls corrupt a difference chain and make
 sure the corruption is reported, not silently absorbed.
 """
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from multipoint.atlas import covering_collection
 from multipoint.divdiff import DifferenceChain, PolyMap, difference_chain
+from multipoint.ideals import kr_equations
 from multipoint.polyring import Poly, evaluate
 from multipoint.verify import (
     SampleConfig,
@@ -57,21 +59,24 @@ class TestSampleConfig:
 
 class TestTelescoping:
     def test_family_all_charts(self):
-        rep = check_telescoping(family(), 3, covering_collection(2, 3), CFG)
+        rep = check_telescoping(
+            kr_equations(family(), 3, covering_collection(2, 3)), CFG)
         assert rep.passed
         assert rep.trials == 6 * 2 * 3
 
     def test_fold(self):
-        rep = check_telescoping(fold(), 2, covering_collection(1, 2), CFG)
+        rep = check_telescoping(kr_equations(fold(), 2, covering_collection(1, 2)), CFG)
         assert rep.passed and rep.trials == 1
 
     def test_corrupt_flag_reports_failure(self):
-        rep = check_telescoping(family(), 3, covering_collection(2, 3), CFG,
-                                _corrupt=True)
+        eqs = kr_equations(family(), 3, covering_collection(2, 3))
+        rep = check_telescoping(eqs, CFG, _corrupt=True)
         assert not rep.passed
         assert len(rep.failures) == 1
         desc, expected, actual = rep.failures[0]
         assert "level 1" in desc and expected != actual
+        # the corruption is a copy: the shared equations stay intact
+        assert check_telescoping(eqs, CFG).passed
 
     def test_dropped_term_reported(self):
         f = family()
@@ -96,64 +101,83 @@ class TestTelescoping:
 
 class TestDiagonalKernel:
     def test_family(self):
-        rep = check_diagonal_kernel(family(), covering_collection(2, 3), CFG)
+        rep = check_diagonal_kernel(
+            kr_equations(family(), 2, covering_collection(2, 3)), CFG)
         assert rep.passed and rep.trials == 3 * 3
 
     def test_fold(self):
-        rep = check_diagonal_kernel(fold(), covering_collection(1, 2), CFG)
+        rep = check_diagonal_kernel(
+            kr_equations(fold(), 2, covering_collection(1, 2)), CFG)
         assert rep.passed and rep.trials == 1
 
     def test_vandermonde_forms(self):
         cc = covering_collection(2, 3, "vandermonde")
-        rep = check_diagonal_kernel(family(), cc, CFG)
+        rep = check_diagonal_kernel(kr_equations(family(), 2, cc), CFG)
         assert rep.passed
+
+    def test_order_three_charts_check_each_first_index_once(self):
+        # level 1 depends on alpha[0] only: six order-3 charts, three checked
+        rep = check_diagonal_kernel(
+            kr_equations(family(), 3, covering_collection(2, 3)), CFG)
+        assert rep.passed and rep.trials == 3 * 3
+
+    def test_broken_level_one_names_the_order_r_chart(self):
+        eqs = kr_equations(family(), 3, covering_collection(2, 3))
+        chain = eqs[0].chain
+        levels = [list(lv) for lv in chain.levels]
+        levels[0][0] = levels[0][0] + 1
+        broken = DifferenceChain(f=chain.f, chart=chain.chart,
+                                 levels=tuple(tuple(lv) for lv in levels))
+        eqs[0] = dataclasses.replace(eqs[0], chain=broken)
+        rep = check_diagonal_kernel(eqs, CFG)
+        assert [d for d, _, _ in rep.failures] == ["U(1,1) component 1"]
 
 
 class TestStrictPoints:
     def test_family_r2(self):
-        rep = check_strict_points(family(), 2, covering_collection(2, 3), CFG)
+        rep = check_strict_points(
+            kr_equations(family(), 2, covering_collection(2, 3)), CFG)
         assert rep.passed and rep.trials > 0
 
     def test_family_r3(self):
-        rep = check_strict_points(family(), 3, covering_collection(2, 3),
+        rep = check_strict_points(kr_equations(family(), 3, covering_collection(2, 3)),
                                   SampleConfig(seed=2, trials=3))
         assert rep.passed and rep.trials > 0
 
     def test_fold_builtin_witnesses(self):
         # y -> -y fixes (x, y^2), so antipodal double points are manufactured
-        rep = check_strict_points(fold(), 2, covering_collection(1, 2), CFG)
+        rep = check_strict_points(
+            kr_equations(fold(), 2, covering_collection(1, 2)), CFG)
         assert rep.passed
         assert rep.trials > CFG.trials
 
     def test_explicit_witness(self):
         wit = [((1,), [Fraction(1), Fraction(3), Fraction(-6)])]
-        rep = check_strict_points(fold(), 2, covering_collection(1, 2),
+        rep = check_strict_points(kr_equations(fold(), 2, covering_collection(1, 2)),
                                   SampleConfig(seed=1, trials=2), witnesses=wit)
         assert rep.passed
 
     def test_witness_on_exceptional_locus_skipped(self):
         wit = [((1,), [Fraction(1), Fraction(3), Fraction(0)])]
-        rep = check_strict_points(fold(), 2, covering_collection(1, 2),
+        rep = check_strict_points(kr_equations(fold(), 2, covering_collection(1, 2)),
                                   SampleConfig(seed=1, trials=2), witnesses=wit)
         assert rep.passed and rep.skipped >= 1
 
     def test_witness_for_unknown_chart_is_failure(self):
         wit = [((9,), [Fraction(0)] * 3)]
-        rep = check_strict_points(fold(), 2, covering_collection(1, 2),
+        rep = check_strict_points(kr_equations(fold(), 2, covering_collection(1, 2)),
                                   SampleConfig(seed=1, trials=2), witnesses=wit)
         assert not rep.passed
 
     def test_deterministic(self):
         cc = covering_collection(2, 3)
-        a = check_strict_points(family(), 2, cc, CFG)
-        b = check_strict_points(family(), 2, cc, CFG)
+        a = check_strict_points(kr_equations(family(), 2, cc), CFG)
+        b = check_strict_points(kr_equations(family(), 2, cc), CFG)
         assert (a.trials, a.skipped, a.failures) == (b.trials, b.skipped, b.failures)
 
 
 class TestChartCoordsFromTuple:
     def test_roundtrip_through_projection(self):
-        from multipoint.ideals import kr_equations
-
         f = family()
         cc = covering_collection(2, 3)
         rng = random.Random(5)
@@ -177,16 +201,16 @@ class TestChartCoordsFromTuple:
 
 class TestOverlap:
     def test_family_r2(self):
-        rep = check_overlap(family(), 2, covering_collection(2, 3), CFG)
+        rep = check_overlap(kr_equations(family(), 2, covering_collection(2, 3)), CFG)
         assert rep.passed and rep.trials > 0
 
     def test_family_r3(self):
-        rep = check_overlap(family(), 3, covering_collection(2, 3),
+        rep = check_overlap(kr_equations(family(), 3, covering_collection(2, 3)),
                             SampleConfig(seed=4, trials=3))
         assert rep.passed and rep.trials > 0
 
     def test_single_chart_map(self):
-        rep = check_overlap(fold(), 2, covering_collection(1, 2), CFG)
+        rep = check_overlap(kr_equations(fold(), 2, covering_collection(1, 2)), CFG)
         assert rep.passed
 
     def test_explicit_witness_transfers(self):
@@ -195,19 +219,19 @@ class TestOverlap:
         # strict double point of the t=0 member: (1,0) and (-1,0)
         wit = [((1,), [Fraction(0), Fraction(1), Fraction(0),
                        Fraction(-2), Fraction(0)])]
-        rep = check_overlap(f, 2, cc, SampleConfig(seed=1, trials=2),
+        rep = check_overlap(kr_equations(f, 2, cc), SampleConfig(seed=1, trials=2),
                             witnesses=wit)
         assert rep.passed
 
 
 class TestCorank1Suite:
     def test_random_normal_forms(self):
-        rep = check_corank1(SampleConfig(seed=9, trials=10))
+        rep = check_corank1((), SampleConfig(seed=9, trials=10))
         assert rep.passed and rep.trials == 10
 
     def test_deterministic(self):
         cfg = SampleConfig(seed=9, trials=6)
-        assert check_corank1(cfg).failures == check_corank1(cfg).failures
+        assert check_corank1((), cfg).failures == check_corank1((), cfg).failures
 
 
 class TestRandPolymap:
