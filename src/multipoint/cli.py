@@ -119,7 +119,7 @@ def _build_collection(spec: RunSpec, f: PolyMap) -> CoveringCollection:
         if spec.collection in STRATEGIES:
             return covering_collection(f.fiber_dim, spec.order, spec.collection)
         cc = collection_from_file(spec.collection)
-    except (PolyError, OSError) as exc:
+    except (PolyError, OSError, UnicodeDecodeError) as exc:
         raise CliError(f"--collection: {exc}") from None
     if cc.n != f.fiber_dim:
         raise CliError(f"--collection: collection is for fiber dimension "
@@ -134,12 +134,11 @@ def _alphas(spec: RunSpec, f: PolyMap, cc: CoveringCollection) -> list:
     known = multi_indices(f.fiber_dim, spec.order, cc.ell)
     if not spec.charts:
         return known
-    picked = []
-    for alpha in spec.charts:
+    picked = list(dict.fromkeys(spec.charts))  # repeats dropped, order kept
+    for alpha in picked:
         if alpha not in known:
             raise CliError(f"--chart: no chart {alpha}; atlas has "
                            f"{', '.join(str(a) for a in known)}")
-        picked.append(alpha)
     return picked
 
 
@@ -211,7 +210,10 @@ def cmd_dim(spec: RunSpec, out) -> int:
 
     def one(alpha):
         eqs = chart_equations(f, spec.order, cc, alpha)
-        handle = eqs.handle()
+        try:
+            handle = eqs.handle()
+        except ValueError as exc:
+            raise CliError(f"--map: {exc}") from None
         if is_unit_ideal(handle):
             return (eqs.chart, -1, True)
         return (eqs.chart, dimension(handle), False)
@@ -309,7 +311,10 @@ def cmd_charts(spec: RunSpec, out) -> int:
 def cmd_check(spec: RunSpec, out) -> int:
     f = _build_map(spec)
     cc = _build_collection(spec, f)
-    cfg = SampleConfig(seed=spec.seed, trials=spec.trials)
+    try:
+        cfg = SampleConfig(seed=spec.seed, trials=spec.trials)
+    except ValueError as exc:
+        raise CliError(f"--trials: {exc}") from None
     names = list(SUITES) if "all" in spec.suites else list(spec.suites)
     for nm in names:
         if nm not in SUITES:
@@ -411,7 +416,7 @@ def main(argv=None) -> int:
     try:
         spec = RunSpec.from_args(ns)
         return run(spec)
-    except (CliError, PolyError, ValueError, OSError) as exc:
+    except (CliError, PolyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

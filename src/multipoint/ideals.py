@@ -1,12 +1,12 @@
 """Per-chart defining equations and Groebner-basis queries.
 
-The basis engine is a plain Buchberger loop over integer-coefficient
-polynomials (fractions are cleared up front and content is stripped after
-every combination step), with the product and chain pair criteria, followed
-by minimalization and tail interreduction.  S-pairs are taken from a heap
-keyed once, when each pair is created, by the degrevlex key of its lcm
-(ties by index); the degrevlex keys that reduction compares are cached
-per monomial for one basis run and dropped with it.
+The basis engine is a plain Buchberger loop over the integer term maps of
+normalized polynomials (content is stripped after every combination step),
+with the product and chain pair criteria, followed by minimalization and tail
+interreduction.  S-pairs are taken from a heap keyed once, when each pair is
+created, by the degrevlex key of its lcm (ties by index); the degrevlex keys
+that reduction compares are cached per monomial for one basis run and
+dropped with it.
 Dimension is the standard combinatorial dimension of the leading-term ideal.
 """
 
@@ -16,40 +16,16 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
 from .atlas import Chart, CoveringCollection, multi_indices, projection_to_Xr
 from .divdiff import DifferenceChain, PolyMap, difference_chain
-from .polyring import Poly, VarTable, degrevlex_key, normalize
+from .polyring import Poly, VarTable, degrevlex_key, normalize, primitive_terms
 
 Mono = tuple
 
 # ---- integer polynomial core ----------------------------------------------
-
-
-def _to_int_terms(p: Poly) -> dict:
-    """Coprime integer coefficients with a positive leading one."""
-    return {m: c.numerator for m, c in normalize(p).terms.items()}
-
-
-def _strip(terms: dict) -> dict:
-    """Divide out integer content and make the leading coefficient positive."""
-    if not terms:
-        return terms
-    g = 0
-    for v in terms.values():
-        g = math.gcd(g, v)
-    if terms[max(terms, key=degrevlex_key)] < 0:
-        g = -g
-    if g != 1:
-        terms = {m: v // g for m, v in terms.items()}
-    return terms
-
-
-def _from_int_terms(table: VarTable, terms: dict) -> Poly:
-    return Poly(table, {m: Fraction(v) for m, v in terms.items()})
 
 
 def _divides(a: Mono, b: Mono) -> bool:
@@ -131,7 +107,7 @@ def _normal_form(p: dict, basis: Sequence[tuple],
                     work[k] //= joint
                 for k in out:
                     out[k] //= joint
-    return _strip(out)
+    return primitive_terms(out)
 
 
 def _spoly(f: tuple, g: tuple) -> dict:
@@ -165,9 +141,9 @@ def _is_unit(terms: dict) -> bool:
 
 
 def _buchberger(polys: Iterable[dict]) -> list[dict]:
+    """Reduced basis, as primitive integer term maps, of primitive ones."""
     basis = []
     for t in polys:
-        t = _strip(dict(t))
         if not t:
             continue
         if _is_unit(t):
@@ -231,7 +207,7 @@ def _buchberger(polys: Iterable[dict]) -> list[dict]:
     reduced = []
     for i, e in enumerate(keep):
         others = keep[:i] + keep[i + 1:]
-        h = _normal_form(e[2], others, keys) if others else _strip(dict(e[2]))
+        h = _normal_form(e[2], others, keys) if others else e[2]
         if h:
             reduced.append(h)
     reduced.sort(key=lambda t: max(map(keys.__getitem__, t)), reverse=True)
@@ -265,8 +241,8 @@ class IdealHandle:
 def groebner(h: IdealHandle) -> list[Poly]:
     """Reduced Groebner basis, cached on the handle; [] for the zero ideal."""
     if h._basis is None:
-        raw = _buchberger(_to_int_terms(g) for g in h.generators)
-        h._basis = tuple(_from_int_terms(h.table, t) for t in raw)
+        raw = _buchberger(normalize(g).terms for g in h.generators)
+        h._basis = tuple(Poly(h.table, t) for t in raw)
     return list(h._basis)
 
 
@@ -281,10 +257,10 @@ def contains(h: IdealHandle, p: Poly) -> bool:
         raise ValueError("polynomial is over a different table than the ideal")
     if p.is_zero():
         return True
-    entries = [_entry(_to_int_terms(g)) for g in groebner(h)]
+    entries = [_entry(g.terms) for g in groebner(h)]
     if not entries:
         return False
-    return not _normal_form(_to_int_terms(p), entries)
+    return not _normal_form(normalize(p).terms, entries)
 
 
 def dimension(h: IdealHandle) -> int:
@@ -383,7 +359,6 @@ def diagonal_fiber_dimension(f: PolyMap, r: int, point: Sequence,
     accumulated lambda relations, which on non-initial charts are strictly
     weaker than pinning the plain chart lambdas.
     """
-    point = [Fraction(v) if not isinstance(v, Fraction) else v for v in point]
     if len(point) != f.n:
         raise ValueError(f"point has {len(point)} coordinates, source has {f.n}")
     fiber_point = point[f.s:]

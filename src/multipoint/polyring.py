@@ -2,8 +2,9 @@
 
 Polynomials live in a ring described by a VarTable (an ordered list of named
 variables; on a chart: parameters, base variables, then per-level lambda/a
-blocks).  Coefficients are exact rationals; terms are stored as a
-dense exponent tuple -> nonzero coefficient map.  The ambient term order is
+blocks).  Coefficients are exact rationals: an integral coefficient is a
+plain ``int`` and any other one a ``Fraction``.  Terms are stored as a dense
+exponent tuple -> nonzero coefficient map.  The ambient term order is
 degree-reverse-lexicographic with earlier variables larger.
 """
 
@@ -109,9 +110,10 @@ def _add_product(out: dict, t1: Mapping, t2: Mapping) -> dict:
 class Poly:
     """Immutable multivariate polynomial with exact rational coefficients.
 
-    The term map sends dense exponent tuples to nonzero coefficients; the
-    zero polynomial has an empty map.  Do not mutate ``terms`` after
-    construction: every operation returns a fresh Poly.
+    The term map sends dense exponent tuples to nonzero coefficients, each an
+    ``int`` when integral and a ``Fraction`` otherwise; the zero polynomial
+    has an empty map.  Do not mutate ``terms`` after construction: every
+    operation returns a fresh Poly.
     """
 
     __slots__ = ("table", "terms")
@@ -122,9 +124,8 @@ class Poly:
         for exps, c in terms.items():
             if len(exps) != width:
                 raise ValueError(f"exponent vector {exps} has wrong length for {table!r}")
-            c = _as_fraction(c)
-            if c != 0:
-                clean[tuple(exps)] = c
+            if c:
+                clean[tuple(exps)] = c.numerator if c.denominator == 1 else c
         self.table = table
         self.terms = clean
 
@@ -153,22 +154,12 @@ class Poly:
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
 
-    def constant_value(self) -> Fraction:
-        if self.is_zero():
-            return Fraction(0)
-        if not self.is_constant():
-            raise PolyError("polynomial is not constant")
-        return next(iter(self.terms.values()))
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def leading_monomial(self) -> tuple:
         if self.is_zero():
             raise PolyError("zero polynomial has no leading monomial")
         return max(self.terms, key=degrevlex_key)
 
-    def leading_coefficient(self) -> Fraction:
+    def leading_coefficient(self) -> Scalar:
         return self.terms[self.leading_monomial()]
 
     def variables_used(self) -> list[str]:
@@ -214,10 +205,9 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            if c == 0:
+            if other == 0:
                 return Poly.zero(self.table)
-            return Poly(self.table, {e: c * v for e, v in self.terms.items()})
+            return Poly(self.table, {e: other * v for e, v in self.terms.items()})
         self._check(other)
         return Poly(self.table, _add_product({}, self.terms, other.terms))
 
@@ -301,20 +291,26 @@ def differentiate(p: Poly, name: str) -> Poly:
     return Poly(p.table, terms)
 
 
+def primitive_terms(terms: dict) -> dict:
+    """Divide an integer term map by its content, leading coefficient positive.
+
+    Returns ``terms`` itself when it is already primitive; never mutates it.
+    """
+    if not terms:
+        return terms
+    g = math.gcd(*terms.values())
+    if terms[max(terms, key=degrevlex_key)] < 0:
+        g = -g
+    if g != 1:
+        terms = {m: v // g for m, v in terms.items()}
+    return terms
+
+
 def normalize(p: Poly) -> Poly:
     """Scale by a rational unit: coprime integer coefficients, positive leading one."""
-    if p.is_zero():
-        return p
-    den_lcm = 1
-    for c in p.terms.values():
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    num_gcd = 0
-    for c in p.terms.values():
-        num_gcd = math.gcd(num_gcd, abs(c.numerator * (den_lcm // c.denominator)))
-    scale = Fraction(den_lcm, num_gcd)
-    if p.leading_coefficient() < 0:
-        scale = -scale
-    return p * scale
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    return Poly(p.table, primitive_terms(
+        {m: c.numerator * (den // c.denominator) for m, c in p.terms.items()}))
 
 
 def transplant(p: Poly, table: VarTable,

@@ -85,6 +85,22 @@ class TestExitCodes:
         assert main(["eqs", *FAMILY]) == 3
         assert "internal error: RuntimeError: boom" in capsys.readouterr().err
 
+    def test_value_error_from_a_bug_is_internal(self, monkeypatch, capsys):
+        def broken(spec, out):
+            raise ValueError("boom")
+
+        monkeypatch.setitem(cli.COMMANDS, "eqs", broken)
+        assert main(["eqs", *FAMILY]) == 3
+        assert "internal error: ValueError: boom" in capsys.readouterr().err
+
+    def test_zero_trials(self, capsys):
+        assert main(["check", *FAMILY, "-r", "2", "--trials", "0"]) == 2
+        assert capsys.readouterr().err.startswith("error: --trials:")
+
+    def test_dim_without_fiber_target(self, capsys):
+        assert main(["dim", "--vars", "t,x", "--map", "t", "--params", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error: --map:")
+
 
 class TestEqs:
     def test_text_shape(self):
@@ -146,6 +162,18 @@ class TestCheck:
         assert code == 0
         # one chain per chart for the suites, five for corank1's own maps
         assert calls == {"ideals": 6, "verify": 5}
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", *FAMILY, "-r", "3", "--trials", "3"],
+    ["eqs", *FAMILY, "-r", "3"],
+])
+def test_repeated_chart_counts_once(argv):
+    once = capture([*argv, "--chart", "1,1"])
+    assert capture([*argv, "--chart", "1,1", "--chart", "1,1"]) == once
+    assert capture([*argv, "--chart", "2,1", "--chart", "1,1",
+                    "--chart", "2,1"]) == capture([*argv, "--chart", "2,1",
+                                                   "--chart", "1,1"])
 
 
 class TestDim:
@@ -339,3 +367,9 @@ class TestFlagNamedErrors:
     def test_collection_flag(self, capsys):
         self.check(["eqs", "--vars", "x,y", "--map", "x;y2",
                     "--collection", "/nope.txt"], "--collection", capsys)
+
+    def test_collection_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "forms.bin"
+        path.write_bytes(bytes(range(128, 256)))
+        self.check(["eqs", "--vars", "x,y", "--map", "x;y2",
+                    "--collection", str(path)], "--collection", capsys)

@@ -25,7 +25,6 @@ from multipoint.ideals import (
     _normal_form,
     _entry,
     _spoly,
-    _to_int_terms,
 )
 from multipoint.polyring import (
     Poly,
@@ -51,37 +50,37 @@ def trifold():
                                 ("t", "x^2+t*y", "y^2-t*x", "x^3+y^3+x*y"))
 
 
-# ---- integer conversion ----------------------------------------------------
+# ---- integer input ---------------------------------------------------------
 
 
-def test_to_int_terms_clears_denominators():
+def test_normalized_terms_clear_denominators():
     p = P("(1/2)*x+(1/3)*y")
-    assert _to_int_terms(p) == {(1, 0): 3, (0, 1): 2}
+    assert normalize(p).terms == {(1, 0): 3, (0, 1): 2}
 
 
-def test_to_int_terms_strips_content_and_sign():
-    assert _to_int_terms(P("-4*x-6*y")) == {(1, 0): 2, (0, 1): 3}
+def test_normalized_terms_strip_content_and_sign():
+    assert normalize(P("-4*x-6*y")).terms == {(1, 0): 2, (0, 1): 3}
 
 
 # ---- s-polynomials and reduction -------------------------------------------
 
 
 def test_spoly_cancels_leading_terms():
-    f = _entry(_to_int_terms(P("x^2+y")))
-    g = _entry(_to_int_terms(P("x*y+1")))
+    f = _entry(normalize(P("x^2+y")).terms)
+    g = _entry(normalize(P("x*y+1")).terms)
     s = _spoly(f, g)
     # S = y*(x^2+y) - x*(x*y+1) = y^2 - x
     assert s == {(0, 2): 1, (1, 0): -1}
 
 
 def test_normal_form_reduces_to_zero_in_ideal():
-    basis = [_entry(_to_int_terms(P("x"))), _entry(_to_int_terms(P("y")))]
-    assert _normal_form(_to_int_terms(P("3*x+5*y")), basis) == {}
+    basis = [_entry(normalize(P("x")).terms), _entry(normalize(P("y")).terms)]
+    assert _normal_form(normalize(P("3*x+5*y")).terms, basis) == {}
 
 
 def test_normal_form_keeps_reduced_part():
-    basis = [_entry(_to_int_terms(P("x^2")))]
-    out = _normal_form(_to_int_terms(P("x^2+x+1")), basis)
+    basis = [_entry(normalize(P("x^2")).terms)]
+    out = _normal_form(normalize(P("x^2+x+1")).terms, basis)
     assert out == {(1, 0): 1, (0, 0): 1}
 
 
@@ -115,7 +114,7 @@ def test_groebner_textbook_example():
     assert "x*y-1" in strs
     assert "y^3+x-y" in strs  # the completed S-polynomial
     # every S-polynomial of the returned basis reduces to zero
-    entries = [_entry(_to_int_terms(b)) for b in basis]
+    entries = [_entry(b.terms) for b in basis]
     for i in range(len(entries)):
         for j in range(i + 1, len(entries)):
             assert _normal_form(_spoly(entries[i], entries[j]), entries) == {}
@@ -131,7 +130,7 @@ def test_groebner_input_reduces_to_zero():
 def test_groebner_reduced_property():
     # no leading monomial may divide any monomial of another basis element
     h = handle("x^2+y^2-1", "x*y-1")
-    basis = [_to_int_terms(b) for b in groebner(h)]
+    basis = [b.terms for b in groebner(h)]
     from multipoint.ideals import _divides
     from multipoint.polyring import degrevlex_key
     lms = [max(t, key=degrevlex_key) for t in basis]
@@ -321,6 +320,12 @@ def test_trifold_r3_bases_pinned(trifold_r3_bases):
     text = "\n".join(lines) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "aa245ee0b3ad7f91394ec5a0d1acf49d13603ead483d70789682b5b33e03b2c1")
+
+
+def test_trifold_r3_basis_coefficients_are_int(trifold_r3_bases):
+    coeffs = [c for basis in trifold_r3_bases.values()
+              for g in basis for c in g.terms.values()]
+    assert coeffs and all(type(c) is int for c in coeffs)
 
 
 # ---- independent oracle: sympy ----------------------------------------------

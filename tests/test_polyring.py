@@ -90,7 +90,7 @@ def test_parse_power_of_group():
 
 def test_parse_constant():
     p = P("7")
-    assert p.is_constant() and p.constant_value() == 7
+    assert p.is_constant() and p.terms == {(0, 0): 7}
 
 
 def test_parse_zero():
@@ -401,6 +401,33 @@ def test_evaluation_is_ring_morphism(p, q):
     pt = [Fraction(2, 3), Fraction(-1, 5)]
     assert evaluate(p + q, pt) == evaluate(p, pt) + evaluate(q, pt)
     assert evaluate(p * q, pt) == evaluate(p, pt) * evaluate(q, pt)
+
+
+rational_coeffs = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3]))
+
+
+@st.composite
+def rational_polys(draw):
+    mono = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    return Poly(XY, draw(st.dictionaries(mono, rational_coeffs, max_size=4)))
+
+
+@given(rational_polys(), rational_polys(), rational_coeffs)
+@settings(max_examples=60, deadline=None)
+def test_integral_coefficients_are_int(p, q, c):
+    # p + p doubles halves into integers; Fraction(k, 1) inputs must come out int
+    results = [p, p + q, p + p, p - q, p * q, c * p, p * c, normalize(p),
+               substitute(p, {"x": q, "y": c})]
+    for r in results:
+        for v in r.terms.values():
+            assert type(v) is (int if v.denominator == 1 else Fraction)
+
+
+def test_halves_summing_to_one_give_int():
+    half = Poly.constant(XY, Fraction(1, 2))
+    assert (half + half).terms == {(0, 0): 1}
+    assert type((half + half).terms[(0, 0)]) is int
+    assert type((half * 2).leading_coefficient()) is int
 
 
 # ---- substitution against sympy ---------------------------------------------
