@@ -183,8 +183,6 @@ def vandermonde_collection(n: int, ell: int) -> CoveringCollection:
 
 def covering_collection(n: int, ell: int, strategy: str = "default") -> CoveringCollection:
     """Build a collection; 'default' prefers the worked-example forms when defined."""
-    if strategy == "standard":
-        return standard_collection(n, ell)
     if strategy == "vandermonde":
         return vandermonde_collection(n, ell)
     if strategy == "default":

@@ -210,10 +210,7 @@ def cmd_dim(spec: RunSpec, out) -> int:
 
     def one(alpha):
         eqs = chart_equations(f, spec.order, cc, alpha)
-        try:
-            handle = eqs.handle()
-        except ValueError as exc:
-            raise CliError(f"--map: {exc}") from None
+        handle = eqs.handle()
         if is_unit_ideal(handle):
             return (eqs.chart, -1, True)
         return (eqs.chart, dimension(handle), False)
@@ -315,7 +312,8 @@ def cmd_check(spec: RunSpec, out) -> int:
         cfg = SampleConfig(seed=spec.seed, trials=spec.trials)
     except ValueError as exc:
         raise CliError(f"--trials: {exc}") from None
-    names = list(SUITES) if "all" in spec.suites else list(spec.suites)
+    # repeats dropped, order kept
+    names = list(SUITES) if "all" in spec.suites else list(dict.fromkeys(spec.suites))
     for nm in names:
         if nm not in SUITES:
             raise CliError(f"--suite: unknown suite {nm!r}; choose from "

@@ -157,16 +157,11 @@ def level_shift(chart: Chart, j: int) -> dict[str, Poly]:
             for nm, d in zip(prev_names, chart.nu[j - 1])}
 
 
-def difference_chain(f: PolyMap, chart: Chart, depth: int | None = None) -> DifferenceChain:
-    """Compute difference levels 1..depth of f on the chart."""
+def difference_chain(f: PolyMap, chart: Chart) -> DifferenceChain:
+    """Compute difference levels 1..r-1 of f on the chart."""
     _check_compatible(f, chart)
-    if depth is None:
-        depth = chart.r - 1
-    if not 1 <= depth <= chart.r - 1:
-        raise ValueError(f"depth {depth} out of range 1..{chart.r - 1}")
-
     levels = [tuple(transplant(c, chart.table) for c in f.fiber_coords)]
-    for j in range(1, depth + 1):
+    for j in range(1, chart.r):
         shift = level_shift(chart, j)
         levels.append(tuple(
             divide_by_variable(substitute(g, shift) - g, chart.lambda_names[j - 1])

@@ -319,11 +319,8 @@ class ChartEquations:
         return tuple(tuple(v) for v in projection_to_Xr(self.chart))
 
     def handle(self) -> IdealHandle:
-        if not self.generators:
-            raise ValueError(
-                "chart has no generators (map with empty fiber target); "
-                "the zero ideal defines the whole chart")
-        return IdealHandle(self.generators)
+        """The ideal of the generators; the zero ideal when there are none."""
+        return IdealHandle(self.generators or (Poly.zero(self.chart.table),))
 
 
 def chart_equations(f: PolyMap, r: int, cc: CoveringCollection,

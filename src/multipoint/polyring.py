@@ -267,12 +267,16 @@ def evaluate(p: Poly, point: Sequence[Scalar]) -> Fraction:
         raise ValueError(
             f"point has {len(point)} components, table has {len(p.table)} variables")
     vals = [_as_fraction(v) for v in point]
+    powers = [{1: v} for v in vals]  # per variable: exponent -> value ** exponent
     total = Fraction(0)
     for exps, c in p.terms.items():
         acc = c
-        for v, e in zip(vals, exps):
+        for pw, e in zip(powers, exps):
             if e:
-                acc *= v ** e
+                x = pw.get(e)
+                if x is None:
+                    x = pw[e] = pw[1] ** e
+                acc *= x
         total += acc
     return total
 
@@ -556,17 +560,12 @@ def parse_poly(src: str, table: VarTable, mode: str = "strict") -> Poly:
 # ---- rendering -------------------------------------------------------
 
 
-def _mono_text(table: VarTable, exps: tuple, compact_ok: bool) -> str:
+def _mono_text(table: VarTable, exps: tuple) -> str:
     pieces = []
     for nm, e in zip(table.names, exps):
         if e == 0:
             continue
-        if compact_ok:
-            pieces.append(nm if e == 1 else f"{nm}{e}")
-        else:
-            pieces.append(nm if e == 1 else f"{nm}^{e}")
-    if compact_ok:
-        return "".join(pieces)
+        pieces.append(nm if e == 1 else f"{nm}^{e}")
     return "*".join(pieces)
 
 
@@ -576,29 +575,21 @@ def _coeff_text(c: Fraction) -> str:
     return f"({abs(c.numerator)}/{c.denominator})"
 
 
-def render(p: Poly, style: str = "strict") -> str:
+def render(p: Poly) -> str:
     """Canonical text form; terms sorted descending in the ambient order.
 
-    Strict style is unambiguous and always re-parses to the same polynomial.
-    Compact style drops ``*``/``^`` only when every variable name is a single
-    letter, which is the only case where re-lexing is unambiguous.
+    The form is unambiguous and always re-parses to the same polynomial.
     """
-    if style not in ("strict", "compact"):
-        raise ValueError(f"unknown render style {style!r}")
     if p.is_zero():
         return "0"
-    compact_ok = style == "compact" and all(
-        len(nm) == 1 and nm.isalpha() for nm in p.table.names)
     out = []
     for exps in sorted(p.terms, key=degrevlex_key, reverse=True):
         c = p.terms[exps]
-        mono = _mono_text(p.table, exps, compact_ok)
+        mono = _mono_text(p.table, exps)
         if not mono:
             body = _coeff_text(c)
         elif abs(c) == 1:
             body = mono
-        elif compact_ok:
-            body = _coeff_text(c) + mono
         else:
             body = _coeff_text(c) + "*" + mono
         if not out:

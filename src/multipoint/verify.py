@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .atlas import Chart, standard_collection
 from .divdiff import (
@@ -126,12 +126,6 @@ def _rand_chart_point(rng: random.Random, chart: Chart, cfg: SampleConfig) -> li
     return point
 
 
-def _eval_map(f: PolyMap, params: Sequence[Fraction],
-              fiber: Sequence[Fraction]) -> tuple:
-    vals = list(params) + list(fiber)
-    return tuple(evaluate(c, vals) for c in f.coords)
-
-
 # ---- telescoping -----------------------------------------------------------
 
 
@@ -172,13 +166,41 @@ def check_telescoping(eqs: Sequence[ChartEquations], cfg: SampleConfig,
     return report
 
 
-# ---- strict points ---------------------------------------------------------
+# ---- strict configurations -------------------------------------------------
 
 
-def _projected_tuple(projections, point: Sequence[Fraction]):
-    """Fiber coordinates of the r projected source points at a chart point."""
-    return [tuple(evaluate(comp, point) for comp in proj)
-            for proj in projections]
+def chart_coords_from_tuple(chart: Chart, fiber_points: Sequence[Sequence[Fraction]],
+                            params: Sequence[Fraction] = ()) -> list | None:
+    """Chart coordinates representing a source tuple, or None off the chart.
+
+    Inverts the projection recursion numerically; each level needs the
+    chosen form to be nonzero on the current difference vector.
+    """
+    cc = chart.cc
+    r = chart.r
+
+    def encode(level: int, delta: Sequence[Fraction]) -> tuple | None:
+        lam = cc.forms[chart.alpha[level - 1] - 1](delta)
+        if lam == 0:
+            return None
+        avals = [cc.forms[j](delta) / lam
+                 for j in cc.companions[chart.alpha[level - 1] - 1]]
+        return (lam, *avals)
+
+    gammas = []
+    prev = [tuple(q - b for q, b in zip(pt, fiber_points[0]))
+            for pt in fiber_points[1:]]
+    for level in range(1, r):
+        encoded = [encode(level, d) for d in prev]
+        if any(e is None for e in encoded):
+            return None
+        gammas.append(encoded[0])
+        prev = [tuple(q - b for q, b in zip(later, encoded[0]))
+                for later in encoded[1:]]
+    point = list(params) + list(fiber_points[0])
+    for g in gammas:
+        point.extend(g)
+    return point
 
 
 def _antipodal_witnesses(f: PolyMap, chart: Chart, rng: random.Random,
@@ -204,16 +226,69 @@ def _antipodal_witnesses(f: PolyMap, chart: Chart, rng: random.Random,
             fiber = [rand_fraction(rng, cfg.coeff_bound) for _ in f.fiber_names]
             v = rand_fraction(rng, cfg.coeff_bound, nonzero=True)
             fiber[k] = v
-            delta = [Fraction(0)] * len(fiber)
-            delta[k] = -2 * v
-            lam = chart.cc.forms[chart.alpha[0] - 1](delta)
-            if lam == 0:
-                continue
-            avals = [chart.cc.forms[j](delta) / lam
-                     for j in chart.cc.companions[chart.alpha[0] - 1]]
-            out.append(params + fiber + [lam] + avals)
+            mirror = list(fiber)
+            mirror[k] = -v
+            point = chart_coords_from_tuple(chart, [fiber, mirror], params)
+            if point is not None:
+                out.append(point)
         break
     return out
+
+
+def _strict_configurations(eqs: Sequence[ChartEquations], cfg: SampleConfig,
+                           witnesses: Sequence[tuple[tuple, Sequence]],
+                           report: VerifyReport) -> Iterator[tuple]:
+    """Strict configurations for the point suites, as (eqs, point, tuple, label).
+
+    Per chart, in order: random chart points until ``cfg.trials`` are strict
+    (at most ``cfg.trials * 20`` draws), then the chart's antipodal
+    witnesses; last the supplied ``witnesses``, (alpha, chart point vector)
+    pairs.  A point is strict when every lambda is nonzero and the projected
+    source points are pairwise distinct.  Each configuration yielded counts
+    as a trial of ``report``; a witness that is not strict counts as
+    skipped, and one for a chart missing from ``eqs`` as a failure.
+    """
+    rng = random.Random(cfg.seed)
+
+    def strict(ce, point, label):
+        chart = ce.chart
+        if any(point[chart.table.index(nm)] == 0 for nm in chart.lambda_names):
+            return None
+        tup = [tuple(evaluate(comp, point) for comp in proj)
+               for proj in ce.projections]
+        if len(set(tup)) != len(tup):
+            return None
+        report.trials += 1
+        return ce, point, tup, label
+
+    def strict_witnesses(ce, points):
+        for point in points:
+            case = strict(ce, list(point), "witness")
+            if case is None:
+                report.skipped += 1
+            else:
+                yield case
+
+    for ce in eqs:
+        used = attempts = 0
+        while used < cfg.trials and attempts < cfg.trials * 20:
+            attempts += 1
+            case = strict(ce, _rand_chart_point(rng, ce.chart, cfg), "random")
+            if case is not None:
+                used += 1
+                yield case
+        yield from strict_witnesses(ce, _antipodal_witnesses(
+            ce.chain.f, ce.chart, rng, cfg, max(1, cfg.trials // 2)))
+    by_alpha = {ce.chart.alpha: ce for ce in eqs}
+    for alpha, point in witnesses:
+        ce = by_alpha.get(tuple(alpha))
+        if ce is None:
+            report.record(f"witness chart U{tuple(alpha)}", "a chart", "missing")
+        else:
+            yield from strict_witnesses(ce, [point])
+
+
+# ---- strict points ---------------------------------------------------------
 
 
 def check_strict_points(eqs: Sequence[ChartEquations], cfg: SampleConfig,
@@ -225,50 +300,18 @@ def check_strict_points(eqs: Sequence[ChartEquations], cfg: SampleConfig,
     points exercise the vanishing case.  ``witnesses`` entries are
     (alpha, chart point vector) pairs.
     """
-    rng = random.Random(cfg.seed)
     report = VerifyReport(suite="strict-points")
-    by_alpha = {ce.chart.alpha: ce for ce in eqs}
-
-    def run_case(ce, point, label):
-        chart = ce.chart
-        for nm in chart.lambda_names:
-            if point[chart.table.index(nm)] == 0:
-                return None
-        tup = _projected_tuple(ce.projections, point)
-        if len(set(tup)) != len(tup):
-            return None
-        report.trials += 1
-        params = point[:chart.s]
+    for ce, point, tup, label in _strict_configurations(eqs, cfg, witnesses, report):
         gens_vanish = all(evaluate(g, point) == 0 for g in ce.generators)
-        images = [_eval_map(ce.chain.f, params, fib) for fib in tup]
+        params = point[:ce.chart.s]
+        images = [tuple(evaluate(c, [*params, *fib]) for c in ce.chain.f.coords)
+                  for fib in tup]
         images_equal = all(im == images[0] for im in images[1:])
         if gens_vanish != images_equal:
             report.record(
-                f"{chart.name()} {label} point {point}",
+                f"{ce.chart.name()} {label} point {point}",
                 f"generators vanish: {images_equal}",
                 f"generators vanish: {gens_vanish}")
-        return gens_vanish
-
-    for ce in by_alpha.values():
-        attempts = 0
-        used = 0
-        while used < cfg.trials and attempts < cfg.trials * 20:
-            attempts += 1
-            point = _rand_chart_point(rng, ce.chart, cfg)
-            if run_case(ce, point, "random") is not None:
-                used += 1
-        for point in _antipodal_witnesses(ce.chain.f, ce.chart, rng, cfg,
-                                          max(1, cfg.trials // 2)):
-            got = run_case(ce, point, "witness")
-            if got is None:
-                report.skipped += 1
-    for alpha, point in witnesses:
-        ce = by_alpha.get(tuple(alpha))
-        if ce is None:
-            report.record(f"witness chart U{tuple(alpha)}", "a chart", "missing")
-            continue
-        if run_case(ce, list(point), "witness") is None:
-            report.skipped += 1
     return report
 
 
@@ -312,87 +355,22 @@ def check_diagonal_kernel(eqs: Sequence[ChartEquations],
 # ---- chart overlap ---------------------------------------------------------
 
 
-def chart_coords_from_tuple(chart: Chart, fiber_points: Sequence[Sequence[Fraction]],
-                            params: Sequence[Fraction] = ()) -> list | None:
-    """Chart coordinates representing a source tuple, or None off the chart.
-
-    Inverts the projection recursion numerically; each level needs the
-    chosen form to be nonzero on the current difference vector.
-    """
-    cc = chart.cc
-    r = chart.r
-
-    def encode(level: int, delta: Sequence[Fraction]) -> tuple | None:
-        lam = cc.forms[chart.alpha[level - 1] - 1](delta)
-        if lam == 0:
-            return None
-        avals = [cc.forms[j](delta) / lam
-                 for j in cc.companions[chart.alpha[level - 1] - 1]]
-        return (lam, *avals)
-
-    gammas = []
-    prev = [tuple(q - b for q, b in zip(pt, fiber_points[0]))
-            for pt in fiber_points[1:]]
-    for level in range(1, r):
-        encoded = [encode(level, d) for d in prev]
-        if any(e is None for e in encoded):
-            return None
-        gammas.append(encoded[0])
-        prev = [tuple(q - b for q, b in zip(later, encoded[0]))
-                for later in encoded[1:]]
-    point = list(params) + list(fiber_points[0])
-    for g in gammas:
-        point.extend(g)
-    return point
-
-
 def check_overlap(eqs: Sequence[ChartEquations], cfg: SampleConfig,
                   witnesses: Sequence[tuple[tuple, Sequence]] = ()) -> VerifyReport:
     """Generator vanishing is independent of the chart representing a tuple."""
-    rng = random.Random(cfg.seed)
     report = VerifyReport(suite="overlap")
-    by_alpha = {ce.chart.alpha: ce for ce in eqs}
-
-    def transfer(src_eqs, point):
-        chart = src_eqs.chart
-        for nm in chart.lambda_names:
-            if point[chart.table.index(nm)] == 0:
-                return
-        params = point[:chart.s]
-        tup = _projected_tuple(src_eqs.projections, point)
-        if len(set(tup)) != len(tup):
-            return
-        report.trials += 1
-        home = all(evaluate(g, point) == 0 for g in src_eqs.generators)
-        for ce in eqs:
-            other = chart_coords_from_tuple(ce.chart, tup, params)
-            if other is None:
+    for ce, point, tup, _ in _strict_configurations(eqs, cfg, witnesses, report):
+        home = all(evaluate(g, point) == 0 for g in ce.generators)
+        for other in eqs:
+            seen = chart_coords_from_tuple(other.chart, tup, point[:ce.chart.s])
+            if seen is None:
                 report.skipped += 1
                 continue
-            there = all(evaluate(g, other) == 0 for g in ce.generators)
+            there = all(evaluate(g, seen) == 0 for g in other.generators)
             if there != home:
                 report.record(
-                    f"tuple from {chart.name()} seen in {ce.chart.name()}",
+                    f"tuple from {ce.chart.name()} seen in {other.chart.name()}",
                     f"vanishing {home}", f"vanishing {there}")
-
-    for ce in eqs:
-        used = 0
-        attempts = 0
-        while used < cfg.trials and attempts < cfg.trials * 20:
-            attempts += 1
-            before = report.trials
-            transfer(ce, _rand_chart_point(rng, ce.chart, cfg))
-            if report.trials > before:
-                used += 1
-        for point in _antipodal_witnesses(ce.chain.f, ce.chart, rng, cfg,
-                                          max(1, cfg.trials // 2)):
-            transfer(ce, point)
-    for alpha, point in witnesses:
-        ce = by_alpha.get(tuple(alpha))
-        if ce is None:
-            report.record(f"witness chart U{tuple(alpha)}", "a chart", "missing")
-            continue
-        transfer(ce, list(point))
     return report
 
 

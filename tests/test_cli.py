@@ -98,8 +98,10 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: --trials:")
 
     def test_dim_without_fiber_target(self, capsys):
-        assert main(["dim", "--vars", "t,x", "--map", "t", "--params", "1"]) == 2
-        assert capsys.readouterr().err.startswith("error: --map:")
+        # no generators: the zero ideal, whose dimension is the chart's
+        assert main(["dim", "--vars", "t,x", "--map", "t", "--params", "1"]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[1:] == ["chart U(1): dimension 3, expected 3, correct"]
 
 
 class TestEqs:
@@ -162,6 +164,16 @@ class TestCheck:
         assert code == 0
         # one chain per chart for the suites, five for corank1's own maps
         assert calls == {"ideals": 6, "verify": 5}
+
+
+def test_repeated_suite_runs_once():
+    argv = ["check", "--vars", "t,x,y", "--map", "t;x2+ty;y2-tx;x3+y3+xy",
+            "-r", "2", "--trials", "2", "--suite", "kernel"]
+    once = capture(argv)
+    assert once[1].count("diagonal-kernel") == 1
+    assert capture([*argv, "--suite", "kernel"]) == once
+    assert (capture([*argv, "--suite", "strict", "--suite", "kernel"])
+            == capture([*argv, "--suite", "strict"]))
 
 
 @pytest.mark.parametrize("argv", [

@@ -139,16 +139,6 @@ def test_telescoping_identity_symbolic():
             assert lam2 * g == substitute(g_prev, shift) - g_prev
 
 
-def test_chain_depth_argument():
-    f = trifold()
-    cc = standard_collection(2, 3)
-    chart = f.chart_for(cc, (1, 1), 3)
-    chain = difference_chain(f, chart, depth=1)
-    assert chain.depth == 1
-    with pytest.raises(ValueError):
-        difference_chain(f, chart, depth=3)
-
-
 def test_chain_chart_mismatch():
     f = trifold()
     cc = standard_collection(2, 2)

@@ -347,16 +347,6 @@ def test_render_zero():
     assert render(Poly.zero(XY)) == "0"
 
 
-def test_render_compact():
-    assert render(P("x^2+2*x*y"), "compact") == "x2+2xy"
-
-
-def test_render_compact_falls_back_for_long_names():
-    tb = VarTable(["l1", "x"])
-    p = parse_poly("l1^2*x", tb)
-    assert render(p, "compact") == "l1^2*x"
-
-
 def test_render_parse_roundtrip_examples():
     for src in ["x^2+2*x*y+y^2", "-x+(3/7)*y^4", "x*y-1", "0", "42"]:
         p = P(src)

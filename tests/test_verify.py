@@ -223,6 +223,28 @@ class TestOverlap:
                             witnesses=wit)
         assert rep.passed
 
+    def test_witness_on_exceptional_locus_skipped(self):
+        eqs = kr_equations(fold(), 2, covering_collection(1, 2))
+        cfg = SampleConfig(seed=1, trials=2)
+        wit = [((1,), [Fraction(1), Fraction(3), Fraction(0)])]
+        base = check_overlap(eqs, cfg)
+        rep = check_overlap(eqs, cfg, witnesses=wit)
+        assert rep.passed and rep.trials == base.trials
+        assert rep.skipped == base.skipped + 1
+
+
+@pytest.mark.parametrize("make, r, n, cfg", [
+    (family, 2, 2, CFG),
+    (family, 3, 2, SampleConfig(seed=2, trials=3)),
+    (fold, 2, 1, CFG),  # with its antipodal witnesses
+])
+def test_point_suites_draw_the_same_configurations(make, r, n, cfg):
+    eqs = kr_equations(make(), r, covering_collection(n, r))
+    strict = check_strict_points(eqs, cfg)
+    overlap = check_overlap(eqs, cfg)
+    assert strict.passed and overlap.passed
+    assert strict.trials == overlap.trials > 0
+
 
 class TestCorank1Suite:
     def test_random_normal_forms(self):
