@@ -105,7 +105,7 @@ def _build_map(spec: RunSpec) -> PolyMap:
             ) from None
     try:
         from .polyring import parse_poly
-        coords = [parse_poly(src, table, mode="compact") for src in spec.coords]
+        coords = [parse_poly(src, table) for src in spec.coords]
     except ParseError as exc:
         raise CliError(f"--map: {exc}") from None
     try:

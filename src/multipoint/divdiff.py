@@ -71,9 +71,9 @@ class PolyMap:
 
     @classmethod
     def from_strings(cls, var_names: Sequence[str], coord_srcs: Sequence[str],
-                     s="auto", mode: str = "strict") -> "PolyMap":
+                     s="auto") -> "PolyMap":
         table = VarTable(list(var_names))
-        coords = [parse_poly(src, table, mode) for src in coord_srcs]
+        coords = [parse_poly(src, table) for src in coord_srcs]
         return cls(table, coords, s)
 
     @property

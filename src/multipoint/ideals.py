@@ -3,10 +3,12 @@
 The basis engine is a plain Buchberger loop over the integer term maps of
 normalized polynomials (content is stripped after every combination step),
 with the product and chain pair criteria, followed by minimalization and tail
-interreduction.  S-pairs are taken from a heap keyed once, when each pair is
-created, by the degrevlex key of its lcm (ties by index); the degrevlex keys
-that reduction compares are cached per monomial for one basis run and
-dropped with it.
+interreduction.  Reduction steps and S-polynomials add each shifted multiple
+through ``polyring``'s term-map product, the kernel that ``Poly``
+multiplication and substitution also use.  S-pairs are taken from a heap
+keyed once, when each pair is created, by the degrevlex key of its lcm (ties
+by index); the degrevlex keys that reduction compares are cached per monomial
+for one basis run and dropped with it.
 Dimension is the standard combinatorial dimension of the leading-term ideal.
 """
 
@@ -15,13 +17,15 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
 from .atlas import Chart, CoveringCollection, multi_indices, projection_to_Xr
 from .divdiff import DifferenceChain, PolyMap, difference_chain
-from .polyring import Poly, VarTable, degrevlex_key, normalize, primitive_terms
+from .polyring import (Poly, VarTable, _add_product, degrevlex_key, normalize,
+                       primitive_terms)
 
 Mono = tuple
 
@@ -29,19 +33,15 @@ Mono = tuple
 
 
 def _divides(a: Mono, b: Mono) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(operator.le, a, b))
 
 
 def _mono_lcm(a: Mono, b: Mono) -> Mono:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def _mono_mul(a: Mono, b: Mono) -> Mono:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def _mono_sub(a: Mono, b: Mono) -> Mono:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 class _KeyCache(dict):
@@ -90,14 +90,7 @@ def _normal_form(p: dict, basis: Sequence[tuple],
                 out[k] *= a
             for k in work:
                 work[k] *= a
-        shift = _mono_sub(m, lm)
-        for mg, vg in g.items():
-            mm = _mono_mul(mg, shift)
-            w = work.get(mm, 0) - b * vg
-            if w:
-                work[mm] = w
-            else:
-                work.pop(mm, None)
+        _add_product(work, {_mono_sub(m, lm): -b}, g)
         if abs(a) > 1 and (work or out):
             joint = 0
             for v in itertools.chain(work.values(), out.values()):
@@ -115,20 +108,8 @@ def _spoly(f: tuple, g: tuple) -> dict:
     lmg, lcg, tg = g
     l = _mono_lcm(lmf, lmg)
     d = math.gcd(lcf, lcg)
-    a, b = lcg // d, lcf // d
-    out = {}
-    sf = _mono_sub(l, lmf)
-    for m, v in tf.items():
-        out[_mono_mul(m, sf)] = a * v
-    sg = _mono_sub(l, lmg)
-    for m, v in tg.items():
-        key = _mono_mul(m, sg)
-        w = out.get(key, 0) - b * v
-        if w:
-            out[key] = w
-        else:
-            out.pop(key, None)
-    return out
+    out = _add_product({}, {_mono_sub(l, lmf): lcg // d}, tf)
+    return _add_product(out, {_mono_sub(l, lmg): -(lcf // d)}, tg)
 
 
 def _entry(terms: dict) -> tuple:
@@ -136,63 +117,47 @@ def _entry(terms: dict) -> tuple:
     return (lm, terms[lm], terms)
 
 
-def _is_unit(terms: dict) -> bool:
-    return len(terms) == 1 and sum(next(iter(terms))) == 0
-
-
 def _buchberger(polys: Iterable[dict]) -> list[dict]:
     """Reduced basis, as primitive integer term maps, of primitive ones."""
     basis = []
-    for t in polys:
-        if not t:
-            continue
-        if _is_unit(t):
-            width = len(next(iter(t)))
-            return [{(0,) * width: 1}]
-        basis.append(_entry(t))
-    if not basis:
-        return []
-
     # pairs leave the heap by (degrevlex key of their lcm, i, j); each
     # entry is keyed once, when the pair is created
     keys = _KeyCache()
     heap = []
-
-    def push(i, j):
-        l = _mono_lcm(basis[i][0], basis[j][0])
-        heapq.heappush(heap, (keys[l], i, j, l))
-
-    for j in range(len(basis)):
-        for i in range(j):
-            push(i, j)
     done = set()
 
-    while heap:
-        _, i, j, l = heapq.heappop(heap)
-        done.add((i, j))
-        if l == _mono_mul(basis[i][0], basis[j][0]):
-            continue  # coprime leading monomials reduce to zero
-        chained = False
-        for k in range(len(basis)):
-            if k in (i, j) or not _divides(basis[k][0], l):
+    def candidates():
+        """The nonzero inputs, then every nonzero S-pair remainder."""
+        yield from filter(None, polys)
+        while heap:
+            _, i, j, l = heapq.heappop(heap)
+            done.add((i, j))
+            if not any(map(min, basis[i][0], basis[j][0])):
+                continue  # coprime leading monomials reduce to zero
+            chained = False
+            for k in range(len(basis)):
+                if k in (i, j) or not _divides(basis[k][0], l):
+                    continue
+                p1 = (min(i, k), max(i, k))
+                p2 = (min(j, k), max(j, k))
+                if p1 in done and p2 in done:
+                    chained = True
+                    break
+            if chained:
                 continue
-            p1 = (min(i, k), max(i, k))
-            p2 = (min(j, k), max(j, k))
-            if p1 in done and p2 in done:
-                chained = True
-                break
-        if chained:
-            continue
-        h = _normal_form(_spoly(basis[i], basis[j]), basis, keys)
-        if not h:
-            continue
-        if _is_unit(h):
-            width = len(next(iter(h)))
-            return [{(0,) * width: 1}]
-        basis.append(_entry(h))
+            h = _normal_form(_spoly(basis[i], basis[j]), basis, keys)
+            if h:
+                yield h
+
+    for t in candidates():
+        e = _entry(t)
+        if not any(e[0]):  # degrevlex is degree-compatible: t is a constant
+            return [{e[0]: 1}]
+        basis.append(e)
         new = len(basis) - 1
         for k in range(new):
-            push(k, new)
+            l = _mono_lcm(basis[k][0], e[0])
+            heapq.heappush(heap, (keys[l], k, new, l))
 
     # minimalize: drop entries whose leading monomial another one divides
     keep = []

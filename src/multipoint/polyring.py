@@ -373,17 +373,16 @@ _TOK_END = "end"
 
 
 class _Lexer:
-    """Tokenizer for the polynomial grammar (strict and compact modes).
+    """Tokenizer for the polynomial grammar.
 
-    In compact mode an alphanumeric run is split greedily into variable names
-    from the table, with digits after a name read as an exponent, so that
+    An alphanumeric run is split greedily into variable names from the table,
+    longest name first, with digits after a name read as an exponent, so that
     SINGULAR-style input like ``x2+ty`` means ``x^2 + t*y``.
     """
 
-    def __init__(self, src: str, table: VarTable, compact: bool):
+    def __init__(self, src: str, table: VarTable):
         self.src = src
         self.table = table
-        self.compact = compact
         self.tokens: list[tuple[str, str, int]] = []
         self._scan()
 
@@ -411,14 +410,7 @@ class _Lexer:
                 j = i
                 while j < n and (src[j].isalnum() or src[j] == "_"):
                     j += 1
-                run = src[i:j]
-                if self.compact:
-                    self._split_run(run, i)
-                else:
-                    if run not in self.table:
-                        raise UnknownVariableError(
-                            f"unknown variable {run!r}", self.src, i)
-                    self.tokens.append((_TOK_IDENT, run, i))
+                self._split_run(src[i:j], i)
                 i = j
                 continue
             raise ParseError(f"unexpected character {ch!r}", src, i)
@@ -449,13 +441,12 @@ class _Lexer:
 
 
 class _Parser:
-    """Recursive-descent parser for the grammar in the module docstring."""
+    """Recursive-descent parser for the grammar in ``parse_poly``'s docstring."""
 
-    def __init__(self, src: str, table: VarTable, compact: bool):
+    def __init__(self, src: str, table: VarTable):
         self.src = src
         self.table = table
-        self.compact = compact
-        self.tokens = _Lexer(src, table, compact).tokens
+        self.tokens = _Lexer(src, table).tokens
         self.pos = 0
 
     def peek(self):
@@ -503,8 +494,8 @@ class _Parser:
             if kind == _TOK_OP and text == "*":
                 self.next()
                 p = p * self.factor()
-            elif self.compact and (kind == _TOK_IDENT or kind == _TOK_INT
-                                   or (kind == _TOK_OP and text == "(")):
+            elif (kind == _TOK_IDENT or kind == _TOK_INT
+                  or (kind == _TOK_OP and text == "(")):
                 p = p * self.factor()
             else:
                 return p
@@ -546,15 +537,15 @@ class _Parser:
         raise ParseError(f"unexpected {text or 'end of input'!r}", self.src, at)
 
 
-def parse_poly(src: str, table: VarTable, mode: str = "strict") -> Poly:
+def parse_poly(src: str, table: VarTable) -> Poly:
     """Parse a polynomial source string over the given variable table.
 
-    ``mode`` is ``"strict"`` (explicit ``*`` and ``^``) or ``"compact"``
-    (digit suffix as exponent, juxtaposition as product).
+    Sums and differences of products, with ``^`` and a non-negative integer
+    exponent, parentheses, and rational literals written ``(p/q)``.  A digit
+    run right after a variable name is an exponent and juxtaposition is a
+    product, so ``2x2y`` means ``2*x^2*y``.
     """
-    if mode not in ("strict", "compact"):
-        raise ValueError(f"unknown parse mode {mode!r}")
-    return _Parser(src, table, mode == "compact").parse()
+    return _Parser(src, table).parse()
 
 
 # ---- rendering -------------------------------------------------------

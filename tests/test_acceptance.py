@@ -15,7 +15,6 @@ import pytest
 from multipoint.atlas import chart_count, covering_collection, multi_indices
 from multipoint.divdiff import PolyMap
 from multipoint.ideals import (
-    IdealHandle,
     diagonal_fiber_dimension,
     dimension,
     is_unit_ideal,

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from multipoint.atlas import (
-    Chart,
     CollectionError,
     CoveringCollection,
     LinearForm,

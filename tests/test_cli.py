@@ -124,7 +124,7 @@ class TestEqs:
         assert (payload["n"], payload["p"], payload["params"]) == (3, 4, 1)
         f = PolyMap.from_strings(["t", "x", "y"],
                                  ["t", "x2+ty", "y2", "xy-tx"],
-                                 s="auto", mode="compact")
+                                 s="auto")
         direct = {eqs.chart.alpha: eqs
                   for eqs in kr_equations(f, 3, covering_collection(2, 3))}
         assert len(payload["charts"]) == 6

@@ -6,7 +6,6 @@ import pytest
 
 from multipoint.atlas import build_chart, multi_indices, standard_collection
 from multipoint.divdiff import (
-    DifferenceChain,
     MapFormError,
     PolyMap,
     classical_corank1,
@@ -18,7 +17,6 @@ from multipoint.polyring import (
     Poly,
     PolyError,
     VarTable,
-    divide_by_variable,
     normalize,
     parse_poly,
     substitute,

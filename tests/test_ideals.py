@@ -1,17 +1,17 @@
 """Tests for chart equations, Buchberger bases, dimension and membership."""
 
 import hashlib
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import multipoint.ideals as ideals_mod
 from multipoint.atlas import covering_collection, standard_collection
 from multipoint.divdiff import PolyMap
 from multipoint.ideals import (
-    ChartEquations,
     IdealHandle,
     chart_equations,
     contains,
@@ -21,7 +21,6 @@ from multipoint.ideals import (
     groebner,
     is_unit_ideal,
     kr_equations,
-    _buchberger,
     _normal_form,
     _entry,
     _spoly,
@@ -63,14 +62,6 @@ def test_normalized_terms_strip_content_and_sign():
 
 
 # ---- s-polynomials and reduction -------------------------------------------
-
-
-def test_spoly_cancels_leading_terms():
-    f = _entry(normalize(P("x^2+y")).terms)
-    g = _entry(normalize(P("x*y+1")).terms)
-    s = _spoly(f, g)
-    # S = y*(x^2+y) - x*(x*y+1) = y^2 - x
-    assert s == {(0, 2): 1, (1, 0): -1}
 
 
 def test_normal_form_reduces_to_zero_in_ideal():
@@ -372,6 +363,32 @@ def _int_poly(n):
 
 
 @st.composite
+def _int_poly_pairs(draw):
+    n = draw(st.integers(2, 3))
+    return n, draw(_int_poly(n)), draw(_int_poly(n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_int_poly_pairs())
+# S(x^2+y, x*y+1) = y*(x^2+y) - x*(x*y+1) = y^2 - x
+@example((2, {(2, 0): 1, (0, 1): 1}, {(1, 1): 1, (0, 0): 1}))
+def test_spoly_cancels_leading_terms(case):
+    n, f, g = case
+    table = VarTable(["x", "y", "z"][:n])
+    (lmf, lcf, _), (lmg, lcg, _) = ef, eg = _entry(f), _entry(g)
+    lcm = tuple(max(a, b) for a, b in zip(lmf, lmg))
+    d = math.gcd(lcf, lcg)
+
+    def shifted(lm, c, terms):
+        shift = tuple(a - b for a, b in zip(lcm, lm))
+        return Poly(table, {shift: c}) * Poly(table, terms)
+
+    s = _spoly(ef, eg)
+    assert s == (shifted(lmf, lcg // d, f) - shifted(lmg, lcf // d, g)).terms
+    assert lcm not in s
+
+
+@st.composite
 def _small_ideals(draw):
     n = draw(st.integers(2, 3))
     gens = draw(st.lists(_int_poly(n), min_size=2, max_size=3))
@@ -396,6 +413,15 @@ def test_groebner_and_contains_match_sympy(case):
     assert contains(h, combo)
     other = Poly(table, other)
     assert contains(h, other) == oracle.contains(_to_sympy(other))
+    # normal forms modulo a Groebner basis are unique up to the unit that
+    # fraction-free reduction leaves
+    remainder = {m: Fraction(int(c.p), int(c.q))
+                 for m, c in oracle.reduce(_to_sympy(other))[1].terms() if c}
+    got = _normal_form(normalize(other).terms,
+                       [_entry(g.terms) for g in groebner(h)])
+    assert bool(got) == bool(remainder)
+    if got:
+        assert _monic(got) == _monic(remainder)
 
 
 # ---- diagonal fiber --------------------------------------------------------

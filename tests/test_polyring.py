@@ -10,7 +10,6 @@ from multipoint.polyring import (
     NotDivisibleError,
     ParseError,
     Poly,
-    PolyError,
     TableMismatchError,
     UnknownVariableError,
     VarTable,
@@ -29,8 +28,8 @@ XY = VarTable(["x", "y"])
 TXY = VarTable(["t", "x", "y"])
 
 
-def P(src, table=XY, mode="strict"):
-    return parse_poly(src, table, mode)
+def P(src, table=XY):
+    return parse_poly(src, table)
 
 
 # ---- table ----------------------------------------------------------------
@@ -54,7 +53,7 @@ def test_table_index():
         TXY.index("z")
 
 
-# ---- parsing: strict mode -------------------------------------------------
+# ---- parsing: operators ---------------------------------------------------
 
 
 def test_parse_simple_sum():
@@ -113,53 +112,48 @@ def test_parse_unbalanced():
         P("(x+y")
 
 
-def test_parse_rejects_juxtaposition_in_strict():
-    with pytest.raises(ParseError):
-        P("2x")
-
-
 def test_parse_zero_denominator():
     with pytest.raises(ParseError):
         P("(1/0)*x")
 
 
-# ---- parsing: compact mode ------------------------------------------------
+# ---- parsing: digit exponents and juxtaposition ---------------------------
 
 
 def test_compact_digit_suffix_is_exponent():
-    assert P("x2", mode="compact") == P("x^2")
+    assert P("x2") == P("x^2")
 
 
 def test_compact_juxtaposition():
-    assert P("2xy", mode="compact") == P("2*x*y")
-    assert P("x2y3", mode="compact") == P("x^2*y^3")
+    assert P("2xy") == P("2*x*y")
+    assert P("x2y3") == P("x^2*y^3")
 
 
 def test_compact_singular_style():
-    got = P("x2+ty", TXY, mode="compact")
+    got = P("x2+ty", TXY)
     assert got == P("x^2+t*y", TXY)
 
 
 def test_compact_longest_prefix_match():
     tb = VarTable(["a", "a1"])
     # the run "a1" resolves to the variable a1, not a^1
-    p = parse_poly("a1", tb, "compact")
+    p = parse_poly("a1", tb)
     assert p.terms == {(0, 1): 1}
 
 
 def test_compact_multicharacter_names():
     tb = VarTable(["l1", "a1", "x"])
-    p = parse_poly("l1*a1+x", tb, "compact")
+    p = parse_poly("l1*a1+x", tb)
     assert p.terms == {(1, 1, 0): 1, (0, 0, 1): 1}
 
 
 def test_compact_group_juxtaposition():
-    assert P("2(x+y)", mode="compact") == P("2*(x+y)")
+    assert P("2(x+y)") == P("2*(x+y)")
 
 
 def test_compact_unresolvable():
     with pytest.raises(UnknownVariableError):
-        P("xz", mode="compact")
+        P("xz")
 
 
 # ---- arithmetic -----------------------------------------------------------
