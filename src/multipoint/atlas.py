@@ -4,8 +4,9 @@ A covering collection is a family of linear forms on the source fiber C^n in
 general position, each with n-1 companion forms.  Every multi-index alpha
 picks one form per level and determines an affine chart with coordinates
 (params | base | lambda/a blocks); the nu maps translate level coordinates
-into source-space increments, and the projection recursion recovers the r
-source points from chart coordinates.
+into source-space increments.  ``Chart.project`` recovers the r source points
+from chart coordinates, polynomial or rational, and ``chart_coords_from_tuple``
+inverts it on a rational tuple.
 """
 
 from __future__ import annotations
@@ -38,13 +39,7 @@ class LinearForm:
     def __call__(self, vec: Sequence):
         if len(vec) != len(self.coeffs):
             raise ValueError("vector length does not match form arity")
-        total = None
-        for c, v in zip(self.coeffs, vec):
-            if c == 0:
-                continue
-            piece = c * v
-            total = piece if total is None else total + piece
-        return total
+        return sum(c * v for c, v in zip(self.coeffs, vec) if c)
 
     def text(self, names: Sequence[str]) -> str:
         pieces = []
@@ -345,12 +340,15 @@ class Chart:
     def name(self) -> str:
         return "U(" + ",".join(str(a) for a in self.alpha) + ")"
 
+    def level_names(self, j: int) -> tuple[str, ...]:
+        """Level j's coordinate names: the base block at 0, else (lambda_j, a_j...)."""
+        if j == 0:
+            return self.base_names
+        return (self.lambda_names[j - 1], *self.a_names[j - 1])
+
     def level_tuple(self, i: int) -> list[Poly]:
-        """Level-i coordinates (lambda, a_1, ..., a_{n-1}) as polynomials."""
-        out = [Poly.variable(self.table, self.lambda_names[i - 1])]
-        for nm in self.a_names[i - 1]:
-            out.append(Poly.variable(self.table, nm))
-        return out
+        """Level-i coordinates as polynomials."""
+        return [Poly.variable(self.table, nm) for nm in self.level_names(i)]
 
     @cached_property
     def nu(self) -> tuple[tuple[Poly, ...], ...]:
@@ -358,22 +356,36 @@ class Chart:
         return tuple(tuple(self.nu_apply(i, self.level_tuple(i)))
                      for i in range(1, self.r))
 
-    def nu_apply(self, level: int, gamma: Sequence[Poly]) -> list[Poly]:
+    def nu_apply(self, level: int, gamma: Sequence) -> list:
         """nu of level against an arbitrary coordinate vector.
 
         The vector (v_0, ..., v_{n-1}) is read as level coordinates, so the
         image is the matrix inverse applied to (v_0, v_0*v_1, ..., v_0*v_{n-1}).
+        Entries may be polynomials or rationals.
         """
         inv = self.cc.inverses[self.alpha[level - 1] - 1]
         v0 = gamma[0]
         unprojectivized = [v0] + [v0 * v for v in gamma[1:]]
-        out = []
-        for row in inv:
-            acc = Poly.zero(self.table)
-            for c, v in zip(row, unprojectivized):
-                if c != 0:
-                    acc = acc + v * c
-            out.append(acc)
+        return [sum(c * v for c, v in zip(row, unprojectivized) if c)
+                for row in inv]
+
+    def project(self, coords: Sequence) -> list[list]:
+        """Source points x^(0..r-1) at ``coords``, one value per table variable.
+
+        The values may be polynomials or rationals.  x^(0) is the base point
+        itself; x^(j) accumulates the level increments by the descending
+        recursion through intermediate gamma vectors.
+        """
+        index = self.table.index
+        levels = [[coords[index(nm)] for nm in self.level_names(j)]
+                  for j in range(self.r)]
+        base = levels[0]
+        out = [list(base)]
+        for j in range(1, self.r):
+            gamma = levels[j]
+            for i in range(j - 1, 0, -1):
+                gamma = [g + d for g, d in zip(levels[i], self.nu_apply(i + 1, gamma))]
+            out.append([b + d for b, d in zip(base, self.nu_apply(1, gamma))])
         return out
 
 
@@ -443,19 +455,31 @@ def build_atlas(cc: CoveringCollection, n: int, r: int, params: int = 0,
 
 
 def projection_to_Xr(chart: Chart) -> list[list[Poly]]:
-    """Source points x^(0..r-1) as polynomials in the chart coordinates.
+    """Source points x^(0..r-1) as polynomials in the chart coordinates."""
+    return chart.project([Poly.variable(chart.table, nm) for nm in chart.table.names])
 
-    x^(0) is the base point itself; x^(j) accumulates the level increments
-    by the descending recursion through intermediate gamma vectors.
+
+def chart_coords_from_tuple(chart: Chart, fiber_points: Sequence[Sequence[Fraction]],
+                            params: Sequence[Fraction] = ()) -> list | None:
+    """Chart coordinates representing a source tuple, or None off the chart.
+
+    The inverse of ``Chart.project``: level j holds lambda_j, the chosen
+    form on each current difference vector, and the companion forms divided
+    by it, so each level needs the chosen form nonzero on every difference.
+    A tuple with a repeated point therefore gives None on every chart.
     """
-    base = [Poly.variable(chart.table, nm) for nm in chart.base_names]
-    out = [list(base)]
-    for j in range(1, chart.r):
-        gamma = chart.level_tuple(j)
-        for i in range(j - 1, 0, -1):
-            shifted = chart.nu_apply(i + 1, gamma)
-            own = chart.level_tuple(i)
-            gamma = [g + d for g, d in zip(own, shifted)]
-        nu1 = chart.nu_apply(1, gamma)
-        out.append([b + d for b, d in zip(base, nu1)])
-    return out
+    cc = chart.cc
+    values = dict(zip(chart.param_names, params))
+    values.update(zip(chart.base_names, fiber_points[0]))
+    prev = [[q - b for q, b in zip(pt, fiber_points[0])] for pt in fiber_points[1:]]
+    for level, a in enumerate(chart.alpha, start=1):
+        encoded = []
+        for delta in prev:
+            lam = cc.forms[a - 1](delta)
+            if lam == 0:
+                return None
+            encoded.append([lam, *(cc.forms[k](delta) / lam
+                                   for k in cc.companions[a - 1])])
+        values.update(zip(chart.level_names(level), encoded[0]))
+        prev = [[q - b for q, b in zip(later, encoded[0])] for later in encoded[1:]]
+    return [values[nm] for nm in chart.table.names]

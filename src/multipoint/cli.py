@@ -23,8 +23,10 @@ from dataclasses import dataclass
 
 from .atlas import (
     CoveringCollection,
+    chart_count,
     collection_from_file,
     covering_collection,
+    index_bound,
     multi_indices,
     projection_to_Xr,
 )
@@ -34,6 +36,7 @@ from .polyring import ParseError, PolyError, VarTable
 from .verify import SUITES, SampleConfig
 
 STRATEGIES = ("default", "vandermonde")
+MAX_CHARTS = 1000  # atlas size a run without --chart may build
 
 
 class CliError(Exception):
@@ -131,14 +134,24 @@ def _build_collection(spec: RunSpec, f: PolyMap) -> CoveringCollection:
 
 
 def _alphas(spec: RunSpec, f: PolyMap, cc: CoveringCollection) -> list:
-    known = multi_indices(f.fiber_dim, spec.order, cc.ell)
+    """The --chart entries, checked without building the atlas, else the
+    whole atlas when it has at most ``MAX_CHARTS`` charts."""
+    n, r = f.fiber_dim, spec.order
     if not spec.charts:
-        return known
+        count = chart_count(n, r, cc.ell)
+        if count > MAX_CHARTS:
+            raise CliError(f"-r/--order: order {r} over fiber dimension {n} has "
+                           f"{count} charts, more than {MAX_CHARTS}; pick some "
+                           f"with --chart")
+        return multi_indices(n, r, cc.ell)
+    bounds = [index_bound(n, cc.ell, i) for i in range(1, r)]
     picked = list(dict.fromkeys(spec.charts))  # repeats dropped, order kept
     for alpha in picked:
-        if alpha not in known:
-            raise CliError(f"--chart: no chart {alpha}; atlas has "
-                           f"{', '.join(str(a) for a in known)}")
+        if len(alpha) != len(bounds) or not all(
+                1 <= a <= b for a, b in zip(alpha, bounds)):
+            ranges = ", ".join(f"1..{b}" for b in bounds)
+            raise CliError(f"--chart: no chart {alpha}; order {r} charts have "
+                           f"{r - 1} entries in ranges {ranges}")
     return picked
 
 

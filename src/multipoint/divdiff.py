@@ -146,15 +146,10 @@ def _check_compatible(f: PolyMap, chart: Chart):
 def level_shift(chart: Chart, j: int) -> dict[str, Poly]:
     """The substitution gamma^(j-1) -> gamma^(j-1) + nu_j that level j differences.
 
-    Level 0 is the lifted map, whose coordinates are the base variables;
-    level i > 0 has coordinates (lambda_i, a_i).
+    Level j - 1 has the coordinates ``chart.level_names(j - 1)``.
     """
-    if j == 1:
-        prev_names = chart.base_names
-    else:
-        prev_names = (chart.lambda_names[j - 2], *chart.a_names[j - 2])
     return {nm: Poly.variable(chart.table, nm) + d
-            for nm, d in zip(prev_names, chart.nu[j - 1])}
+            for nm, d in zip(chart.level_names(j - 1), chart.nu[j - 1])}
 
 
 def difference_chain(f: PolyMap, chart: Chart) -> DifferenceChain:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
-from .atlas import Chart, standard_collection
+from .atlas import Chart, chart_coords_from_tuple, standard_collection
 from .divdiff import (
     DifferenceChain,
     PolyMap,
@@ -86,9 +86,10 @@ def rand_fraction(rng: random.Random, bound: int, nonzero: bool = False) -> Frac
 
 
 def rand_poly(rng: random.Random, table: VarTable, degree_bound: int,
-              coeff_bound: int, max_terms: int = 4) -> Poly:
+              coeff_bound: int) -> Poly:
+    """Up to four random terms; like terms are summed."""
     terms = {}
-    for _ in range(rng.randint(1, max_terms)):
+    for _ in range(rng.randint(1, 4)):
         exps = [0] * len(table)
         budget = rng.randint(0, degree_bound)
         for _ in range(budget):
@@ -129,11 +130,11 @@ def _rand_chart_point(rng: random.Random, chart: Chart, cfg: SampleConfig) -> li
 # ---- telescoping -----------------------------------------------------------
 
 
-def telescoping_failures(f: PolyMap, chain: DifferenceChain) -> list[tuple[str, str, str]]:
+def telescoping_failures(chain: DifferenceChain) -> list[tuple[str, str, str]]:
     """Violations of the defining recursion of the chain, as report rows."""
     chart = chain.chart
     out = []
-    levels = [[transplant(c, chart.table) for c in f.fiber_coords], *chain.levels]
+    levels = [[transplant(c, chart.table) for c in chain.f.fiber_coords], *chain.levels]
     for j in range(1, chain.depth + 1):
         shift = level_shift(chart, j)
         lam = Poly.variable(chart.table, chart.lambda_names[j - 1])
@@ -162,45 +163,11 @@ def check_telescoping(eqs: Sequence[ChartEquations], cfg: SampleConfig,
             chain = DifferenceChain(f=chain.f, chart=chain.chart,
                                     levels=tuple(tuple(lv) for lv in broken))
         report.trials += chain.depth * len(chain.levels[0])
-        report.failures.extend(telescoping_failures(chain.f, chain))
+        report.failures.extend(telescoping_failures(chain))
     return report
 
 
 # ---- strict configurations -------------------------------------------------
-
-
-def chart_coords_from_tuple(chart: Chart, fiber_points: Sequence[Sequence[Fraction]],
-                            params: Sequence[Fraction] = ()) -> list | None:
-    """Chart coordinates representing a source tuple, or None off the chart.
-
-    Inverts the projection recursion numerically; each level needs the
-    chosen form to be nonzero on the current difference vector.
-    """
-    cc = chart.cc
-    r = chart.r
-
-    def encode(level: int, delta: Sequence[Fraction]) -> tuple | None:
-        lam = cc.forms[chart.alpha[level - 1] - 1](delta)
-        if lam == 0:
-            return None
-        avals = [cc.forms[j](delta) / lam
-                 for j in cc.companions[chart.alpha[level - 1] - 1]]
-        return (lam, *avals)
-
-    gammas = []
-    prev = [tuple(q - b for q, b in zip(pt, fiber_points[0]))
-            for pt in fiber_points[1:]]
-    for level in range(1, r):
-        encoded = [encode(level, d) for d in prev]
-        if any(e is None for e in encoded):
-            return None
-        gammas.append(encoded[0])
-        prev = [tuple(q - b for q, b in zip(later, encoded[0]))
-                for later in encoded[1:]]
-    point = list(params) + list(fiber_points[0])
-    for g in gammas:
-        point.extend(g)
-    return point
 
 
 def _antipodal_witnesses(f: PolyMap, chart: Chart, rng: random.Random,
@@ -243,10 +210,11 @@ def _strict_configurations(eqs: Sequence[ChartEquations], cfg: SampleConfig,
     Per chart, in order: random chart points until ``cfg.trials`` are strict
     (at most ``cfg.trials * 20`` draws), then the chart's antipodal
     witnesses; last the supplied ``witnesses``, (alpha, chart point vector)
-    pairs.  A point is strict when every lambda is nonzero and the projected
-    source points are pairwise distinct.  Each configuration yielded counts
-    as a trial of ``report``; a witness that is not strict counts as
-    skipped, and one for a chart missing from ``eqs`` as a failure.
+    pairs.  A point is strict when every lambda is nonzero and its source
+    points, projected numerically by ``Chart.project``, are pairwise
+    distinct.  Each configuration yielded counts as a trial of ``report``; a
+    witness that is not strict counts as skipped, and one for a chart missing
+    from ``eqs`` as a failure.
     """
     rng = random.Random(cfg.seed)
 
@@ -254,8 +222,7 @@ def _strict_configurations(eqs: Sequence[ChartEquations], cfg: SampleConfig,
         chart = ce.chart
         if any(point[chart.table.index(nm)] == 0 for nm in chart.lambda_names):
             return None
-        tup = [tuple(evaluate(comp, point) for comp in proj)
-               for proj in ce.projections]
+        tup = [tuple(x) for x in chart.project(point)]
         if len(set(tup)) != len(tup):
             return None
         report.trials += 1
@@ -342,9 +309,8 @@ def check_diagonal_kernel(eqs: Sequence[ChartEquations],
         for idx, g in enumerate(ce.chain.levels[0]):
             at_diag = substitute(g, {lam: Poly.zero(table)})
             coord = transplant(f.fiber_coords[idx], table)
-            want = Poly.zero(table)
-            for vname, d in zip(chart.base_names, direction):
-                want = want + differentiate(coord, vname) * d
+            want = sum(differentiate(coord, vname) * d
+                       for vname, d in zip(chart.base_names, direction))
             report.trials += 1
             if at_diag != want:
                 report.record(f"{chart.name()} component {idx + 1}",

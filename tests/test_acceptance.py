@@ -109,8 +109,8 @@ def test_criterion_02_k3_second_level(report):
                    table)
     golden_ok = level2[0] == g1 and level2[1] == g2
     # remaining generators accepted through the exact telescoping identity
-    tele_ok = (telescoping_failures(f, e11.chain) == [] and
-               telescoping_failures(f, all_eqs[(1, 2)].chain) == [])
+    tele_ok = (telescoping_failures(e11.chain) == [] and
+               telescoping_failures(all_eqs[(1, 2)].chain) == [])
     elapsed = time.perf_counter() - t0
     ok = golden_ok and tele_ok and elapsed < 5.0
     report(2, ok, f"order-3 chart (1,1) second-level generators "
@@ -184,7 +184,7 @@ def test_criterion_07_telescoping_corpus(corpus, report):
     bad = []
     for f, r, eqs_list in corpus:
         for eqs in eqs_list:
-            rows = telescoping_failures(f, eqs.chain)
+            rows = telescoping_failures(eqs.chain)
             checked += eqs.chain.depth * len(eqs.chain.levels[0])
             bad.extend(rows)
     ok = not bad

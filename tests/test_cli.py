@@ -4,10 +4,13 @@ import hashlib
 import io
 import json
 
+import resource
+import time
+
 import pytest
 
 from multipoint import cli, ideals, verify
-from multipoint.atlas import covering_collection
+from multipoint.atlas import chart_count, covering_collection
 from multipoint.cli import RunSpec, build_parser, main, run
 from multipoint.divdiff import PolyMap
 from multipoint.ideals import kr_equations
@@ -164,6 +167,56 @@ class TestCheck:
         assert code == 0
         # one chain per chart for the suites, five for corank1's own maps
         assert calls == {"ideals": 6, "verify": 5}
+
+    def test_no_symbolic_projection(self, monkeypatch):
+        # the point suites project each draw numerically with Chart.project
+        calls = []
+        real = ideals.projection_to_Xr
+
+        def counting(chart):
+            calls.append(chart)
+            return real(chart)
+
+        monkeypatch.setattr(ideals, "projection_to_Xr", counting)
+        code, out = capture(["check", *FAMILY, "-r", "3", "--trials", "5",
+                             "--seed", "3", "--suite", "all"])
+        assert code == 0 and "strict-points: pass" in out
+        assert calls == []
+
+
+class TestAtlasBound:
+    """A run without --chart refuses an atlas over MAX_CHARTS, and --chart
+    entries are checked without building the atlas."""
+
+    def run_fast(self, argv, flag, capsys):
+        # cap the address space, so that code which does build the atlas
+        # fails with MemoryError (exit 3) instead of exhausting the host
+        soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+        with open("/proc/self/statm") as fh:
+            used = int(fh.read().split()[0]) * resource.getpagesize()
+        resource.setrlimit(resource.RLIMIT_AS, (used + (256 << 20), hard))
+        try:
+            start = time.perf_counter()
+            code = main(argv)
+            elapsed = time.perf_counter() - start
+        finally:
+            resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+        assert code == 2
+        assert elapsed < 1.0
+        assert capsys.readouterr().err.startswith(f"error: {flag}")
+
+    def test_order_refused(self, capsys):
+        # fiber 2 at order 9 has 9! = 362880 charts; fiber 3 at order 4,
+        # the largest atlas the tests and the benchmark build, has 105
+        assert chart_count(3, 4) <= cli.MAX_CHARTS < chart_count(2, 9)
+        self.run_fast(["eqs", "--vars", "t,x,y", "--map",
+                       "t;x2+ty;y2-tx;x3+y3+xy", "-r", "9"], "-r/--order:", capsys)
+
+    def test_chart_out_of_range_at_large_order(self, capsys):
+        # fiber 3 at order 9 has 34459425 charts; none is built
+        self.run_fast(["eqs", "--vars", "x,y,z", "--map", "x2+yz;y2-xz;z2+xy",
+                       "-r", "9", "--chart", "99,1,1,1,1,1,1,1"], "--chart: no chart",
+                      capsys)
 
 
 def test_repeated_suite_runs_once():

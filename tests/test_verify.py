@@ -6,17 +6,22 @@ sure the corruption is reported, not silently absorbed.
 """
 
 import dataclasses
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from multipoint.atlas import covering_collection
+from multipoint.atlas import (
+    build_atlas,
+    chart_coords_from_tuple,
+    covering_collection,
+    projection_to_Xr,
+)
 from multipoint.divdiff import DifferenceChain, PolyMap, difference_chain
 from multipoint.ideals import kr_equations
 from multipoint.polyring import Poly, evaluate
 from multipoint.verify import (
     SampleConfig,
-    chart_coords_from_tuple,
     check_corank1,
     check_diagonal_kernel,
     check_overlap,
@@ -90,13 +95,13 @@ class TestTelescoping:
         levels[1][0] = broken
         bad = DifferenceChain(f=f, chart=chart,
                               levels=tuple(tuple(lv) for lv in levels))
-        rows = telescoping_failures(f, bad)
+        rows = telescoping_failures(bad)
         assert rows and all("U(2,1)" in d for d, _, _ in rows)
 
     def test_intact_chain_clean(self):
         f = family()
         chart = f.chart_for(covering_collection(2, 3), (2, 1), 3)
-        assert telescoping_failures(f, difference_chain(f, chart)) == []
+        assert telescoping_failures(difference_chain(f, chart)) == []
 
 
 class TestDiagonalKernel:
@@ -178,17 +183,23 @@ class TestStrictPoints:
 
 class TestChartCoordsFromTuple:
     def test_roundtrip_through_projection(self):
-        f = family()
-        cc = covering_collection(2, 3)
+        """project agrees with the symbolic projection, and the inverse
+        recovers the chart point from the projected tuple when its points
+        are distinct; a repeated point makes a difference vanish, so the
+        inverse gives None."""
         rng = random.Random(5)
-        for eqs in kr_equations(f, 3, cc):
-            chart = eqs.chart
-            point = [Fraction(rng.randint(1, 9), rng.randint(1, 5))
-                     for _ in chart.table.names]
-            tup = [tuple(evaluate(c, point) for c in proj)
-                   for proj in eqs.projections]
-            back = chart_coords_from_tuple(chart, tup, point[:1])
-            assert back == point
+        for n, r, strategy in itertools.product(
+                (1, 2, 3), (2, 3, 4), ("default", "vandermonde")):
+            cc = covering_collection(n, r, strategy)
+            for chart in build_atlas(cc, n, r, params=1):
+                point = [Fraction(rng.randint(1, 9), rng.randint(1, 5))
+                         for _ in chart.table.names]
+                tup = chart.project(point)
+                assert tup == [[evaluate(c, point) for c in proj]
+                               for proj in projection_to_Xr(chart)]
+                strict = len(set(map(tuple, tup))) == len(tup)
+                assert (chart_coords_from_tuple(chart, tup, point[:1])
+                        == (point if strict else None))
 
     def test_unrepresentable_tuple(self):
         f = family()
