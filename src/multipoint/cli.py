@@ -10,7 +10,8 @@ Charts run one after another in atlas order; a map that starts with '-' may
 follow ``--map`` split or joined (``--map=...``).  All output is a pure
 function of the parsed invocation: identical arguments produce byte-identical
 output, so runs can be diffed or cached.  Exit codes: 0 success, 1
-verification failure, 2 bad input, 3 internal error.
+verification failure, 2 bad input, 3 internal error, 141 stdout closed by
+its reader.
 """
 
 from __future__ import annotations
@@ -426,7 +427,14 @@ def main(argv=None) -> int:
     ns = parser.parse_args(_glue_map_value(parser, argv))
     try:
         spec = RunSpec.from_args(ns)
-        return run(spec)
+        rc = run(spec)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return rc
+    except BrokenPipeError:
+        # the reader of stdout went away (`| head`): neither bad input nor a
+        # bug.  Point stdout at devnull so the flush at exit cannot raise.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as a shell reports a killed writer
     except (CliError, PolyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

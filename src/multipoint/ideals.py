@@ -3,12 +3,26 @@
 The basis engine is a plain Buchberger loop over the integer term maps of
 normalized polynomials (content is stripped after every combination step),
 with the product and chain pair criteria, followed by minimalization and tail
-interreduction.  Reduction steps and S-polynomials add each shifted multiple
-through ``polyring``'s term-map product, the kernel that ``Poly``
-multiplication and substitution also use.  S-pairs are taken from a heap
-keyed once, when each pair is created, by the degrevlex key of its lcm (ties
-by index); the degrevlex keys that reduction compares are cached per monomial
-for one basis run and dropped with it.
+interreduction.
+
+Inside one basis run every monomial is a single int (``_Codec``, after
+Monagan & Pearce 2007): variable i's exponent, complemented, fills bit field
+i and the total degree sits above the fields, so int order is degrevlex
+order, a product is an addition, and divisibility is one guard-bit mask test.
+The packed int is its own sort key: there is no key cache, leading terms are
+``max`` of the term map, and S-pairs leave a heap keyed by their packed lcm
+(ties by index).  Reduction steps and S-polynomials add each shifted multiple
+through one engine-local loop.  ``groebner`` and ``contains`` pack the tuple
+term maps on entry and unpack on exit; nothing else sees packed monomials.
+
+Fields start ``_WIDTH`` bits wide, or wider when an input term's total degree
+needs it.  A term packs only when its total degree is at most the field cap,
+and under a degree-compatible order reduction never raises the degree, so
+only inputs and new pair lcms are checked.  When an lcm overflows, the run
+starts over at double width; the reduced basis is unique, so the answer is
+the same.  ``contains`` sizes its fields from degrees known up front and
+never restarts.
+
 Dimension is the standard combinatorial dimension of the leading-term ideal.
 """
 
@@ -17,72 +31,112 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .atlas import Chart, CoveringCollection, multi_indices, projection_to_Xr
 from .divdiff import DifferenceChain, PolyMap, difference_chain
-from .polyring import (Poly, VarTable, _add_product, degrevlex_key, normalize,
-                       primitive_terms)
+from .polyring import Poly, VarTable, normalize, primitive_terms
 
-Mono = tuple
+# ---- packed integer polynomial core ----------------------------------------
 
-# ---- integer polynomial core ----------------------------------------------
-
-
-def _divides(a: Mono, b: Mono) -> bool:
-    return all(map(operator.le, a, b))
+_WIDTH = 16  # starting bits per variable field; wider when an input needs it
 
 
-def _mono_lcm(a: Mono, b: Mono) -> Mono:
-    return tuple(map(max, a, b))
+class _WidthOverflow(Exception):
+    """A monomial's total degree does not fit the codec's fields."""
 
 
-def _mono_sub(a: Mono, b: Mono) -> Mono:
-    return tuple(map(operator.sub, a, b))
+class _Codec:
+    """Monomials of ``n`` variables packed into one int, ``w`` bits a field.
+
+    Field i holds ``cap - e_i`` with ``cap = 2**(w-1) - 1``, the last variable
+    most significant, and the total degree sits above every field; so int
+    order is degrevlex order.  A monomial packs only when its total degree is
+    at most ``cap``: then every field value, and every field of a difference
+    ``b - a + zero``, lies in ``[0, 2*cap]``, and the field's top (guard) bit
+    is set exactly when ``a_i > b_i``.
+    """
+
+    __slots__ = ("n", "w", "cap", "zero", "guards")
+
+    def __init__(self, n: int, w: int):
+        self.n, self.w = n, w
+        self.cap = (1 << (w - 1)) - 1
+        self.zero = sum(self.cap << (w * i) for i in range(n))  # pack(0)
+        self.guards = sum(1 << (w * i + w - 1) for i in range(n))
+
+    @classmethod
+    def fitting(cls, n: int, maps: Sequence[dict]) -> "_Codec":
+        """The codec of the starting width, widened until every tuple
+        monomial of the term maps fits."""
+        degree = max((sum(m) for t in maps for m in t), default=0)
+        return cls(n, max(_WIDTH, degree.bit_length() + 1))
+
+    def pack(self, e: Sequence[int]) -> int:
+        x = sum(e)
+        if x > self.cap:
+            raise _WidthOverflow(x)
+        for v in reversed(e):
+            x = (x << self.w) | (self.cap - v)
+        return x
+
+    def unpack(self, x: int) -> tuple:
+        mask = (1 << self.w) - 1
+        e = []
+        for _ in range(self.n):
+            e.append(self.cap - (x & mask))
+            x >>= self.w
+        return tuple(e)
+
+    def divides(self, a: int, b: int) -> bool:
+        return not (b - a + self.zero) & self.guards
+
+    def lcm(self, a: int, b: int) -> int:
+        return self.pack(tuple(map(max, self.unpack(a), self.unpack(b))))
+
+    def pack_terms(self, terms: dict) -> dict:
+        return {self.pack(m): c for m, c in terms.items()}
+
+    def unpack_terms(self, terms: dict) -> dict:
+        return {self.unpack(m): c for m, c in terms.items()}
 
 
-class _KeyCache(dict):
-    """Monomial -> degrevlex_key, computed on first lookup."""
+def _add_multiple(work: dict, c: int, shift: int, g: dict) -> None:
+    """work += c * x^shift * g, a packed shift being a monomial's offset."""
+    for m, v in g.items():
+        m += shift
+        s = work.get(m, 0) + c * v
+        if s:
+            work[m] = s
+        else:
+            del work[m]
 
-    __slots__ = ()
 
-    def __missing__(self, m: Mono):
-        k = self[m] = degrevlex_key(m)
-        return k
-
-
-def _normal_form(p: dict, basis: Sequence[tuple],
-                 keys: _KeyCache | None = None) -> dict:
-    """Full remainder of p against basis entries (lm, lc, terms).
+def _normal_form(p: dict, basis: Sequence[tuple], codec: _Codec) -> dict:
+    """Full remainder of packed p against basis entries (lm, lc, terms).
 
     Fraction-free: instead of dividing, both the work polynomial and the
     emitted remainder are scaled by the reducer's leading coefficient, and
     joint content is stripped to keep coefficients small.  The remainder is
     therefore a unit multiple of the true normal form, which preserves
-    zero-ness and leading monomials.  `keys` caches monomial sort keys
-    across calls; a fresh one is used when none is given.
+    zero-ness and leading monomials.
     """
-    if keys is None:
-        keys = _KeyCache()
-    key = keys.__getitem__
+    zero, guards = codec.zero, codec.guards
     work = dict(p)
     out: dict = {}
     while work:
-        m = max(work, key=key)
+        m = max(work)
         c = work[m]
-        hit = None
+        mz = m + zero
         for lm, lc, g in basis:
-            if _divides(lm, m):
-                hit = (lm, lc, g)
+            if not (mz - lm) & guards:
                 break
-        if hit is None:
+        else:
             out[m] = c
             del work[m]
             continue
-        lm, lc, g = hit
         d = math.gcd(c, lc)
         a, b = lc // d, c // d
         if a != 1:
@@ -90,7 +144,7 @@ def _normal_form(p: dict, basis: Sequence[tuple],
                 out[k] *= a
             for k in work:
                 work[k] *= a
-        _add_product(work, {_mono_sub(m, lm): -b}, g)
+        _add_multiple(work, -b, m - lm, g)
         if abs(a) > 1 and (work or out):
             joint = 0
             for v in itertools.chain(work.values(), out.values()):
@@ -100,43 +154,50 @@ def _normal_form(p: dict, basis: Sequence[tuple],
                     work[k] //= joint
                 for k in out:
                     out[k] //= joint
-    return primitive_terms(out)
+    return primitive_terms(out, key=None)
 
 
-def _spoly(f: tuple, g: tuple) -> dict:
+def _spoly(f: tuple, g: tuple, codec: _Codec) -> dict:
     lmf, lcf, tf = f
     lmg, lcg, tg = g
-    l = _mono_lcm(lmf, lmg)
+    l = codec.lcm(lmf, lmg)
     d = math.gcd(lcf, lcg)
-    out = _add_product({}, {_mono_sub(l, lmf): lcg // d}, tf)
-    return _add_product(out, {_mono_sub(l, lmg): -(lcf // d)}, tg)
+    out: dict = {}
+    _add_multiple(out, lcg // d, l - lmf, tf)
+    _add_multiple(out, -(lcf // d), l - lmg, tg)
+    return out
 
 
 def _entry(terms: dict) -> tuple:
-    lm = max(terms, key=degrevlex_key)
+    lm = max(terms)
     return (lm, terms[lm], terms)
 
 
-def _buchberger(polys: Iterable[dict]) -> list[dict]:
-    """Reduced basis, as primitive integer term maps, of primitive ones."""
+def _buchberger(polys: Sequence[dict], codec: _Codec) -> list[dict]:
+    """Reduced basis, as packed primitive integer term maps, of packed ones.
+
+    Raises _WidthOverflow when a pair's lcm does not fit the codec; no other
+    monomial can outgrow it, since reduction under a degree-compatible order
+    never raises the total degree.
+    """
     basis = []
-    # pairs leave the heap by (degrevlex key of their lcm, i, j); each
-    # entry is keyed once, when the pair is created
-    keys = _KeyCache()
+    # pairs leave the heap by (packed lcm, i, j): the packed lcm is its own
+    # degrevlex key
     heap = []
     done = set()
+    zero = codec.zero
 
     def candidates():
         """The nonzero inputs, then every nonzero S-pair remainder."""
         yield from filter(None, polys)
         while heap:
-            _, i, j, l = heapq.heappop(heap)
+            l, i, j = heapq.heappop(heap)
             done.add((i, j))
-            if not any(map(min, basis[i][0], basis[j][0])):
+            if l == basis[i][0] + basis[j][0] - zero:
                 continue  # coprime leading monomials reduce to zero
             chained = False
             for k in range(len(basis)):
-                if k in (i, j) or not _divides(basis[k][0], l):
+                if k in (i, j) or not codec.divides(basis[k][0], l):
                     continue
                 p1 = (min(i, k), max(i, k))
                 p2 = (min(j, k), max(j, k))
@@ -145,25 +206,24 @@ def _buchberger(polys: Iterable[dict]) -> list[dict]:
                     break
             if chained:
                 continue
-            h = _normal_form(_spoly(basis[i], basis[j]), basis, keys)
+            h = _normal_form(_spoly(basis[i], basis[j], codec), basis, codec)
             if h:
                 yield h
 
     for t in candidates():
         e = _entry(t)
-        if not any(e[0]):  # degrevlex is degree-compatible: t is a constant
-            return [{e[0]: 1}]
+        if e[0] == zero:  # degrevlex is degree-compatible: t is a constant
+            return [{zero: 1}]
         basis.append(e)
         new = len(basis) - 1
         for k in range(new):
-            l = _mono_lcm(basis[k][0], e[0])
-            heapq.heappush(heap, (keys[l], k, new, l))
+            heapq.heappush(heap, (codec.lcm(basis[k][0], e[0]), k, new))
 
     # minimalize: drop entries whose leading monomial another one divides
     keep = []
     lms = [e[0] for e in basis]
     for i, lm in enumerate(lms):
-        if any(j != i and _divides(lms[j], lm) and (lms[j] != lm or j < i)
+        if any(j != i and codec.divides(lms[j], lm) and (lms[j] != lm or j < i)
                for j in range(len(lms))):
             continue
         keep.append(basis[i])
@@ -172,10 +232,10 @@ def _buchberger(polys: Iterable[dict]) -> list[dict]:
     reduced = []
     for i, e in enumerate(keep):
         others = keep[:i] + keep[i + 1:]
-        h = _normal_form(e[2], others, keys) if others else e[2]
+        h = _normal_form(e[2], others, codec) if others else e[2]
         if h:
             reduced.append(h)
-    reduced.sort(key=lambda t: max(map(keys.__getitem__, t)), reverse=True)
+    reduced.sort(key=max, reverse=True)
     return reduced
 
 
@@ -206,8 +266,15 @@ class IdealHandle:
 def groebner(h: IdealHandle) -> list[Poly]:
     """Reduced Groebner basis, cached on the handle; [] for the zero ideal."""
     if h._basis is None:
-        raw = _buchberger(normalize(g).terms for g in h.generators)
-        h._basis = tuple(Poly(h.table, t) for t in raw)
+        polys = [normalize(g).terms for g in h.generators]
+        codec = _Codec.fitting(len(h.table), polys)
+        while True:
+            try:
+                raw = _buchberger([codec.pack_terms(t) for t in polys], codec)
+                break
+            except _WidthOverflow:  # the reduced basis is unique: start over
+                codec = _Codec(codec.n, 2 * codec.w)
+        h._basis = tuple(Poly(h.table, codec.unpack_terms(t)) for t in raw)
     return list(h._basis)
 
 
@@ -222,10 +289,14 @@ def contains(h: IdealHandle, p: Poly) -> bool:
         raise ValueError("polynomial is over a different table than the ideal")
     if p.is_zero():
         return True
-    entries = [_entry(g.terms) for g in groebner(h)]
-    if not entries:
+    basis = [g.terms for g in groebner(h)]
+    if not basis:
         return False
-    return not _normal_form(normalize(p).terms, entries)
+    terms = normalize(p).terms
+    # reduction never raises the degree, so the codec fits every step
+    codec = _Codec.fitting(len(h.table), basis + [terms])
+    entries = [_entry(codec.pack_terms(t)) for t in basis]
+    return not _normal_form(codec.pack_terms(terms), entries, codec)
 
 
 def dimension(h: IdealHandle) -> int:

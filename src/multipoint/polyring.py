@@ -95,7 +95,11 @@ def _as_fraction(c: Scalar) -> Fraction:
 
 
 def _add_product(out: dict, t1: Mapping, t2: Mapping) -> dict:
-    """Add the product of term maps t1 and t2 into out, dropping zero sums."""
+    """Add the product of term maps t1 and t2 into out, dropping zero sums.
+
+    The one term-product loop of ``Poly.__mul__`` and ``transplant``; the
+    Groebner engine packs its monomials and has its own loop.
+    """
     for e1, c1 in t1.items():
         for e2, c2 in t2.items():
             e = tuple(map(operator.add, e1, e2))
@@ -295,15 +299,17 @@ def differentiate(p: Poly, name: str) -> Poly:
     return Poly(p.table, terms)
 
 
-def primitive_terms(terms: dict) -> dict:
+def primitive_terms(terms: dict, key=degrevlex_key) -> dict:
     """Divide an integer term map by its content, leading coefficient positive.
 
-    Returns ``terms`` itself when it is already primitive; never mutates it.
+    ``key`` is the term order's sort key; ``None`` for monomials that are
+    their own key (the Groebner engine's packed ints).  Returns ``terms``
+    itself when it is already primitive; never mutates it.
     """
     if not terms:
         return terms
     g = math.gcd(*terms.values())
-    if terms[max(terms, key=degrevlex_key)] < 0:
+    if terms[max(terms, key=key)] < 0:
         g = -g
     if g != 1:
         terms = {m: v // g for m, v in terms.items()}

@@ -3,9 +3,12 @@
 import hashlib
 import io
 import json
-
+import os
 import resource
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +19,7 @@ from multipoint.divdiff import PolyMap
 from multipoint.ideals import kr_equations
 from multipoint.polyring import VarTable, parse_poly
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 FAMILY = ["--vars", "t,x,y", "--map", "t;x2+ty;y2;xy-tx"]
 
 
@@ -105,6 +109,23 @@ class TestExitCodes:
         assert main(["dim", "--vars", "t,x", "--map", "t", "--params", "1"]) == 0
         out = capsys.readouterr().out
         assert out.splitlines()[1:] == ["chart U(1): dimension 3, expected 3, correct"]
+
+    def test_closed_stdout_exits_quietly(self):
+        # stdout is a pipe whose reader is already gone, as after `| head`
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "multipoint.cli", "eqs", *FAMILY,
+                 "-r", "3"], stdout=w, stderr=subprocess.PIPE, env=env,
+                timeout=60)
+        finally:
+            os.close(w)
+        assert proc.returncode == 141
+        assert proc.stderr == b""
 
 
 class TestEqs:

@@ -21,6 +21,8 @@ from multipoint.ideals import (
     groebner,
     is_unit_ideal,
     kr_equations,
+    _Codec,
+    _WidthOverflow,
     _normal_form,
     _entry,
     _spoly,
@@ -34,6 +36,7 @@ from multipoint.polyring import (
 )
 
 XY = VarTable(["x", "y"])
+XY_CODEC = _Codec(2, 16)
 
 
 def P(src, table=XY):
@@ -64,15 +67,19 @@ def test_normalized_terms_strip_content_and_sign():
 # ---- s-polynomials and reduction -------------------------------------------
 
 
+def packed(src):
+    return XY_CODEC.pack_terms(normalize(P(src)).terms)
+
+
 def test_normal_form_reduces_to_zero_in_ideal():
-    basis = [_entry(normalize(P("x")).terms), _entry(normalize(P("y")).terms)]
-    assert _normal_form(normalize(P("3*x+5*y")).terms, basis) == {}
+    basis = [_entry(packed("x")), _entry(packed("y"))]
+    assert _normal_form(packed("3*x+5*y"), basis, XY_CODEC) == {}
 
 
 def test_normal_form_keeps_reduced_part():
-    basis = [_entry(normalize(P("x^2")).terms)]
-    out = _normal_form(normalize(P("x^2+x+1")).terms, basis)
-    assert out == {(1, 0): 1, (0, 0): 1}
+    basis = [_entry(packed("x^2"))]
+    out = _normal_form(packed("x^2+x+1"), basis, XY_CODEC)
+    assert XY_CODEC.unpack_terms(out) == {(1, 0): 1, (0, 0): 1}
 
 
 # ---- groebner --------------------------------------------------------------
@@ -105,10 +112,11 @@ def test_groebner_textbook_example():
     assert "x*y-1" in strs
     assert "y^3+x-y" in strs  # the completed S-polynomial
     # every S-polynomial of the returned basis reduces to zero
-    entries = [_entry(b.terms) for b in basis]
+    entries = [_entry(XY_CODEC.pack_terms(b.terms)) for b in basis]
     for i in range(len(entries)):
         for j in range(i + 1, len(entries)):
-            assert _normal_form(_spoly(entries[i], entries[j]), entries) == {}
+            s = _spoly(entries[i], entries[j], XY_CODEC)
+            assert _normal_form(s, entries, XY_CODEC) == {}
 
 
 def test_groebner_input_reduces_to_zero():
@@ -121,15 +129,13 @@ def test_groebner_input_reduces_to_zero():
 def test_groebner_reduced_property():
     # no leading monomial may divide any monomial of another basis element
     h = handle("x^2+y^2-1", "x*y-1")
-    basis = [b.terms for b in groebner(h)]
-    from multipoint.ideals import _divides
-    from multipoint.polyring import degrevlex_key
-    lms = [max(t, key=degrevlex_key) for t in basis]
+    basis = [XY_CODEC.pack_terms(b.terms) for b in groebner(h)]
+    lms = [max(t) for t in basis]
     for i, t in enumerate(basis):
         for m in t:
             for j, lm in enumerate(lms):
                 if i != j:
-                    assert not _divides(lm, m)
+                    assert not XY_CODEC.divides(lm, m)
 
 
 def test_groebner_cached():
@@ -291,26 +297,32 @@ def test_trifold_k3_chart12_dimension():
 # ---- trifold bases (pinned) -------------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def trifold_r3_bases():
-    """Reduced bases of the six trifold-cone r=3 charts, keyed by alpha."""
+def _trifold_r3_bases():
     return {e.chart.alpha: groebner(e.handle())
             for e in kr_equations(trifold(), 3, standard_collection(2, 3))}
 
 
-def test_trifold_r3_bases_pinned(trifold_r3_bases):
+@pytest.fixture(scope="module")
+def trifold_r3_bases():
+    """Reduced bases of the six trifold-cone r=3 charts, keyed by alpha."""
+    return _trifold_r3_bases()
+
+
+def assert_pinned_trifold_r3(bases):
     # digest of the bases as computed before the pair heap and key cache
-    assert list(trifold_r3_bases) == [(1, 1), (1, 2), (2, 1), (2, 2),
-                                      (3, 1), (3, 2)]
-    assert [len(b) for b in trifold_r3_bases.values()] == [38, 16, 34, 16,
-                                                           36, 24]
+    assert list(bases) == [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)]
+    assert [len(b) for b in bases.values()] == [38, 16, 34, 16, 36, 24]
     lines = []
-    for alpha, basis in trifold_r3_bases.items():
+    for alpha, basis in bases.items():
         lines.append("U(%s)" % ",".join(map(str, alpha)))
         lines.extend(str(g) for g in basis)
     text = "\n".join(lines) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "aa245ee0b3ad7f91394ec5a0d1acf49d13603ead483d70789682b5b33e03b2c1")
+
+
+def test_trifold_r3_bases_pinned(trifold_r3_bases):
+    assert_pinned_trifold_r3(trifold_r3_bases)
 
 
 def test_trifold_r3_basis_coefficients_are_int(trifold_r3_bases):
@@ -375,7 +387,10 @@ def _int_poly_pairs(draw):
 def test_spoly_cancels_leading_terms(case):
     n, f, g = case
     table = VarTable(["x", "y", "z"][:n])
-    (lmf, lcf, _), (lmg, lcg, _) = ef, eg = _entry(f), _entry(g)
+    codec = _Codec(n, 16)
+    ef, eg = _entry(codec.pack_terms(f)), _entry(codec.pack_terms(g))
+    (lmf, lcf, _), (lmg, lcg, _) = ef, eg
+    lmf, lmg = codec.unpack(lmf), codec.unpack(lmg)
     lcm = tuple(max(a, b) for a, b in zip(lmf, lmg))
     d = math.gcd(lcf, lcg)
 
@@ -383,7 +398,7 @@ def test_spoly_cancels_leading_terms(case):
         shift = tuple(a - b for a, b in zip(lcm, lm))
         return Poly(table, {shift: c}) * Poly(table, terms)
 
-    s = _spoly(ef, eg)
+    s = codec.unpack_terms(_spoly(ef, eg, codec))
     assert s == (shifted(lmf, lcg // d, f) - shifted(lmg, lcf // d, g)).terms
     assert lcm not in s
 
@@ -401,6 +416,10 @@ def _small_ideals(draw):
 @settings(max_examples=40, deadline=None)
 @given(_small_ideals())
 def test_groebner_and_contains_match_sympy(case):
+    assert_agrees_with_sympy(case)
+
+
+def assert_agrees_with_sympy(case):
     n, gens, mults, other = case
     table = VarTable(["x", "y", "z"][:n])
     gens = [Poly(table, g) for g in gens]
@@ -417,11 +436,86 @@ def test_groebner_and_contains_match_sympy(case):
     # fraction-free reduction leaves
     remainder = {m: Fraction(int(c.p), int(c.q))
                  for m, c in oracle.reduce(_to_sympy(other))[1].terms() if c}
-    got = _normal_form(normalize(other).terms,
-                       [_entry(g.terms) for g in groebner(h)])
+    codec = _Codec(n, 16)
+    got = codec.unpack_terms(_normal_form(
+        codec.pack_terms(normalize(other).terms),
+        [_entry(codec.pack_terms(g.terms)) for g in groebner(h)], codec))
     assert bool(got) == bool(remainder)
     if got:
         assert _monic(got) == _monic(remainder)
+
+
+# ---- packed monomials -------------------------------------------------------
+
+
+@st.composite
+def _exponents(draw, n, budget):
+    """An exponent vector of length n and total degree at most budget."""
+    e = []
+    for _ in range(n):
+        e.append(draw(st.integers(0, budget)))
+        budget -= e[-1]
+    return tuple(draw(st.permutations(e)))
+
+
+@st.composite
+def _codec_cases(draw):
+    n = draw(st.integers(1, 12))
+    codec = _Codec(n, draw(st.sampled_from([2, 3, 5, 8, 16])))
+    a = draw(_exponents(codec.n, codec.cap))
+    b = draw(_exponents(codec.n, codec.cap))
+    c = draw(_exponents(codec.n, codec.cap - sum(a)))
+    return codec, a, b, c
+
+
+@settings(max_examples=300, deadline=None)
+@given(_codec_cases())
+def test_codec_matches_tuple_monomials(case):
+    codec, a, b, c = case
+    pa, pb, pc = codec.pack(a), codec.pack(b), codec.pack(c)
+    assert codec.unpack(pa) == a
+    assert (pa < pb) == (degrevlex_key(a) < degrevlex_key(b))
+    assert (pa == pb) == (a == b)
+    assert codec.divides(pa, pb) == all(x <= y for x, y in zip(a, b))
+    ac = tuple(x + y for x, y in zip(a, c))
+    assert codec.divides(pa, codec.pack(ac))
+    assert codec.divides(codec.pack(ac), pa) == (not any(c))
+    assert pa + (pc - codec.pack((0,) * codec.n)) == codec.pack(ac)
+
+
+@pytest.mark.parametrize("w", [2, 3, 16])
+def test_codec_refuses_degree_above_cap(w):
+    codec = _Codec(3, w)
+    assert codec.cap == 2 ** (w - 1) - 1
+    top = (codec.cap - codec.cap // 2, 0, codec.cap // 2)
+    assert codec.unpack(codec.pack(top)) == top
+    with pytest.raises(_WidthOverflow):
+        codec.pack((codec.cap - codec.cap // 2, 1, codec.cap // 2))
+
+
+def test_narrow_width_restarts_to_the_same_bases(monkeypatch):
+    widths = []
+
+    class Counting(_Codec):
+        __slots__ = ()
+
+        def __init__(self, n, w):
+            widths.append(w)
+            super().__init__(n, w)
+
+    monkeypatch.setattr(ideals_mod, "_WIDTH", 2)  # cap 1: the narrowest
+    monkeypatch.setattr(ideals_mod, "_Codec", Counting)
+    bases = _trifold_r3_bases()
+    assert_pinned_trifold_r3(bases)
+    assert len(widths) > len(bases)  # a run overflowed and started over
+    widths.clear()
+    # degree 2 starts at 3 bits (cap 3); the pair (x*y-1, y^3+x-y) has an
+    # lcm of degree 4
+    assert_agrees_with_sympy((2, [{(2, 0): 1, (0, 2): 1, (0, 0): -1},
+                                  {(1, 1): 1, (0, 0): -1}],
+                              [{(1, 0): 2}, {(0, 3): -1, (1, 0): 1}],
+                              {(0, 3): 1, (1, 0): 1, (0, 0): 2}))
+    assert widths[:2] == [3, 6]
 
 
 # ---- diagonal fiber --------------------------------------------------------
