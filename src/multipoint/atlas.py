@@ -12,12 +12,13 @@ inverts it on a rational tuple.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .polyring import Poly, PolyError, VarTable, _as_fraction
+from .polyring import Poly, PolyError, Scalar, VarTable, common_denominator
 
 
 class CollectionError(PolyError):
@@ -26,20 +27,35 @@ class CollectionError(PolyError):
 
 @dataclass(frozen=True)
 class LinearForm:
-    """A linear form sum(c_j * x_j) on the source fiber."""
+    """A linear form sum(c_j * x_j) on the source fiber.
 
-    coeffs: tuple[Fraction, ...]
+    A coefficient is an ``int`` when integral and a ``Fraction`` otherwise,
+    as in ``Poly``; ``numerators`` over ``denominator`` are the same
+    coefficients scaled to integers over one denominator.
+    """
+
+    coeffs: tuple[Scalar, ...]
+    numerators: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    denominator: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs",
-                           tuple(_as_fraction(c) for c in self.coeffs))
-        if not self.coeffs or all(c == 0 for c in self.coeffs):
+        coeffs = tuple(c.numerator if c.denominator == 1 else c
+                       for c in map(Fraction, self.coeffs))
+        if not any(coeffs):
             raise CollectionError("linear form must be nonzero")
+        nums, q = common_denominator(coeffs)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "numerators", tuple(nums))
+        object.__setattr__(self, "denominator", q)
 
     def __call__(self, vec: Sequence):
         if len(vec) != len(self.coeffs):
             raise ValueError("vector length does not match form arity")
         return sum(c * v for c, v in zip(self.coeffs, vec) if c)
+
+    def scaled_at(self, nums: Sequence[int]) -> int:
+        """``denominator`` times the form's value at an integer vector."""
+        return sum(map(operator.mul, self.numerators, nums))
 
     def text(self, names: Sequence[str]) -> str:
         pieces = []
@@ -64,7 +80,7 @@ class LinearForm:
 def _invert(rows: list[list[Fraction]]) -> list[list[Fraction]] | None:
     """Exact inverse of a square matrix over Q; None if it is singular."""
     n = len(rows)
-    m = [[_as_fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
+    m = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
          for i, row in enumerate(rows)]
     for col in range(n):
         pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
@@ -170,7 +186,7 @@ def standard_collection(n: int, ell: int) -> CoveringCollection:
 def vandermonde_collection(n: int, ell: int) -> CoveringCollection:
     """Forms L_i = sum_j i^(j-1) x_j; distinct nodes make every n-subset independent."""
     m = expected_form_count(n, ell)
-    forms = [LinearForm(tuple(Fraction(i ** j) for j in range(n)))
+    forms = [LinearForm(tuple(i ** j for j in range(n)))
              for i in range(1, m + 1)]
     companions = [tuple((i + k) % m for k in range(1, n)) for i in range(m)]
     return CoveringCollection(n, ell, forms, companions)
@@ -467,19 +483,29 @@ def chart_coords_from_tuple(chart: Chart, fiber_points: Sequence[Sequence[Fracti
     form on each current difference vector, and the companion forms divided
     by it, so each level needs the chosen form nonzero on every difference.
     A tuple with a repeated point therefore gives None on every chart.
+
+    Each difference vector is scaled to integers N / d and each form F is
+    applied as ``F.scaled_at(N) / F.denominator``, so lambda is
+    ``F_a(N) / (q_a * d)`` and a companion ``F_k(N) * q_a / (q_k * F_a(N))``:
+    d cancels, and a coordinate's one Fraction is built from two integers.
     """
     cc = chart.cc
     values = dict(zip(chart.param_names, params))
     values.update(zip(chart.base_names, fiber_points[0]))
     prev = [[q - b for q, b in zip(pt, fiber_points[0])] for pt in fiber_points[1:]]
     for level, a in enumerate(chart.alpha, start=1):
+        form = cc.forms[a - 1]
+        qa = form.denominator
+        companions = [cc.forms[k] for k in cc.companions[a - 1]]
         encoded = []
         for delta in prev:
-            lam = cc.forms[a - 1](delta)
-            if lam == 0:
+            nums, d = common_denominator(delta)
+            lam = form.scaled_at(nums)
+            if not lam:
                 return None
-            encoded.append([lam, *(cc.forms[k](delta) / lam
-                                   for k in cc.companions[a - 1])])
+            encoded.append([Fraction(lam, qa * d),
+                            *(Fraction(g.scaled_at(nums) * qa, g.denominator * lam)
+                              for g in companions)])
         values.update(zip(chart.level_names(level), encoded[0]))
         prev = [[q - b for q, b in zip(later, encoded[0])] for later in encoded[1:]]
     return [values[nm] for nm in chart.table.names]

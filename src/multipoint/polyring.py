@@ -6,6 +6,13 @@ blocks).  Coefficients are exact rationals: an integral coefficient is a
 plain ``int`` and any other one a ``Fraction``.  Terms are stored as a dense
 exponent tuple -> nonzero coefficient map.  The ambient term order is
 degree-reverse-lexicographic with earlier variables larger.
+
+The hot exact loops run on integers over one common denominator
+(``common_denominator``, the lcm-and-scale step ``normalize`` also uses) and
+build a ``Fraction`` only at the exit: ``evaluate`` returns one per call, and
+``transplant`` one per output term that its denominator does not divide.
+Ring operators (``+``, ``-``, ``*`` and ``divide_by_variable``) still combine
+``Fraction`` coefficients directly.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -88,10 +95,6 @@ class VarTable:
 def degrevlex_key(exps: Sequence[int]):
     """Sort key realizing degrevlex with earlier table variables larger."""
     return (sum(exps), tuple(-e for e in reversed(exps)))
-
-
-def _as_fraction(c: Scalar) -> Fraction:
-    return c if isinstance(c, Fraction) else Fraction(c)
 
 
 def _add_product(out: dict, t1: Mapping, t2: Mapping) -> dict:
@@ -266,23 +269,30 @@ def divide_by_variable(p: Poly, name: str) -> Poly:
 
 
 def evaluate(p: Poly, point: Sequence[Scalar]) -> Fraction:
-    """Exact evaluation at a rational point (one value per table variable)."""
+    """Exact evaluation at a rational point (one value per table variable).
+
+    The point is scaled to integers over one denominator d, so a term of
+    total degree k sums as an int over d^k; one Fraction is built at the end.
+    """
     if len(point) != len(p.table):
         raise ValueError(
             f"point has {len(point)} components, table has {len(p.table)} variables")
-    vals = [_as_fraction(v) for v in point]
-    powers = [{1: v} for v in vals]  # per variable: exponent -> value ** exponent
-    total = Fraction(0)
+    nums, d = common_denominator(point)
+    powers = [{1: v} for v in nums]  # per variable: exponent -> numerator ** exponent
+    by_degree: dict[int, Scalar] = {}
     for exps, c in p.terms.items():
-        acc = c
+        acc = 1
         for pw, e in zip(powers, exps):
             if e:
                 x = pw.get(e)
                 if x is None:
                     x = pw[e] = pw[1] ** e
                 acc *= x
-        total += acc
-    return total
+        k = sum(exps)
+        by_degree[k] = by_degree.get(k, 0) + c * acc
+    top = max(by_degree, default=0)
+    total = sum(s * d ** (top - k) for k, s in by_degree.items())
+    return Fraction(total, d ** top)
 
 
 def differentiate(p: Poly, name: str) -> Poly:
@@ -316,11 +326,23 @@ def primitive_terms(terms: dict, key=degrevlex_key) -> dict:
     return terms
 
 
+def common_denominator(values: Iterable[Scalar]) -> tuple[list[int], int]:
+    """Integers ``nums`` and ``d > 0`` with each value equal to ``nums[i] / d``.
+
+    ``d`` is the lcm of the denominators, so all-integral values give
+    themselves and ``d == 1``.
+    """
+    values = list(values)
+    d = math.lcm(*(v.denominator for v in values))
+    if d == 1:
+        return [v.numerator for v in values], 1
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
 def normalize(p: Poly) -> Poly:
     """Scale by a rational unit: coprime integer coefficients, positive leading one."""
-    den = math.lcm(*(c.denominator for c in p.terms.values()))
-    return Poly(p.table, primitive_terms(
-        {m: c.numerator * (den // c.denominator) for m, c in p.terms.items()}))
+    nums, _ = common_denominator(p.terms.values())
+    return Poly(p.table, primitive_terms(dict(zip(p.terms, nums))))
 
 
 def transplant(p: Poly, table: VarTable,
@@ -330,10 +352,17 @@ def transplant(p: Poly, table: VarTable,
     Variables listed in ``mapping`` are replaced, simultaneously, by the given
     polynomial over the target table; all others keep their name and must
     exist in the target table wherever they occur in p.
+
+    The expansion runs on integers: p and each image are scaled by their
+    common denominators, and every term is lifted to the one denominator
+    ``D = den(p) * prod(den_i ** top_i)``, ``top_i`` being variable i's
+    largest exponent in p.  Only output terms that D does not divide become
+    Fractions.
     """
     mapping = mapping or {}
     gather = [-1] * len(table)  # target index -> kept source index (-1: none)
-    images: dict[int, Poly] = {}
+    images: dict[int, Poly] = {}  # source index -> image scaled to integers
+    dens: dict[int, int] = {}  # source index -> its image's denominator, if not 1
     missing = []
     for i, nm in enumerate(p.table.names):
         if nm in mapping:
@@ -342,16 +371,24 @@ def transplant(p: Poly, table: VarTable,
                 repl = Poly.constant(table, repl)
             if repl.table != table:
                 raise TableMismatchError(f"image of {nm!r} is over the wrong table")
+            nums, den = common_denominator(repl.terms.values())
+            if den != 1:
+                repl = Poly(table, dict(zip(repl.terms, nums)))
+                dens[i] = den
             images[i] = repl
         elif nm in table:
             gather[table.index(nm)] = i
         else:
             missing.append(i)
+    nums, D = common_denominator(p.terms.values())
+    top = {i: max((exps[i] for exps in p.terms), default=0) for i in dens}
+    for i, t in top.items():
+        D *= dens[i] ** t
     # powers of each image are cached: chains reuse the same exponents a lot
     powers: dict[tuple[int, int], dict] = {}
     unit = {(0,) * len(table): 1}
     out: dict = {}
-    for exps, c in p.terms.items():
+    for exps, c in zip(p.terms, nums):
         for i in missing:
             if exps[i]:
                 raise KeyError(
@@ -364,9 +401,16 @@ def transplant(p: Poly, table: VarTable,
                 if piece is None:
                     piece = powers[(i, e)] = (img ** e).terms
                 factor = piece if factor is None else _add_product({}, factor, piece)
+        for i, t in top.items():
+            if t != exps[i]:
+                c *= dens[i] ** (t - exps[i])
         padded = exps + (0,)
         mono = tuple([padded[k] for k in gather])
         _add_product(out, {mono: c}, unit if factor is None else factor)
+    if D != 1:
+        for m, v in out.items():
+            q, rem = divmod(v, D)
+            out[m] = Fraction(v, D) if rem else q
     return Poly(table, out)
 
 

@@ -328,6 +328,8 @@ def check_overlap(eqs: Sequence[ChartEquations], cfg: SampleConfig,
     for ce, point, tup, _ in _strict_configurations(eqs, cfg, witnesses, report):
         home = all(evaluate(g, point) == 0 for g in ce.generators)
         for other in eqs:
+            if other is ce:  # the tuple's own chart gives back point and home
+                continue
             seen = chart_coords_from_tuple(other.chart, tup, point[:ce.chart.s])
             if seen is None:
                 report.skipped += 1

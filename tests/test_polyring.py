@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multipoint.polyring import (
@@ -490,3 +490,34 @@ def test_transplant_matches_sympy(case):
     got = transplant(p, target, mapping)
     assert got.table == target
     assert sympy.expand(_sympy_expr(sympy, got) - _sympy_subs(sympy, p, mapping)) == 0
+
+
+@st.composite
+def _evaluations(draw):
+    """A polynomial with int and Fraction coefficients, possibly zero, and a
+    point with zero, negative and non-integral entries."""
+    table = VarTable(["x", "y", "z"][:draw(st.integers(1, 3))])
+    mono = st.tuples(*[st.integers(0, 3)] * len(table))
+    scalars = st.integers(-4, 4) | small_coeffs
+    p = Poly(table, draw(st.dictionaries(mono, scalars, max_size=5)))
+    return p, [draw(scalars) for _ in table.names]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_evaluations())
+@example((Poly.zero(TXY), [Fraction(1, 2), 0, -3]))
+@example((P("x^3*y-(2/3)*x*y+5"), [Fraction(-3, 2), Fraction(1, 3)]))
+def test_evaluate_matches_sympy(case):
+    sympy = pytest.importorskip("sympy")
+    p, point = case
+    got = evaluate(p, point)
+    assert type(got) is Fraction
+    subs = {sympy.Symbol(nm): _sympy_image(sympy, v)
+            for nm, v in zip(p.table.names, point)}
+    assert sympy.Rational(got.numerator, got.denominator) == _sympy_expr(sympy, p).subs(subs)
+
+
+def test_substitute_into_zero_polynomial():
+    zero = Poly.zero(XY)
+    assert substitute(zero, {"x": P("(1/2)*x+(2/3)*y")}) == zero
+    assert substitute(zero, {"x": Fraction(1, 3), "y": P("(1/5)*y^2")}) == zero

@@ -14,6 +14,7 @@ import pytest
 from multipoint.atlas import (
     build_atlas,
     chart_coords_from_tuple,
+    collection_from_text,
     covering_collection,
     projection_to_Xr,
 )
@@ -200,6 +201,36 @@ class TestChartCoordsFromTuple:
                 strict = len(set(map(tuple, tup))) == len(tup)
                 assert (chart_coords_from_tuple(chart, tup, point[:1])
                         == (point if strict else None))
+
+    @pytest.mark.parametrize("text, r", [
+        ("1,0\n2\n0,1\n1\n1/2,1\n1\n", 2),
+        ("1,0\n2\n0,1\n1\n1/2,1\n1\n", 3),
+        ("1,1,1\n2,3\n1/2,1,2\n3,4\n1/3,1,3\n4,5\n1/4,1,4\n5,1\n1/5,1,5\n1,2\n", 3),
+    ])
+    def test_rational_forms_roundtrip(self, text, r):
+        """Forms with non-integral coefficients, so the codec works over a
+        form denominator q != 1 (the default and vandermonde collections
+        have integral forms): projecting the encoding of a random rational
+        tuple gives the tuple back."""
+        cc = collection_from_text(text)
+        assert any(form.denominator != 1 for form in cc.forms)
+        rng = random.Random(11)
+
+        def draw():
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+
+        for chart in build_atlas(cc, cc.n, r, params=1):
+            encoded = 0
+            for _ in range(6):
+                params = [draw()]
+                tup = [[draw() for _ in range(cc.n)] for _ in range(r)]
+                coords = chart_coords_from_tuple(chart, tup, params)
+                if coords is None:  # a chosen form vanishes on a difference
+                    continue
+                encoded += 1
+                assert coords[:1] == params
+                assert chart.project(coords) == tup
+            assert encoded >= 4, chart.name()
 
     def test_unrepresentable_tuple(self):
         f = family()
