@@ -48,33 +48,9 @@ class LinearForm:
         object.__setattr__(self, "numerators", tuple(nums))
         object.__setattr__(self, "denominator", q)
 
-    def __call__(self, vec: Sequence):
-        if len(vec) != len(self.coeffs):
-            raise ValueError("vector length does not match form arity")
-        return sum(c * v for c, v in zip(self.coeffs, vec) if c)
-
     def scaled_at(self, nums: Sequence[int]) -> int:
         """``denominator`` times the form's value at an integer vector."""
         return sum(map(operator.mul, self.numerators, nums))
-
-    def text(self, names: Sequence[str]) -> str:
-        pieces = []
-        for c, nm in zip(self.coeffs, names):
-            if c == 0:
-                continue
-            if c == 1:
-                body = nm
-            elif c == -1:
-                body = f"-{nm}"
-            elif c.denominator == 1:
-                body = f"{c.numerator}*{nm}"
-            else:
-                body = f"({c.numerator}/{c.denominator})*{nm}"
-            pieces.append(body)
-        out = pieces[0]
-        for piece in pieces[1:]:
-            out += piece if piece.startswith("-") else "+" + piece
-        return out
 
 
 def _invert(rows: list[list[Fraction]]) -> list[list[Fraction]] | None:

@@ -265,20 +265,19 @@ def cmd_dim(spec: RunSpec, out) -> int:
 def cmd_charts(spec: RunSpec, out) -> int:
     f = _build_map(spec)
     cc = _build_collection(spec, f)
-    names = list(f.fiber_names)
 
     def describe(alpha):
         chart = f.chart_for(cc, alpha, spec.order)
-        levels = []
-        for i, a in enumerate(alpha, start=1):
-            form = cc.forms[a - 1]
-            comps = [cc.forms[j].text(names) for j in cc.companions[a - 1]]
-            levels.append({
-                "index": a,
-                "form": form.text(names),
-                "companions": comps,
-                "nu": [str(v) for v in chart.nu[i - 1]],
-            })
+        base = chart.level_tuple(0)
+
+        def text(form):
+            return str(sum(c * x for c, x in zip(form.coeffs, base)))
+
+        levels = [{"index": a,
+                   "form": text(cc.forms[a - 1]),
+                   "companions": [text(cc.forms[j]) for j in cc.companions[a - 1]],
+                   "nu": [str(v) for v in nu]}
+                  for a, nu in zip(alpha, chart.nu)]
         proj = [[str(c) for c in copy] for copy in projection_to_Xr(chart)]
         return chart, levels, proj
 

@@ -5,6 +5,11 @@ whose failure list is empty exactly when the property held on every trial.
 Sampling is driven by a seeded generator, so reports are reproducible.
 Every suite takes ``(eqs, cfg)``: the chart equations of one run, built once
 and shared by all suites, and the sampling parameters.
+
+The two point suites judge against one truth, the images of a strict tuple:
+on any chart that represents the tuple, the generators vanish exactly when
+its source points share one image.  strict-points tests this on the chart
+the tuple was drawn on, overlap on every other chart.
 """
 
 from __future__ import annotations
@@ -14,7 +19,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
-from .atlas import Chart, chart_coords_from_tuple, standard_collection
+from .atlas import (
+    Chart,
+    _default_param_names,
+    chart_coords_from_tuple,
+    standard_collection,
+)
 from .divdiff import (
     DifferenceChain,
     PolyMap,
@@ -110,8 +120,7 @@ def rand_polymap(rng: random.Random, n: int, p: int, s: int,
         base = ("x", "y", "z")[:n - s]
     else:
         base = tuple(f"x{i}" for i in range(1, n - s + 1))
-    params = () if s == 0 else (("t",) if s == 1 else
-                                tuple(f"t{i}" for i in range(1, s + 1)))
+    params = _default_param_names(s)
     table = VarTable(list(params) + list(base))
     coords = [Poly.variable(table, nm) for nm in params]
     for _ in range(p - s):
@@ -205,7 +214,12 @@ def _antipodal_witnesses(f: PolyMap, chart: Chart, rng: random.Random,
 def _strict_configurations(eqs: Sequence[ChartEquations], cfg: SampleConfig,
                            witnesses: Sequence[tuple[tuple, Sequence]],
                            report: VerifyReport) -> Iterator[tuple]:
-    """Strict configurations for the point suites, as (eqs, point, tuple, label).
+    """Strict configurations for the point suites.
+
+    Each is (eqs, point, tuple, label, equal): ``equal`` says whether the
+    tuple's source points share one image under f, decided one fiber
+    coordinate at a time up to the first that differs (the parameter
+    coordinates are the identity and agree by construction).
 
     Per chart, in order: random chart points until ``cfg.trials`` are strict
     (at most ``cfg.trials * 20`` draws), then the chart's antipodal
@@ -226,7 +240,11 @@ def _strict_configurations(eqs: Sequence[ChartEquations], cfg: SampleConfig,
         if len(set(tup)) != len(tup):
             return None
         report.trials += 1
-        return ce, point, tup, label
+        params = point[:chart.s]
+        sources = [[*params, *fib] for fib in tup]
+        equal = all(len({evaluate(c, x) for x in sources}) == 1
+                    for c in ce.chain.f.fiber_coords)
+        return ce, point, tup, label, equal
 
     def strict_witnesses(ce, points):
         for point in points:
@@ -258,6 +276,15 @@ def _strict_configurations(eqs: Sequence[ChartEquations], cfg: SampleConfig,
 # ---- strict points ---------------------------------------------------------
 
 
+def _judge(report: VerifyReport, generators: Sequence[Poly], point: Sequence,
+           equal: bool, where: Callable[[], str]):
+    """Record a row unless the generators all vanish at ``point`` exactly when ``equal``."""
+    vanish = all(evaluate(g, point) == 0 for g in generators)
+    if vanish != equal:
+        report.record(where(), f"generators vanish: {equal}",
+                      f"generators vanish: {vanish}")
+
+
 def check_strict_points(eqs: Sequence[ChartEquations], cfg: SampleConfig,
                         witnesses: Sequence[tuple[tuple, Sequence]] = ()) -> VerifyReport:
     """Vanishing of all generators <=> equal images, on strict configurations.
@@ -268,17 +295,9 @@ def check_strict_points(eqs: Sequence[ChartEquations], cfg: SampleConfig,
     (alpha, chart point vector) pairs.
     """
     report = VerifyReport(suite="strict-points")
-    for ce, point, tup, label in _strict_configurations(eqs, cfg, witnesses, report):
-        gens_vanish = all(evaluate(g, point) == 0 for g in ce.generators)
-        params = point[:ce.chart.s]
-        images = [tuple(evaluate(c, [*params, *fib]) for c in ce.chain.f.coords)
-                  for fib in tup]
-        images_equal = all(im == images[0] for im in images[1:])
-        if gens_vanish != images_equal:
-            report.record(
-                f"{ce.chart.name()} {label} point {point}",
-                f"generators vanish: {images_equal}",
-                f"generators vanish: {gens_vanish}")
+    for ce, point, _, label, equal in _strict_configurations(eqs, cfg, witnesses, report):
+        _judge(report, ce.generators, point, equal,
+               lambda: f"{ce.chart.name()} {label} point {point}")
     return report
 
 
@@ -323,22 +342,23 @@ def check_diagonal_kernel(eqs: Sequence[ChartEquations],
 
 def check_overlap(eqs: Sequence[ChartEquations], cfg: SampleConfig,
                   witnesses: Sequence[tuple[tuple, Sequence]] = ()) -> VerifyReport:
-    """Generator vanishing is independent of the chart representing a tuple."""
+    """Vanishing <=> equal images on every other chart that represents a tuple.
+
+    Each strict configuration is encoded in every chart but its own (which
+    strict-points covers); a chart that does not represent the tuple counts
+    as skipped.
+    """
     report = VerifyReport(suite="overlap")
-    for ce, point, tup, _ in _strict_configurations(eqs, cfg, witnesses, report):
-        home = all(evaluate(g, point) == 0 for g in ce.generators)
+    for ce, point, tup, _, equal in _strict_configurations(eqs, cfg, witnesses, report):
         for other in eqs:
-            if other is ce:  # the tuple's own chart gives back point and home
+            if other is ce:
                 continue
             seen = chart_coords_from_tuple(other.chart, tup, point[:ce.chart.s])
             if seen is None:
                 report.skipped += 1
                 continue
-            there = all(evaluate(g, seen) == 0 for g in other.generators)
-            if there != home:
-                report.record(
-                    f"tuple from {ce.chart.name()} seen in {other.chart.name()}",
-                    f"vanishing {home}", f"vanishing {there}")
+            _judge(report, other.generators, seen, equal,
+                   lambda: f"tuple from {ce.chart.name()} seen in {other.chart.name()}")
     return report
 
 

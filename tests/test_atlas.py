@@ -38,13 +38,13 @@ def test_linear_form_rejects_zero():
 
 def test_linear_form_numeric():
     f = LinearForm((1, 2))
-    assert f([Fraction(1), Fraction(3)]) == 7
-
-
-def test_linear_form_text():
-    assert LinearForm((1, 1)).text(["x", "y"]) == "x+y"
-    assert LinearForm((1, -1)).text(["x", "y"]) == "x-y"
-    assert LinearForm((Fraction(1, 2), 0)).text(["x", "y"]) == "(1/2)*x"
+    assert (f.numerators, f.denominator) == ((1, 2), 1)
+    assert f.scaled_at([1, 3]) == 7
+    g = LinearForm((Fraction(-1, 2), Fraction(2, 3)))
+    assert (g.numerators, g.denominator) == ((-3, 4), 6)
+    # 6 * (-1/2 * 4 + 2/3 * 3) = 6 * 0, and 6 * (-1/2 * 2 + 2/3 * 1) = -2
+    assert g.scaled_at([4, 3]) == 0
+    assert g.scaled_at([2, 1]) == -2
 
 
 def test_invert_oracle():

@@ -8,6 +8,7 @@ import resource
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -424,6 +425,27 @@ class TestChartsMetadata:
     def test_cumulative_sums_fiber_one(self):
         _, text = capture(["charts", "--vars", "x", "--map", "x;x3", "-r", "4"])
         assert "x^(3) = (x+l1+l2+l3)" in text
+
+    def test_rational_forms_reparse(self, tmp_path):
+        path = tmp_path / "forms.txt"
+        path.write_text("1,0\n2\n-1/2,1\n1\n")
+        argv = ["charts", "--vars", "x,y", "--map", "x2;y2", "-r", "2",
+                "--collection", str(path)]
+        table = VarTable(["x", "y"])
+        x, y = (parse_poly(nm, table) for nm in "xy")
+        h = y - Fraction(1, 2) * x
+        _, text = capture(argv)
+        printed = []
+        for line in text.splitlines():
+            if "level 1: form " in line:
+                form, rest = line.split("level 1: form ")[1].split(", companions (")
+                printed += [form, rest.split("); nu")[0]]
+        _, text = capture([*argv, "--format", "json"])
+        for entry in json.loads(text)["charts"]:
+            level = entry["levels"][0]
+            printed += [level["form"], *level["companions"]]
+        # U(1): form x, companion h; U(2): form h, companion x
+        assert [parse_poly(src, table) for src in printed] == [x, h, h, x] * 2
 
 
 class TestFlagNamedErrors:

@@ -274,6 +274,19 @@ class TestOverlap:
         assert rep.passed and rep.trials == base.trials
         assert rep.skipped == base.skipped + 1
 
+    def test_zeroed_equations_fail(self):
+        # generators that vanish everywhere agree across charts, so only a
+        # comparison with the tuple's images can see that they are wrong
+        eqs = [dataclasses.replace(ce, generators=(Poly.zero(ce.chart.table),))
+               for ce in kr_equations(family(), 3, covering_collection(2, 3))]
+        cfg = SampleConfig(seed=4, trials=3)
+        rep = check_overlap(eqs, cfg)
+        assert (rep.trials, rep.skipped) == (18, 19)
+        assert len(rep.failures) == 71
+        assert rep.failures[0][1:] == ("generators vanish: False",
+                                       "generators vanish: True")
+        assert not check_strict_points(eqs, cfg).passed
+
 
 @pytest.mark.parametrize("make, r, n, cfg", [
     (family, 2, 2, CFG),
