@@ -33,7 +33,7 @@ from .atlas import (
 )
 from .divdiff import MapFormError, PolyMap
 from .ideals import chart_equations, dimension, expected_dimension, is_unit_ideal
-from .polyring import ParseError, PolyError, VarTable
+from .polyring import PolyError, VarTable
 from .verify import SUITES, SampleConfig
 
 STRATEGIES = ("default", "vandermonde")
@@ -110,7 +110,7 @@ def _build_map(spec: RunSpec) -> PolyMap:
     try:
         from .polyring import parse_poly
         coords = [parse_poly(src, table) for src in spec.coords]
-    except ParseError as exc:
+    except PolyError as exc:  # a syntax error, or a degree above the bound
         raise CliError(f"--map: {exc}") from None
     try:
         return PolyMap(table, coords, s=s)

@@ -171,15 +171,13 @@ def _divide_by_binomial(p: Poly, u: str, v: str) -> Poly:
     """Exact quotient p / (u - v) by synthetic division in the variable u."""
     table = p.table
     ui = table.index(u)
-    vi = table.index(v)
-    by_degree: dict[int, dict] = {}
-    for exps, c in p.terms.items():
+    offset = table.codec.offsets[ui]
+    by_degree: dict[int, dict] = {}  # degree in u -> packed terms with u removed
+    for (m, c), exps in zip(p.terms.items(), p.exponents):
         d = exps[ui]
-        e = list(exps)
-        e[ui] = 0
-        by_degree.setdefault(d, {})[tuple(e)] = c
+        by_degree.setdefault(d, {})[m - d * offset] = c
     top = max(by_degree, default=0)
-    coeffs = [Poly(table, by_degree.get(d, {})) for d in range(top + 1)]
+    coeffs = [Poly.from_packed(table, by_degree.get(d, {})) for d in range(top + 1)]
     vpoly = Poly.variable(table, v)
     upoly = Poly.variable(table, u)
     quotient = Poly.zero(table)

@@ -5,23 +5,23 @@ normalized polynomials (content is stripped after every combination step),
 with the product and chain pair criteria, followed by minimalization and tail
 interreduction.
 
-Inside one basis run every monomial is a single int (``_Codec``, after
-Monagan & Pearce 2007): variable i's exponent, complemented, fills bit field
-i and the total degree sits above the fields, so int order is degrevlex
-order, a product is an addition, and divisibility is one guard-bit mask test.
-The packed int is its own sort key: there is no key cache, leading terms are
-``max`` of the term map, and S-pairs leave a heap keyed by their packed lcm
-(ties by index).  Reduction steps and S-polynomials add each shifted multiple
-through one engine-local loop.  ``groebner`` and ``contains`` pack the tuple
-term maps on entry and unpack on exit; nothing else sees packed monomials.
+The engine runs directly on ``normalize(g).terms``: its monomials are the
+packed ints of the table's ``Codec``, the one layout of ``polyring``.  Int
+order is degrevlex order, a product is an addition, and divisibility is one
+guard-bit mask test.  The packed int is its own sort key: there is no key
+cache, leading terms are ``max`` of the term map, and S-pairs leave a heap
+keyed by their packed lcm (ties by index).  Reduction steps and
+S-polynomials add each shifted multiple through ``polyring``'s one
+term-product loop.
 
-Fields start ``_WIDTH`` bits wide, or wider when an input term's total degree
-needs it.  A term packs only when its total degree is at most the field cap,
-and under a degree-compatible order reduction never raises the degree, so
-only inputs and new pair lcms are checked.  When an lcm overflows, the run
-starts over at double width; the reduced basis is unique, so the answer is
-the same.  ``contains`` sizes its fields from degrees known up front and
-never restarts.
+A term packs only when its total degree is at most the codec's cap, and
+under a degree-compatible order reduction never raises the degree, so only
+new pair lcms can overflow.  When one does, the run starts over with the
+inputs repacked at double width; the reduced basis is unique, so the answer
+is the same.  ``_repack`` is the one conversion between widths, and a basis
+found at a wider width is repacked back to the table's layout, or raises
+``DegreeBoundError`` if an element does not fit.  ``contains`` reduces
+against a basis that already fits, so it never overflows.
 
 Dimension is the standard combinatorial dimension of the leading-term ideal.
 """
@@ -37,84 +37,25 @@ from typing import Sequence
 
 from .atlas import Chart, CoveringCollection, multi_indices, projection_to_Xr
 from .divdiff import DifferenceChain, PolyMap, difference_chain
-from .polyring import Poly, VarTable, normalize, primitive_terms
+from .polyring import (
+    Codec,
+    DegreeBoundError,
+    Poly,
+    VarTable,
+    _add_multiple,
+    normalize,
+    primitive_terms,
+)
 
 # ---- packed integer polynomial core ----------------------------------------
 
-_WIDTH = 16  # starting bits per variable field; wider when an input needs it
+
+def _repack(terms: dict, src: Codec, dst: Codec) -> dict:
+    """A packed term map of ``src`` in the layout of ``dst``."""
+    return {dst.pack(src.unpack(m)): c for m, c in terms.items()}
 
 
-class _WidthOverflow(Exception):
-    """A monomial's total degree does not fit the codec's fields."""
-
-
-class _Codec:
-    """Monomials of ``n`` variables packed into one int, ``w`` bits a field.
-
-    Field i holds ``cap - e_i`` with ``cap = 2**(w-1) - 1``, the last variable
-    most significant, and the total degree sits above every field; so int
-    order is degrevlex order.  A monomial packs only when its total degree is
-    at most ``cap``: then every field value, and every field of a difference
-    ``b - a + zero``, lies in ``[0, 2*cap]``, and the field's top (guard) bit
-    is set exactly when ``a_i > b_i``.
-    """
-
-    __slots__ = ("n", "w", "cap", "zero", "guards")
-
-    def __init__(self, n: int, w: int):
-        self.n, self.w = n, w
-        self.cap = (1 << (w - 1)) - 1
-        self.zero = sum(self.cap << (w * i) for i in range(n))  # pack(0)
-        self.guards = sum(1 << (w * i + w - 1) for i in range(n))
-
-    @classmethod
-    def fitting(cls, n: int, maps: Sequence[dict]) -> "_Codec":
-        """The codec of the starting width, widened until every tuple
-        monomial of the term maps fits."""
-        degree = max((sum(m) for t in maps for m in t), default=0)
-        return cls(n, max(_WIDTH, degree.bit_length() + 1))
-
-    def pack(self, e: Sequence[int]) -> int:
-        x = sum(e)
-        if x > self.cap:
-            raise _WidthOverflow(x)
-        for v in reversed(e):
-            x = (x << self.w) | (self.cap - v)
-        return x
-
-    def unpack(self, x: int) -> tuple:
-        mask = (1 << self.w) - 1
-        e = []
-        for _ in range(self.n):
-            e.append(self.cap - (x & mask))
-            x >>= self.w
-        return tuple(e)
-
-    def divides(self, a: int, b: int) -> bool:
-        return not (b - a + self.zero) & self.guards
-
-    def lcm(self, a: int, b: int) -> int:
-        return self.pack(tuple(map(max, self.unpack(a), self.unpack(b))))
-
-    def pack_terms(self, terms: dict) -> dict:
-        return {self.pack(m): c for m, c in terms.items()}
-
-    def unpack_terms(self, terms: dict) -> dict:
-        return {self.unpack(m): c for m, c in terms.items()}
-
-
-def _add_multiple(work: dict, c: int, shift: int, g: dict) -> None:
-    """work += c * x^shift * g, a packed shift being a monomial's offset."""
-    for m, v in g.items():
-        m += shift
-        s = work.get(m, 0) + c * v
-        if s:
-            work[m] = s
-        else:
-            del work[m]
-
-
-def _normal_form(p: dict, basis: Sequence[tuple], codec: _Codec) -> dict:
+def _normal_form(p: dict, basis: Sequence[tuple], codec: Codec) -> dict:
     """Full remainder of packed p against basis entries (lm, lc, terms).
 
     Fraction-free: instead of dividing, both the work polynomial and the
@@ -154,10 +95,10 @@ def _normal_form(p: dict, basis: Sequence[tuple], codec: _Codec) -> dict:
                     work[k] //= joint
                 for k in out:
                     out[k] //= joint
-    return primitive_terms(out, key=None)
+    return primitive_terms(out)
 
 
-def _spoly(f: tuple, g: tuple, codec: _Codec) -> dict:
+def _spoly(f: tuple, g: tuple, codec: Codec) -> dict:
     lmf, lcf, tf = f
     lmg, lcg, tg = g
     l = codec.lcm(lmf, lmg)
@@ -173,10 +114,10 @@ def _entry(terms: dict) -> tuple:
     return (lm, terms[lm], terms)
 
 
-def _buchberger(polys: Sequence[dict], codec: _Codec) -> list[dict]:
+def _buchberger(polys: Sequence[dict], codec: Codec) -> list[dict]:
     """Reduced basis, as packed primitive integer term maps, of packed ones.
 
-    Raises _WidthOverflow when a pair's lcm does not fit the codec; no other
+    Raises DegreeBoundError when a pair's lcm does not fit the codec; no other
     monomial can outgrow it, since reduction under a degree-compatible order
     never raises the total degree.
     """
@@ -263,18 +204,27 @@ class IdealHandle:
         return self.generators[0].table
 
 
+def _reduced_basis(polys: list[dict], codec: Codec) -> tuple[list[dict], Codec]:
+    """``_buchberger`` on packed term maps, started over at double width while
+    a pair's lcm overflows; the basis and the codec it is packed in."""
+    while True:
+        try:
+            return _buchberger(polys, codec), codec
+        except DegreeBoundError:  # the reduced basis is unique: start over
+            wide = codec.widened()
+            polys = [_repack(t, codec, wide) for t in polys]
+            codec = wide
+
+
 def groebner(h: IdealHandle) -> list[Poly]:
     """Reduced Groebner basis, cached on the handle; [] for the zero ideal."""
     if h._basis is None:
-        polys = [normalize(g).terms for g in h.generators]
-        codec = _Codec.fitting(len(h.table), polys)
-        while True:
-            try:
-                raw = _buchberger([codec.pack_terms(t) for t in polys], codec)
-                break
-            except _WidthOverflow:  # the reduced basis is unique: start over
-                codec = _Codec(codec.n, 2 * codec.w)
-        h._basis = tuple(Poly(h.table, codec.unpack_terms(t)) for t in raw)
+        table = h.table
+        raw, codec = _reduced_basis([normalize(g).terms for g in h.generators],
+                                    table.codec)
+        if codec is not table.codec:
+            raw = [_repack(t, codec, table.codec) for t in raw]
+        h._basis = tuple(Poly.from_packed(table, t) for t in raw)
     return list(h._basis)
 
 
@@ -289,14 +239,11 @@ def contains(h: IdealHandle, p: Poly) -> bool:
         raise ValueError("polynomial is over a different table than the ideal")
     if p.is_zero():
         return True
-    basis = [g.terms for g in groebner(h)]
+    basis = [_entry(g.terms) for g in groebner(h)]
     if not basis:
         return False
-    terms = normalize(p).terms
-    # reduction never raises the degree, so the codec fits every step
-    codec = _Codec.fitting(len(h.table), basis + [terms])
-    entries = [_entry(codec.pack_terms(t)) for t in basis]
-    return not _normal_form(codec.pack_terms(terms), entries, codec)
+    # the basis fits the table's codec, and reduction never raises the degree
+    return not _normal_form(normalize(p).terms, basis, h.table.codec)
 
 
 def dimension(h: IdealHandle) -> int:

@@ -3,9 +3,35 @@
 Polynomials live in a ring described by a VarTable (an ordered list of named
 variables; on a chart: parameters, base variables, then per-level lambda/a
 blocks).  Coefficients are exact rationals: an integral coefficient is a
-plain ``int`` and any other one a ``Fraction``.  Terms are stored as a dense
-exponent tuple -> nonzero coefficient map.  The ambient term order is
+plain ``int`` and any other one a ``Fraction``.  The ambient term order is
 degree-reverse-lexicographic with earlier variables larger.
+
+One monomial layout serves the whole package, the Groebner engine
+included: a monomial is a single int (``Codec``, after Monagan & Pearce
+2007).  Field i, ``FIELD_BITS`` wide, holds ``cap - e_i`` with the last
+variable most significant, and the total degree sits above every field, so
+int order is degrevlex order and the packed int is its own sort key for
+``render``, ``primitive_terms`` and leading terms.  A product of monomials
+is ``a + b - zero``; ``divide_by_variable`` subtracts the variable's offset.
+Each VarTable owns its codec, and the field width is one constant, so equal
+tables pack alike.
+
+A total degree above the cap ``2**(FIELD_BITS - 1) - 1`` = 32767 does not
+pack, and ``DegreeBoundError`` names the bound wherever a monomial would
+exceed it: exponent tuples given to ``Poly``, ``*`` and ``**`` (checked from
+the operands' top degrees) and ``transplant``'s lifted terms.
+
+Code that needs exponents (``evaluate``, ``differentiate``, ``render``'s
+monomial text, ``transplant``'s source terms) reads ``Poly.exponents``: the
+terms' exponent tuples, in ``terms`` order, which each Poly unpacks at most
+once.  A tuple rather than a second map keeps the memory of a Poly close
+to what an exponent-tuple map alone took.
+
+``Poly(table, terms)`` reads exponent tuples and checks every term, for
+input at the edges such as ``verify.rand_poly`` and tests.  Everything
+else, the parser included (through ``Poly.variable``, ``Poly.constant``
+and the ring operators), builds through ``Poly.from_packed``, with no
+per-term checks.
 
 The hot exact loops run on integers over one common denominator
 (``common_denominator``, the lcm-and-scale step ``normalize`` also uses) and
@@ -18,11 +44,13 @@ Ring operators (``+``, ``-``, ``*`` and ``divide_by_variable``) still combine
 from __future__ import annotations
 
 import math
-import operator
+import struct
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
+
+FIELD_BITS = 16  # bits per variable field of every table's packed monomials
 
 
 class PolyError(Exception):
@@ -31,6 +59,16 @@ class PolyError(Exception):
 
 class TableMismatchError(PolyError):
     """Operands constructed over different variable tables."""
+
+
+class DegreeBoundError(PolyError):
+    """A monomial's total degree is above what its packed layout holds."""
+
+    def __init__(self, degree: int, cap: int):
+        super().__init__(
+            f"total degree {degree} exceeds the bound {cap} of a packed monomial")
+        self.degree = degree
+        self.cap = cap
 
 
 class ParseError(PolyError):
@@ -55,10 +93,80 @@ class NotDivisibleError(PolyError):
         self.monomial = monomial
 
 
-class VarTable:
-    """Ordered, named variable set shared by all polynomials of a ring."""
+_FIELD_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}  # struct codes of byte-sized fields
 
-    __slots__ = ("names", "_index")
+
+class Codec:
+    """Monomials of ``n`` variables packed into one int, ``w`` bits a field.
+
+    Field i holds ``cap - e_i`` with ``cap = 2**(w-1) - 1``, the last variable
+    most significant, and the total degree sits ``shift`` bits up, above every
+    field; so int order is degrevlex order.  A monomial packs only when its
+    total degree is at most ``cap``: then every field value, and every field
+    of a difference ``b - a + zero``, lies in ``[0, 2*cap]``, and the field's
+    top (guard) bit is set exactly when ``a_i > b_i``.  Packing is linear:
+    ``pack(e) == zero + sum(e_i * offsets[i])``.
+    """
+
+    __slots__ = ("n", "w", "cap", "shift", "zero", "guards", "offsets",
+                 "_fields", "_struct")
+
+    def __init__(self, n: int, w: int = FIELD_BITS):
+        self.n, self.w = n, w
+        self.cap = (1 << (w - 1)) - 1
+        self.shift = n * w
+        self.zero = sum(self.cap << (w * i) for i in range(n))  # pack(0)
+        self.guards = sum(1 << (w * i + w - 1) for i in range(n))
+        self.offsets = tuple((1 << self.shift) - (1 << (w * i)) for i in range(n))
+        self._fields = (1 << self.shift) - 1
+        code = _FIELD_CODES.get(w)
+        self._struct = struct.Struct(f"<{n}{code}") if code else None
+
+    def widened(self) -> "Codec":
+        """The same variables at double field width."""
+        return Codec(self.n, 2 * self.w)
+
+    def check_degree(self, degree: int) -> None:
+        if degree > self.cap:
+            raise DegreeBoundError(degree, self.cap)
+
+    def pack(self, e: Sequence[int]) -> int:
+        x = sum(e)
+        self.check_degree(x)
+        if self._struct is not None:
+            # the fields of zero minus sum(e_i << w*i) are cap - e_i
+            return ((x << self.shift) + self.zero
+                    - int.from_bytes(self._struct.pack(*e), "little"))
+        for v in reversed(e):
+            x = (x << self.w) | (self.cap - v)
+        return x
+
+    def unpack(self, x: int) -> tuple:
+        x = self.zero - (x & self._fields)  # field i holds e_i: no borrows
+        if self._struct is not None:
+            return self._struct.unpack(x.to_bytes(self.shift // 8, "little"))
+        mask = (1 << self.w) - 1
+        e = []
+        for _ in range(self.n):
+            e.append(x & mask)
+            x >>= self.w
+        return tuple(e)
+
+    def divides(self, a: int, b: int) -> bool:
+        return not (b - a + self.zero) & self.guards
+
+    def lcm(self, a: int, b: int) -> int:
+        return self.pack(tuple(map(max, self.unpack(a), self.unpack(b))))
+
+
+class VarTable:
+    """Ordered, named variable set shared by all polynomials of a ring.
+
+    ``codec`` is the ring's monomial layout.  Its field width is the same for
+    every table, so tables with equal names, which compare equal, pack alike.
+    """
+
+    __slots__ = ("names", "_index", "codec")
 
     def __init__(self, names: Sequence[str]):
         names = tuple(names)
@@ -69,6 +177,7 @@ class VarTable:
                 raise ValueError(f"invalid variable name {nm!r}")
         self.names = names
         self._index = {nm: i for i, nm in enumerate(names)}
+        self.codec = Codec(len(names))
 
     def index(self, name: str) -> int:
         try:
@@ -93,85 +202,135 @@ class VarTable:
 
 
 def degrevlex_key(exps: Sequence[int]):
-    """Sort key realizing degrevlex with earlier table variables larger."""
+    """Sort key of an exponent tuple realizing degrevlex with earlier table
+    variables larger; a packed monomial is its own key."""
     return (sum(exps), tuple(-e for e in reversed(exps)))
 
 
-def _add_product(out: dict, t1: Mapping, t2: Mapping) -> dict:
-    """Add the product of term maps t1 and t2 into out, dropping zero sums.
+def _add_multiple(out: dict, c: Scalar, shift: int, g: Mapping) -> None:
+    """out += c * x^shift * g, dropping zero sums; a packed shift is a
+    monomial minus its codec's ``zero``.
 
-    The one term-product loop of ``Poly.__mul__`` and ``transplant``; the
-    Groebner engine packs its monomials and has its own loop.
+    The one term-product loop: ``*``, ``transplant`` and the Groebner
+    engine's reduction steps and S-polynomials all run on it.
     """
-    for e1, c1 in t1.items():
-        for e2, c2 in t2.items():
-            e = tuple(map(operator.add, e1, e2))
-            s = out.get(e, 0) + c1 * c2
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
+    for m, v in g.items():
+        m += shift
+        s = out.get(m, 0) + c * v
+        if s:
+            out[m] = s
+        else:
+            del out[m]
+
+
+def _product(t1: Mapping, t2: Mapping, zero: int) -> dict:
+    """The product of two packed term maps."""
+    out: dict = {}
+    for m, c in t1.items():
+        _add_multiple(out, c, m - zero, t2)
     return out
+
+
+def _ints_where_integral(terms: dict) -> dict:
+    """Replace each integral ``Fraction`` value of a fresh term map by its int."""
+    for m, v in terms.items():
+        if type(v) is Fraction and v.denominator == 1:
+            terms[m] = v.numerator
+    return terms
 
 
 class Poly:
     """Immutable multivariate polynomial with exact rational coefficients.
 
-    The term map sends dense exponent tuples to nonzero coefficients, each an
-    ``int`` when integral and a ``Fraction`` otherwise; the zero polynomial
-    has an empty map.  Do not mutate ``terms`` after construction: every
-    operation returns a fresh Poly.
+    ``terms`` maps packed monomials (of ``table.codec``) to nonzero
+    coefficients, each an ``int`` when integral and a ``Fraction`` otherwise;
+    the zero polynomial has an empty map.  ``exponents`` holds the terms'
+    exponent tuples in the same order.  Do not mutate ``terms`` after
+    construction: every operation returns a fresh Poly.
+
+    ``Poly(table, terms)`` reads exponent tuples and checks every term.  The
+    operations of this package build their results with ``from_packed``,
+    which trusts its input.
     """
 
-    __slots__ = ("table", "terms")
+    __slots__ = ("table", "terms", "_exponents")
 
     def __init__(self, table: VarTable, terms: Mapping[tuple, Scalar]):
-        clean = {}
+        pack = table.codec.pack
         width = len(table)
+        clean = {}
         for exps, c in terms.items():
-            if len(exps) != width:
-                raise ValueError(f"exponent vector {exps} has wrong length for {table!r}")
+            if len(exps) != width or min(exps, default=0) < 0:
+                raise ValueError(f"exponent vector {exps} is not valid for {table!r}")
             if c:
-                clean[tuple(exps)] = c.numerator if c.denominator == 1 else c
+                clean[pack(exps)] = c.numerator if c.denominator == 1 else c
         self.table = table
         self.terms = clean
+        self._exponents = None
 
     # ---- constructors -------------------------------------------------
 
     @classmethod
+    def from_packed(cls, table: VarTable, terms: dict) -> "Poly":
+        """The Poly that owns ``terms``, unchecked: packed monomials of
+        ``table.codec`` to nonzero coefficients, ints where integral."""
+        p = object.__new__(cls)
+        p.table = table
+        p.terms = terms
+        p._exponents = None
+        return p
+
+    @classmethod
     def zero(cls, table: VarTable) -> "Poly":
-        return cls(table, {})
+        return cls.from_packed(table, {})
 
     @classmethod
     def constant(cls, table: VarTable, c: Scalar) -> "Poly":
-        return cls(table, {(0,) * len(table): c})
+        if not c:
+            return cls.zero(table)
+        return cls.from_packed(
+            table, {table.codec.zero: c.numerator if c.denominator == 1 else c})
 
     @classmethod
     def variable(cls, table: VarTable, name: str) -> "Poly":
-        i = table.index(name)
-        exps = [0] * len(table)
-        exps[i] = 1
-        return cls(table, {tuple(exps): 1})
+        codec = table.codec
+        return cls.from_packed(table, {codec.zero + codec.offsets[table.index(name)]: 1})
 
     # ---- predicates and views -----------------------------------------
+
+    @property
+    def exponents(self) -> tuple:
+        """The exponent tuple of each term, in ``terms`` order; each Poly
+        unpacks its monomials once, on the first read."""
+        view = self._exponents
+        if view is None:
+            view = self._exponents = tuple(map(self.table.codec.unpack, self.terms))
+        return view
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
+        zero = self.table.codec.zero
+        return all(m == zero for m in self.terms)
+
+    def top_degree(self) -> int:
+        """The largest total degree of a term; 0 for the zero polynomial."""
+        return max(self.terms, default=0) >> self.table.codec.shift
 
     def leading_monomial(self) -> tuple:
         if self.is_zero():
             raise PolyError("zero polynomial has no leading monomial")
-        return max(self.terms, key=degrevlex_key)
+        return self.table.codec.unpack(max(self.terms))
 
     def leading_coefficient(self) -> Scalar:
-        return self.terms[self.leading_monomial()]
+        if self.is_zero():
+            raise PolyError("zero polynomial has no leading coefficient")
+        return self.terms[max(self.terms)]
 
     def variables_used(self) -> list[str]:
         used = set()
-        for exps in self.terms:
+        for exps in self.exponents:
             for i, e in enumerate(exps):
                 if e:
                     used.add(i)
@@ -189,18 +348,20 @@ class Poly:
             other = Poly.constant(self.table, other)
         self._check(other)
         terms = dict(self.terms)
-        for exps, c in other.terms.items():
-            s = terms.get(exps, 0) + c
-            if s:
-                terms[exps] = s
+        for m, c in other.terms.items():
+            s = terms.get(m, 0) + c
+            if not s:
+                del terms[m]
+            elif type(s) is Fraction and s.denominator == 1:
+                terms[m] = s.numerator
             else:
-                terms.pop(exps, None)
-        return Poly(self.table, terms)
+                terms[m] = s
+        return Poly.from_packed(self.table, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.table, {e: -c for e, c in self.terms.items()})
+        return Poly.from_packed(self.table, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -214,15 +375,20 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 return Poly.zero(self.table)
-            return Poly(self.table, {e: other * v for e, v in self.terms.items()})
+            return Poly.from_packed(self.table, _ints_where_integral(
+                {m: other * v for m, v in self.terms.items()}))
         self._check(other)
-        return Poly(self.table, _add_product({}, self.terms, other.terms))
+        codec = self.table.codec
+        codec.check_degree(self.top_degree() + other.top_degree())
+        return Poly.from_packed(self.table, _ints_where_integral(
+            _product(self.terms, other.terms, codec.zero)))
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a non-negative integer")
+        self.table.codec.check_degree(k * self.top_degree())
         result = Poly.constant(self.table, 1)
         base = self
         while k:
@@ -256,16 +422,22 @@ def substitute(p: Poly, assignment: Mapping[str, Poly | Scalar]) -> Poly:
 
 
 def divide_by_variable(p: Poly, name: str) -> Poly:
-    """Exact quotient p / v; every monomial of p must contain v."""
+    """Exact quotient p / v; every monomial of p must contain v.
+
+    Subtracting v's offset leaves v's field at ``cap + 1``, its guard bit
+    set, exactly when v does not divide the monomial.
+    """
+    codec = p.table.codec
     i = p.table.index(name)
+    offset = codec.offsets[i]
+    guard = 1 << (codec.w * (i + 1) - 1)
     terms = {}
-    for exps, c in p.terms.items():
-        if exps[i] == 0:
-            raise NotDivisibleError(name, render(Poly(p.table, {exps: c})))
-        e = list(exps)
-        e[i] -= 1
-        terms[tuple(e)] = c
-    return Poly(p.table, terms)
+    for m, c in p.terms.items():
+        q = m - offset
+        if q & guard:
+            raise NotDivisibleError(name, render(Poly.from_packed(p.table, {m: c})))
+        terms[q] = c
+    return Poly.from_packed(p.table, terms)
 
 
 def evaluate(p: Poly, point: Sequence[Scalar]) -> Fraction:
@@ -280,7 +452,7 @@ def evaluate(p: Poly, point: Sequence[Scalar]) -> Fraction:
     nums, d = common_denominator(point)
     powers = [{1: v} for v in nums]  # per variable: exponent -> numerator ** exponent
     by_degree: dict[int, Scalar] = {}
-    for exps, c in p.terms.items():
+    for exps, c in zip(p.exponents, p.terms.values()):
         acc = 1
         for pw, e in zip(powers, exps):
             if e:
@@ -298,28 +470,25 @@ def evaluate(p: Poly, point: Sequence[Scalar]) -> Fraction:
 def differentiate(p: Poly, name: str) -> Poly:
     """Formal partial derivative with respect to one variable."""
     i = p.table.index(name)
+    offset = p.table.codec.offsets[i]
     terms = {}
-    for exps, c in p.terms.items():
+    for (m, c), exps in zip(p.terms.items(), p.exponents):
         e = exps[i]
         if e:
-            ne = list(exps)
-            ne[i] = e - 1
-            ne = tuple(ne)
-            terms[ne] = terms.get(ne, 0) + c * e
-    return Poly(p.table, terms)
+            terms[m - offset] = c * e
+    return Poly.from_packed(p.table, _ints_where_integral(terms))
 
 
-def primitive_terms(terms: dict, key=degrevlex_key) -> dict:
+def primitive_terms(terms: dict) -> dict:
     """Divide an integer term map by its content, leading coefficient positive.
 
-    ``key`` is the term order's sort key; ``None`` for monomials that are
-    their own key (the Groebner engine's packed ints).  Returns ``terms``
-    itself when it is already primitive; never mutates it.
+    The monomials are packed ints, their own degrevlex key.  Returns
+    ``terms`` itself when it is already primitive; never mutates it.
     """
     if not terms:
         return terms
     g = math.gcd(*terms.values())
-    if terms[max(terms, key=key)] < 0:
+    if terms[max(terms)] < 0:
         g = -g
     if g != 1:
         terms = {m: v // g for m, v in terms.items()}
@@ -342,7 +511,7 @@ def common_denominator(values: Iterable[Scalar]) -> tuple[list[int], int]:
 def normalize(p: Poly) -> Poly:
     """Scale by a rational unit: coprime integer coefficients, positive leading one."""
     nums, _ = common_denominator(p.terms.values())
-    return Poly(p.table, primitive_terms(dict(zip(p.terms, nums))))
+    return Poly.from_packed(p.table, primitive_terms(dict(zip(p.terms, nums))))
 
 
 def transplant(p: Poly, table: VarTable,
@@ -357,10 +526,13 @@ def transplant(p: Poly, table: VarTable,
     common denominators, and every term is lifted to the one denominator
     ``D = den(p) * prod(den_i ** top_i)``, ``top_i`` being variable i's
     largest exponent in p.  Only output terms that D does not divide become
-    Fractions.
+    Fractions.  A source term lifts to total degree ``sum(e_i * deg_i)``
+    (``deg_i`` 1 for a kept variable and the image's top degree otherwise),
+    which must fit the target's codec.
     """
     mapping = mapping or {}
-    gather = [-1] * len(table)  # target index -> kept source index (-1: none)
+    codec = table.codec
+    kept = []  # (source index, target offset) of each variable that keeps its name
     images: dict[int, Poly] = {}  # source index -> image scaled to integers
     dens: dict[int, int] = {}  # source index -> its image's denominator, if not 1
     missing = []
@@ -373,26 +545,39 @@ def transplant(p: Poly, table: VarTable,
                 raise TableMismatchError(f"image of {nm!r} is over the wrong table")
             nums, den = common_denominator(repl.terms.values())
             if den != 1:
-                repl = Poly(table, dict(zip(repl.terms, nums)))
+                repl = Poly.from_packed(table, dict(zip(repl.terms, nums)))
                 dens[i] = den
             images[i] = repl
         elif nm in table:
-            gather[table.index(nm)] = i
+            kept.append((i, codec.offsets[table.index(nm)]))
         else:
             missing.append(i)
+    source = p.exponents
     nums, D = common_denominator(p.terms.values())
-    top = {i: max((exps[i] for exps in p.terms), default=0) for i in dens}
+    top = {i: max((exps[i] for exps in source), default=0) for i in dens}
     for i, t in top.items():
         D *= dens[i] ** t
+    degrees = {i: img.top_degree() for i, img in images.items()}
+    zero = codec.zero
     # powers of each image are cached: chains reuse the same exponents a lot
     powers: dict[tuple[int, int], dict] = {}
-    unit = {(0,) * len(table): 1}
+    unit = {zero: 1}
     out: dict = {}
-    for exps, c in zip(p.terms, nums):
+    for exps, c in zip(source, nums):
         for i in missing:
             if exps[i]:
                 raise KeyError(
                     f"variable {p.table.names[i]!r} has no image in {table!r}")
+        mono = zero
+        degree = 0
+        for i, offset in kept:
+            e = exps[i]
+            if e:
+                mono += e * offset
+                degree += e
+        for i, d in degrees.items():
+            degree += exps[i] * d
+        codec.check_degree(degree)
         factor = None
         for i, img in images.items():
             e = exps[i]
@@ -400,18 +585,16 @@ def transplant(p: Poly, table: VarTable,
                 piece = powers.get((i, e))
                 if piece is None:
                     piece = powers[(i, e)] = (img ** e).terms
-                factor = piece if factor is None else _add_product({}, factor, piece)
+                factor = piece if factor is None else _product(factor, piece, zero)
         for i, t in top.items():
             if t != exps[i]:
                 c *= dens[i] ** (t - exps[i])
-        padded = exps + (0,)
-        mono = tuple([padded[k] for k in gather])
-        _add_product(out, {mono: c}, unit if factor is None else factor)
+        _add_multiple(out, c, mono - zero, unit if factor is None else factor)
     if D != 1:
         for m, v in out.items():
             q, rem = divmod(v, D)
             out[m] = Fraction(v, D) if rem else q
-    return Poly(table, out)
+    return Poly.from_packed(table, out)
 
 
 # ---- parsing ---------------------------------------------------------
@@ -420,6 +603,7 @@ _TOK_IDENT = "ident"
 _TOK_INT = "int"
 _TOK_OP = "op"
 _TOK_END = "end"
+_DIGITS = frozenset("0123456789")
 
 
 class _Lexer:
@@ -427,7 +611,9 @@ class _Lexer:
 
     An alphanumeric run is split greedily into variable names from the table,
     longest name first, with digits after a name read as an exponent, so that
-    SINGULAR-style input like ``x2+ty`` means ``x^2 + t*y``.
+    SINGULAR-style input like ``x2+ty`` means ``x^2 + t*y``.  Only ASCII
+    digits make numbers: ``str.isdigit`` also accepts digits such as ``²``,
+    which ``int`` rejects.
     """
 
     def __init__(self, src: str, table: VarTable):
@@ -449,9 +635,9 @@ class _Lexer:
                 self.tokens.append((_TOK_OP, ch, i))
                 i += 1
                 continue
-            if ch.isdigit():
+            if ch in _DIGITS:
                 j = i
-                while j < n and src[j].isdigit():
+                while j < n and src[j] in _DIGITS:
                     j += 1
                 self.tokens.append((_TOK_INT, src[i:j], i))
                 i = j
@@ -469,9 +655,9 @@ class _Lexer:
     def _split_run(self, run: str, base: int):
         pos = 0
         while pos < len(run):
-            if run[pos].isdigit():
+            if run[pos] in _DIGITS:
                 j = pos
-                while j < len(run) and run[j].isdigit():
+                while j < len(run) and run[j] in _DIGITS:
                     j += 1
                 self.tokens.append((_TOK_OP, "^", base + pos))
                 self.tokens.append((_TOK_INT, run[pos:j], base + pos))
@@ -601,21 +787,6 @@ def parse_poly(src: str, table: VarTable) -> Poly:
 # ---- rendering -------------------------------------------------------
 
 
-def _mono_text(table: VarTable, exps: tuple) -> str:
-    pieces = []
-    for nm, e in zip(table.names, exps):
-        if e == 0:
-            continue
-        pieces.append(nm if e == 1 else f"{nm}^{e}")
-    return "*".join(pieces)
-
-
-def _coeff_text(c: Fraction) -> str:
-    if c.denominator == 1:
-        return str(abs(c.numerator))
-    return f"({abs(c.numerator)}/{c.denominator})"
-
-
 def render(p: Poly) -> str:
     """Canonical text form; terms sorted descending in the ambient order.
 
@@ -623,18 +794,25 @@ def render(p: Poly) -> str:
     """
     if p.is_zero():
         return "0"
+    names = p.table.names
+    terms = p.terms
     out = []
-    for exps in sorted(p.terms, key=degrevlex_key, reverse=True):
-        c = p.terms[exps]
-        mono = _mono_text(p.table, exps)
+    for m, exps in sorted(zip(terms, p.exponents), reverse=True):
+        c = terms[m]
+        sign = "+"
+        if c < 0:
+            sign, c = "-", -c
+        mono = "*".join([nm if e == 1 else f"{nm}^{e}"
+                         for nm, e in zip(names, exps) if e])
+        if c.denominator == 1:
+            coeff = str(c.numerator)
+        else:
+            coeff = f"({c.numerator}/{c.denominator})"
         if not mono:
-            body = _coeff_text(c)
-        elif abs(c) == 1:
-            body = mono
+            out.append(sign + coeff)
+        elif c == 1:
+            out.append(sign + mono)
         else:
-            body = _coeff_text(c) + "*" + mono
-        if not out:
-            out.append(("-" if c < 0 else "") + body)
-        else:
-            out.append(("-" if c < 0 else "+") + body)
-    return "".join(out)
+            out.append(f"{sign}{coeff}*{mono}")
+    text = "".join(out)
+    return text[1:] if text[0] == "+" else text

@@ -234,6 +234,11 @@ class TestAtlasBound:
         self.run_fast(["eqs", "--vars", "t,x,y", "--map",
                        "t;x2+ty;y2-tx;x3+y3+xy", "-r", "9"], "-r/--order:", capsys)
 
+    def test_degree_above_the_bound_refused(self, capsys):
+        # a packed monomial holds total degree 32767 at most
+        self.run_fast(["eqs", "--vars", "x", "--map", "x^40000", "-r", "2"],
+                      "--map: total degree 40000 exceeds the bound 32767", capsys)
+
     def test_chart_out_of_range_at_large_order(self, capsys):
         # fiber 3 at order 9 has 34459425 charts; none is built
         self.run_fast(["eqs", "--vars", "x,y,z", "--map", "x2+yz;y2-xz;z2+xy",
@@ -456,6 +461,10 @@ class TestFlagNamedErrors:
 
     def test_map_flag(self, capsys):
         self.check(["eqs", "--vars", "x,y", "--map", "x;y("], "--map", capsys)
+
+    @pytest.mark.parametrize("src", ["x\u00b2", "x^\u00b2"])
+    def test_map_with_a_non_ascii_digit(self, src, capsys):
+        self.check(["eqs", "--vars", "x", "--map", src, "-r", "2"], "--map", capsys)
 
     def test_vars_flag(self, capsys):
         self.check(["eqs", "--vars", "x,x", "--map", "x;x"], "--vars", capsys)

@@ -21,13 +21,15 @@ from multipoint.ideals import (
     groebner,
     is_unit_ideal,
     kr_equations,
-    _Codec,
-    _WidthOverflow,
     _normal_form,
     _entry,
+    _reduced_basis,
+    _repack,
     _spoly,
 )
 from multipoint.polyring import (
+    Codec,
+    DegreeBoundError,
     Poly,
     VarTable,
     degrevlex_key,
@@ -36,11 +38,16 @@ from multipoint.polyring import (
 )
 
 XY = VarTable(["x", "y"])
-XY_CODEC = _Codec(2, 16)
+XY_CODEC = XY.codec
 
 
 def P(src, table=XY):
     return parse_poly(src, table)
+
+
+def by_exponents(p):
+    """The term map of p keyed by exponent tuples, read through ``exponents``."""
+    return dict(zip(p.exponents, p.terms.values()))
 
 
 def handle(*srcs, table=XY):
@@ -57,18 +64,18 @@ def trifold():
 
 def test_normalized_terms_clear_denominators():
     p = P("(1/2)*x+(1/3)*y")
-    assert normalize(p).terms == {(1, 0): 3, (0, 1): 2}
+    assert by_exponents(normalize(p)) == {(1, 0): 3, (0, 1): 2}
 
 
 def test_normalized_terms_strip_content_and_sign():
-    assert normalize(P("-4*x-6*y")).terms == {(1, 0): 2, (0, 1): 3}
+    assert by_exponents(normalize(P("-4*x-6*y"))) == {(1, 0): 2, (0, 1): 3}
 
 
 # ---- s-polynomials and reduction -------------------------------------------
 
 
 def packed(src):
-    return XY_CODEC.pack_terms(normalize(P(src)).terms)
+    return normalize(P(src)).terms
 
 
 def test_normal_form_reduces_to_zero_in_ideal():
@@ -79,7 +86,7 @@ def test_normal_form_reduces_to_zero_in_ideal():
 def test_normal_form_keeps_reduced_part():
     basis = [_entry(packed("x^2"))]
     out = _normal_form(packed("x^2+x+1"), basis, XY_CODEC)
-    assert XY_CODEC.unpack_terms(out) == {(1, 0): 1, (0, 0): 1}
+    assert by_exponents(Poly.from_packed(XY, out)) == {(1, 0): 1, (0, 0): 1}
 
 
 # ---- groebner --------------------------------------------------------------
@@ -112,7 +119,7 @@ def test_groebner_textbook_example():
     assert "x*y-1" in strs
     assert "y^3+x-y" in strs  # the completed S-polynomial
     # every S-polynomial of the returned basis reduces to zero
-    entries = [_entry(XY_CODEC.pack_terms(b.terms)) for b in basis]
+    entries = [_entry(b.terms) for b in basis]
     for i in range(len(entries)):
         for j in range(i + 1, len(entries)):
             s = _spoly(entries[i], entries[j], XY_CODEC)
@@ -129,7 +136,7 @@ def test_groebner_input_reduces_to_zero():
 def test_groebner_reduced_property():
     # no leading monomial may divide any monomial of another basis element
     h = handle("x^2+y^2-1", "x*y-1")
-    basis = [XY_CODEC.pack_terms(b.terms) for b in groebner(h)]
+    basis = [b.terms for b in groebner(h)]
     lms = [max(t) for t in basis]
     for i, t in enumerate(basis):
         for m in t:
@@ -344,7 +351,7 @@ def _to_sympy(p: Poly):
     syms = sympy.symbols(list(p.table.names))
     return sympy.Poly.from_dict(
         {m: sympy.Rational(c.numerator, c.denominator)
-         for m, c in p.terms.items()}, *syms, domain="QQ")
+         for m, c in by_exponents(p).items()}, *syms, domain="QQ")
 
 
 def _sympy_groebner(gens):
@@ -365,7 +372,7 @@ def _sympy_monic(basis) -> list[dict]:
 def test_trifold_r3_basis_matches_sympy(trifold_r3_bases, alpha):
     eqs = chart_equations(trifold(), 3, standard_collection(2, 3), alpha)
     want = _sympy_monic(_sympy_groebner(eqs.generators))
-    assert [_monic(g.terms) for g in trifold_r3_bases[alpha]] == want
+    assert [_monic(by_exponents(g)) for g in trifold_r3_bases[alpha]] == want
 
 
 def _int_poly(n):
@@ -387,8 +394,8 @@ def _int_poly_pairs(draw):
 def test_spoly_cancels_leading_terms(case):
     n, f, g = case
     table = VarTable(["x", "y", "z"][:n])
-    codec = _Codec(n, 16)
-    ef, eg = _entry(codec.pack_terms(f)), _entry(codec.pack_terms(g))
+    codec = table.codec
+    ef, eg = _entry(Poly(table, f).terms), _entry(Poly(table, g).terms)
     (lmf, lcf, _), (lmg, lcg, _) = ef, eg
     lmf, lmg = codec.unpack(lmf), codec.unpack(lmg)
     lcm = tuple(max(a, b) for a, b in zip(lmf, lmg))
@@ -398,8 +405,8 @@ def test_spoly_cancels_leading_terms(case):
         shift = tuple(a - b for a, b in zip(lcm, lm))
         return Poly(table, {shift: c}) * Poly(table, terms)
 
-    s = codec.unpack_terms(_spoly(ef, eg, codec))
-    assert s == (shifted(lmf, lcg // d, f) - shifted(lmg, lcf // d, g)).terms
+    s = by_exponents(Poly.from_packed(table, _spoly(ef, eg, codec)))
+    assert s == by_exponents(shifted(lmf, lcg // d, f) - shifted(lmg, lcf // d, g))
     assert lcm not in s
 
 
@@ -425,7 +432,7 @@ def assert_agrees_with_sympy(case):
     gens = [Poly(table, g) for g in gens]
     h = IdealHandle(gens)
     oracle = _sympy_groebner(gens)
-    assert [_monic(g.terms) for g in groebner(h)] == _sympy_monic(oracle)
+    assert [_monic(by_exponents(g)) for g in groebner(h)] == _sympy_monic(oracle)
     combo = Poly.zero(table)
     for q, g in zip(mults, gens):
         combo = combo + Poly(table, q) * g
@@ -436,10 +443,9 @@ def assert_agrees_with_sympy(case):
     # fraction-free reduction leaves
     remainder = {m: Fraction(int(c.p), int(c.q))
                  for m, c in oracle.reduce(_to_sympy(other))[1].terms() if c}
-    codec = _Codec(n, 16)
-    got = codec.unpack_terms(_normal_form(
-        codec.pack_terms(normalize(other).terms),
-        [_entry(codec.pack_terms(g.terms)) for g in groebner(h)], codec))
+    got = by_exponents(Poly.from_packed(table, _normal_form(
+        normalize(other).terms,
+        [_entry(g.terms) for g in groebner(h)], table.codec)))
     assert bool(got) == bool(remainder)
     if got:
         assert _monic(got) == _monic(remainder)
@@ -461,7 +467,7 @@ def _exponents(draw, n, budget):
 @st.composite
 def _codec_cases(draw):
     n = draw(st.integers(1, 12))
-    codec = _Codec(n, draw(st.sampled_from([2, 3, 5, 8, 16])))
+    codec = Codec(n, draw(st.sampled_from([2, 3, 5, 8, 16])))
     a = draw(_exponents(codec.n, codec.cap))
     b = draw(_exponents(codec.n, codec.cap))
     c = draw(_exponents(codec.n, codec.cap - sum(a)))
@@ -485,37 +491,64 @@ def test_codec_matches_tuple_monomials(case):
 
 @pytest.mark.parametrize("w", [2, 3, 16])
 def test_codec_refuses_degree_above_cap(w):
-    codec = _Codec(3, w)
+    codec = Codec(3, w)
     assert codec.cap == 2 ** (w - 1) - 1
     top = (codec.cap - codec.cap // 2, 0, codec.cap // 2)
     assert codec.unpack(codec.pack(top)) == top
-    with pytest.raises(_WidthOverflow):
+    with pytest.raises(DegreeBoundError):
         codec.pack((codec.cap - codec.cap // 2, 1, codec.cap // 2))
 
 
 def test_narrow_width_restarts_to_the_same_bases(monkeypatch):
     widths = []
+    real = _repack
 
-    class Counting(_Codec):
-        __slots__ = ()
+    def counting(terms, src, dst):
+        widths.append(dst.w)
+        return real(terms, src, dst)
 
-        def __init__(self, n, w):
-            widths.append(w)
-            super().__init__(n, w)
-
-    monkeypatch.setattr(ideals_mod, "_WIDTH", 2)  # cap 1: the narrowest
-    monkeypatch.setattr(ideals_mod, "_Codec", Counting)
-    bases = _trifold_r3_bases()
+    monkeypatch.setattr(ideals_mod, "_repack", counting)
+    bases = {}
+    for e in kr_equations(trifold(), 3, standard_collection(2, 3)):
+        table = e.chart.table
+        polys = [normalize(g).terms for g in e.generators]
+        # the narrowest fields the inputs fit in
+        degree = max(max(t) >> table.codec.shift for t in polys)
+        narrow = Codec(len(table), degree.bit_length() + 1)
+        raw, codec = _reduced_basis([real(t, table.codec, narrow) for t in polys],
+                                    narrow)
+        assert codec.w > narrow.w  # a pair's lcm overflowed and the run started over
+        bases[e.chart.alpha] = [Poly.from_packed(table, real(t, codec, table.codec))
+                                for t in raw]
     assert_pinned_trifold_r3(bases)
-    assert len(widths) > len(bases)  # a run overflowed and started over
+    assert widths
     widths.clear()
     # degree 2 starts at 3 bits (cap 3); the pair (x*y-1, y^3+x-y) has an
     # lcm of degree 4
-    assert_agrees_with_sympy((2, [{(2, 0): 1, (0, 2): 1, (0, 0): -1},
-                                  {(1, 1): 1, (0, 0): -1}],
-                              [{(1, 0): 2}, {(0, 3): -1, (1, 0): 1}],
-                              {(0, 3): 1, (1, 0): 1, (0, 0): 2}))
-    assert widths[:2] == [3, 6]
+    gens = [P("x^2+y^2-1"), P("x*y-1")]
+    narrow = Codec(2, 3)
+    raw, codec = _reduced_basis([real(normalize(g).terms, XY.codec, narrow)
+                                 for g in gens], narrow)
+    assert widths == [6, 6] and codec.w == 6
+    assert ([_monic(by_exponents(Poly.from_packed(XY, real(t, codec, XY.codec))))
+             for t in raw] == _sympy_monic(_sympy_groebner(gens)))
+    widths.clear()
+    # the pair (x^20000+y, y^20000+x) has an lcm of degree 40000, above the
+    # cap 32767 of the table's 16-bit fields
+    h = handle("x^20000+y", "y^20000+x")
+    assert [str(g) for g in groebner(h)] == ["x^20000+y", "y^20000+x"]
+    assert widths == [32, 32, 16, 16]
+    assert contains(h, P("x^20001+y^20001+2*x*y"))
+    assert not contains(h, P("x^20001+y^20001+x*y"))
+
+
+def test_basis_above_the_degree_bound_is_refused():
+    # the wider run finds an element of degree 40000, which the table's
+    # layout cannot hold
+    T = VarTable(["x", "y", "z"])
+    h = IdealHandle([P("x^20000*y+z", T), P("x*y^20000+z", T)])
+    with pytest.raises(DegreeBoundError, match="32767"):
+        groebner(h)
 
 
 # ---- diagonal fiber --------------------------------------------------------

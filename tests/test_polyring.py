@@ -1,5 +1,6 @@
 """Tests for the polynomial core: parsing, arithmetic, order, operations."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multipoint.polyring import (
+    Codec,
+    DegreeBoundError,
     NotDivisibleError,
     ParseError,
     Poly,
@@ -30,6 +33,11 @@ TXY = VarTable(["t", "x", "y"])
 
 def P(src, table=XY):
     return parse_poly(src, table)
+
+
+def by_exponents(p):
+    """The term map of p keyed by exponent tuples, read through ``exponents``."""
+    return dict(zip(p.exponents, p.terms.values()))
 
 
 # ---- table ----------------------------------------------------------------
@@ -58,25 +66,25 @@ def test_table_index():
 
 def test_parse_simple_sum():
     p = P("x^2+2*x*y+y^2")
-    assert p.terms == {(2, 0): 1, (1, 1): 2, (0, 2): 1}
+    assert by_exponents(p) == {(2, 0): 1, (1, 1): 2, (0, 2): 1}
 
 
 def test_parse_rational_coefficient():
     p = P("(1/2)*x")
-    assert p.terms == {(1, 0): Fraction(1, 2)}
+    assert by_exponents(p) == {(1, 0): Fraction(1, 2)}
 
 
 def test_parse_negative_rational():
     # the literal itself is unsigned; the minus is ordinary negation
     p = P("-(3/4)*x+1", VarTable(["x"]))
-    assert p.terms == {(1,): Fraction(-3, 4), (0,): 1}
+    assert by_exponents(p) == {(1,): Fraction(-3, 4), (0,): 1}
     with pytest.raises(ParseError):
         P("(-3/4)*x", VarTable(["x"]))
 
 
 def test_parse_leading_minus():
     p = P("-x+y")
-    assert p.terms == {(1, 0): -1, (0, 1): 1}
+    assert by_exponents(p) == {(1, 0): -1, (0, 1): 1}
 
 
 def test_parse_parenthesized():
@@ -89,7 +97,7 @@ def test_parse_power_of_group():
 
 def test_parse_constant():
     p = P("7")
-    assert p.is_constant() and p.terms == {(0, 0): 7}
+    assert p.is_constant() and by_exponents(p) == {(0, 0): 7}
 
 
 def test_parse_zero():
@@ -117,6 +125,15 @@ def test_parse_zero_denominator():
         P("(1/0)*x")
 
 
+@pytest.mark.parametrize("src, pos", [("x\u00b2", 1), ("x^\u00b2", 2), ("\u00b2", 0),
+                                      ("x+y\u00b2", 3), ("\u0663*x", 0)])
+def test_parse_non_ascii_digit_is_an_error_at_its_position(src, pos):
+    # str.isdigit accepts these digits, int() does not
+    with pytest.raises(ParseError) as ei:
+        P(src)
+    assert ei.value.pos == pos
+
+
 # ---- parsing: digit exponents and juxtaposition ---------------------------
 
 
@@ -138,13 +155,13 @@ def test_compact_longest_prefix_match():
     tb = VarTable(["a", "a1"])
     # the run "a1" resolves to the variable a1, not a^1
     p = parse_poly("a1", tb)
-    assert p.terms == {(0, 1): 1}
+    assert by_exponents(p) == {(0, 1): 1}
 
 
 def test_compact_multicharacter_names():
     tb = VarTable(["l1", "a1", "x"])
     p = parse_poly("l1*a1+x", tb)
-    assert p.terms == {(1, 1, 0): 1, (0, 0, 1): 1}
+    assert by_exponents(p) == {(1, 1, 0): 1, (0, 0, 1): 1}
 
 
 def test_compact_group_juxtaposition():
@@ -203,6 +220,65 @@ def test_degrevlex_first_variable_largest():
 def test_leading_monomial():
     p = P("x*y^2+x^2*y+y^3")
     assert p.leading_monomial() == (2, 1)
+
+
+# ---- exponent view ----------------------------------------------------------
+
+
+def test_exponents_follow_terms_and_unpack_once(monkeypatch):
+    p = P("x^2*y+3*x+1")
+    calls = []
+    real = Codec.unpack
+    monkeypatch.setattr(Codec, "unpack", lambda self, m: calls.append(m) or real(self, m))
+    assert [XY.codec.pack(e) for e in p.exponents] == list(p.terms)
+    assert sorted(p.exponents) == [(0, 0), (1, 0), (2, 1)]
+    evaluate(p, [1, 2])
+    render(p)
+    differentiate(p, "x")
+    transplant(p, TXY)
+    assert p.variables_used() == ["x", "y"]
+    assert sorted(calls) == sorted(p.terms)
+
+
+# ---- degree bound ---------------------------------------------------------
+
+CAP = 2 ** 15 - 1
+
+
+def test_degree_bound_through_parse():
+    assert XY.codec.cap == CAP
+    assert by_exponents(P(f"x^{CAP}")) == {(CAP, 0): 1}
+    assert P(f"x^{CAP - 1}*y").top_degree() == CAP
+    for src in [f"x^{CAP + 1}", f"x^{CAP}*y", f"(x*y)^{CAP // 2 + 1}"]:
+        with pytest.raises(DegreeBoundError, match=str(CAP)):
+            P(src)
+
+
+def test_degree_bound_through_products():
+    half = P(f"x^{CAP // 2}")
+    assert by_exponents(half * half * P("y")) == {(CAP - 1, 1): 1}
+    with pytest.raises(DegreeBoundError, match=str(CAP)):
+        half * half * P("x*y")
+    assert by_exponents(P("x*y") ** (CAP // 2)) == {(CAP // 2, CAP // 2): 1}
+    # checked before any expansion
+    with pytest.raises(DegreeBoundError):
+        P("x+y") ** (CAP + 1)
+
+
+def test_degree_bound_through_tuples_and_transplant():
+    assert Poly(XY, {(CAP, 0): 1}) == P(f"x^{CAP}")
+    with pytest.raises(DegreeBoundError):
+        Poly(XY, {(CAP, 1): 1})
+    half = P(f"x^{CAP // 2}")
+    assert transplant(half, TXY, {"x": P("x*y", TXY)}) == P(f"x^{CAP // 2}*y^{CAP // 2}", TXY)
+    with pytest.raises(DegreeBoundError):
+        transplant(half + P("y"), TXY, {"x": P("t*x*y", TXY)})
+
+
+def test_tuple_exponents_are_checked():
+    for bad in [(1,), (1, 0, 0), (-1, 2)]:
+        with pytest.raises(ValueError):
+            Poly(XY, {bad: 1})
 
 
 # ---- substitute -----------------------------------------------------------
@@ -409,8 +485,8 @@ def test_integral_coefficients_are_int(p, q, c):
 
 def test_halves_summing_to_one_give_int():
     half = Poly.constant(XY, Fraction(1, 2))
-    assert (half + half).terms == {(0, 0): 1}
-    assert type((half + half).terms[(0, 0)]) is int
+    assert by_exponents(half + half) == {(0, 0): 1}
+    assert type(by_exponents(half + half)[(0, 0)]) is int
     assert type((half * 2).leading_coefficient()) is int
 
 
@@ -439,7 +515,7 @@ def _sympy_expr(sympy, p):
     syms = sympy.symbols(list(p.table.names))
     return sum((sympy.Rational(c.numerator, c.denominator)
                 * sympy.Mul(*[x ** e for x, e in zip(syms, exps)])
-                for exps, c in p.terms.items()), sympy.Integer(0))
+                for exps, c in by_exponents(p).items()), sympy.Integer(0))
 
 
 def _sympy_image(sympy, img):
@@ -521,3 +597,62 @@ def test_substitute_into_zero_polynomial():
     zero = Poly.zero(XY)
     assert substitute(zero, {"x": P("(1/2)*x+(2/3)*y")}) == zero
     assert substitute(zero, {"x": Fraction(1, 3), "y": P("(1/5)*y^2")}) == zero
+
+
+# ---- packed operators against sympy, over 1 to 12 variables -----------------
+
+
+@st.composite
+def _wide_cases(draw):
+    """Two polynomials over a table of 1-12 variables, one of its variables
+    and a small power."""
+    n = draw(st.integers(1, 12))
+    table = VarTable([f"x{i}" for i in range(1, n + 1)])
+    mono = st.tuples(*[st.integers(0, 3)] * n)
+    scalars = st.integers(-3, 3) | small_coeffs
+    p, q = (Poly(table, draw(st.dictionaries(mono, scalars, max_size=4)))
+            for _ in range(2))
+    return p, q, draw(st.sampled_from(table.names)), draw(st.integers(0, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_wide_cases())
+def test_packed_operators_match_sympy(case):
+    sympy = pytest.importorskip("sympy")
+    p, q, name, k = case
+    sp, sq = _sympy_expr(sympy, p), _sympy_expr(sympy, q)
+    v = sympy.Symbol(name)
+    assert sympy.expand(_sympy_expr(sympy, p * q) - sp * sq) == 0
+    assert sympy.expand(_sympy_expr(sympy, p ** k) - sp ** k) == 0
+    assert sympy.expand(_sympy_expr(sympy, differentiate(p, name))
+                        - sympy.diff(sp, v)) == 0
+    i = p.table.index(name)
+    if all(exps[i] for exps in p.exponents):
+        assert sympy.expand(_sympy_expr(sympy, divide_by_variable(p, name)) * v - sp) == 0
+    else:
+        with pytest.raises(NotDivisibleError) as ei:
+            divide_by_variable(p, name)
+        # the named monomial is a term of p that lacks the variable
+        (exps, c), = by_exponents(parse_poly(ei.value.monomial, p.table)).items()
+        assert exps[i] == 0 and by_exponents(p)[exps] == c
+    vp = Poly.variable(p.table, name) * p
+    assert divide_by_variable(vp, name) == p
+
+
+@settings(max_examples=60, deadline=None)
+@given(_wide_cases())
+def test_render_order_is_descending_degrevlex(case):
+    p = case[0]
+    pieces = re.findall(r"[+-]?[^+-]+", render(p)) if not p.is_zero() else []
+    got = [parse_poly(t.lstrip("+"), p.table).leading_monomial() for t in pieces]
+    assert got == sorted(p.exponents, key=degrevlex_key, reverse=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_wide_cases())
+def test_equal_tables_pack_alike(case):
+    p = case[0]
+    fresh = VarTable(list(p.table.names))
+    assert fresh is not p.table
+    again = parse_poly(render(p), fresh)
+    assert again == p and again.terms == p.terms
