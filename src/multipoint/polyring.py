@@ -44,7 +44,6 @@ Ring operators (``+``, ``-``, ``*`` and ``divide_by_variable``) still combine
 from __future__ import annotations
 
 import math
-import struct
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -67,8 +66,6 @@ class DegreeBoundError(PolyError):
     def __init__(self, degree: int, cap: int):
         super().__init__(
             f"total degree {degree} exceeds the bound {cap} of a packed monomial")
-        self.degree = degree
-        self.cap = cap
 
 
 class ParseError(PolyError):
@@ -93,9 +90,6 @@ class NotDivisibleError(PolyError):
         self.monomial = monomial
 
 
-_FIELD_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}  # struct codes of byte-sized fields
-
-
 class Codec:
     """Monomials of ``n`` variables packed into one int, ``w`` bits a field.
 
@@ -109,7 +103,7 @@ class Codec:
     """
 
     __slots__ = ("n", "w", "cap", "shift", "zero", "guards", "offsets",
-                 "_fields", "_struct")
+                 "_fields")
 
     def __init__(self, n: int, w: int = FIELD_BITS):
         self.n, self.w = n, w
@@ -119,8 +113,6 @@ class Codec:
         self.guards = sum(1 << (w * i + w - 1) for i in range(n))
         self.offsets = tuple((1 << self.shift) - (1 << (w * i)) for i in range(n))
         self._fields = (1 << self.shift) - 1
-        code = _FIELD_CODES.get(w)
-        self._struct = struct.Struct(f"<{n}{code}") if code else None
 
     def widened(self) -> "Codec":
         """The same variables at double field width."""
@@ -133,18 +125,12 @@ class Codec:
     def pack(self, e: Sequence[int]) -> int:
         x = sum(e)
         self.check_degree(x)
-        if self._struct is not None:
-            # the fields of zero minus sum(e_i << w*i) are cap - e_i
-            return ((x << self.shift) + self.zero
-                    - int.from_bytes(self._struct.pack(*e), "little"))
         for v in reversed(e):
             x = (x << self.w) | (self.cap - v)
         return x
 
     def unpack(self, x: int) -> tuple:
         x = self.zero - (x & self._fields)  # field i holds e_i: no borrows
-        if self._struct is not None:
-            return self._struct.unpack(x.to_bytes(self.shift // 8, "little"))
         mask = (1 << self.w) - 1
         e = []
         for _ in range(self.n):
@@ -231,11 +217,16 @@ def _product(t1: Mapping, t2: Mapping, zero: int) -> dict:
     return out
 
 
+def _integral(c: Scalar) -> Scalar:
+    """A scalar as an int when integral, else as itself."""
+    return c.numerator if c.denominator == 1 else c
+
+
 def _ints_where_integral(terms: dict) -> dict:
     """Replace each integral ``Fraction`` value of a fresh term map by its int."""
     for m, v in terms.items():
-        if type(v) is Fraction and v.denominator == 1:
-            terms[m] = v.numerator
+        if type(v) is Fraction:
+            terms[m] = _integral(v)
     return terms
 
 
@@ -263,7 +254,7 @@ class Poly:
             if len(exps) != width or min(exps, default=0) < 0:
                 raise ValueError(f"exponent vector {exps} is not valid for {table!r}")
             if c:
-                clean[pack(exps)] = c.numerator if c.denominator == 1 else c
+                clean[pack(exps)] = _integral(c)
         self.table = table
         self.terms = clean
         self._exponents = None
@@ -288,8 +279,7 @@ class Poly:
     def constant(cls, table: VarTable, c: Scalar) -> "Poly":
         if not c:
             return cls.zero(table)
-        return cls.from_packed(
-            table, {table.codec.zero: c.numerator if c.denominator == 1 else c})
+        return cls.from_packed(table, {table.codec.zero: _integral(c)})
 
     @classmethod
     def variable(cls, table: VarTable, name: str) -> "Poly":
@@ -350,12 +340,10 @@ class Poly:
         terms = dict(self.terms)
         for m, c in other.terms.items():
             s = terms.get(m, 0) + c
-            if not s:
-                del terms[m]
-            elif type(s) is Fraction and s.denominator == 1:
-                terms[m] = s.numerator
+            if s:
+                terms[m] = _integral(s)
             else:
-                terms[m] = s
+                del terms[m]
         return Poly.from_packed(self.table, terms)
 
     __radd__ = __add__

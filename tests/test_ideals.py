@@ -525,13 +525,18 @@ def test_narrow_width_restarts_to_the_same_bases(monkeypatch):
     widths.clear()
     # degree 2 starts at 3 bits (cap 3); the pair (x*y-1, y^3+x-y) has an
     # lcm of degree 4
-    gens = [P("x^2+y^2-1"), P("x*y-1")]
+    case = (2, [{(2, 0): 1, (0, 2): 1, (0, 0): -1}, {(1, 1): 1, (0, 0): -1}],
+            [{(1, 0): 2}, {(0, 3): -1, (1, 0): 1}],
+            {(0, 3): 1, (1, 0): 1, (0, 0): 2})
+    gens = [Poly(XY, g) for g in case[1]]
     narrow = Codec(2, 3)
     raw, codec = _reduced_basis([real(normalize(g).terms, XY.codec, narrow)
                                  for g in gens], narrow)
     assert widths == [6, 6] and codec.w == 6
     assert ([_monic(by_exponents(Poly.from_packed(XY, real(t, codec, XY.codec))))
              for t in raw] == _sympy_monic(_sympy_groebner(gens)))
+    # membership and the normal form of the same ideal, at the table's width
+    assert_agrees_with_sympy(case)
     widths.clear()
     # the pair (x^20000+y, y^20000+x) has an lcm of degree 40000, above the
     # cap 32767 of the table's 16-bit fields
