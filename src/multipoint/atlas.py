@@ -5,8 +5,9 @@ general position, each with n-1 companion forms.  Every multi-index alpha
 picks one form per level and determines an affine chart with coordinates
 (params | base | lambda/a blocks); the nu maps translate level coordinates
 into source-space increments.  ``Chart.project`` recovers the r source points
-from chart coordinates, polynomial or rational, and ``chart_coords_from_tuple``
-inverts it on a rational tuple.
+from chart coordinates, polynomial or rational, and ``TupleEncoding`` inverts
+it on a rational tuple, once per alpha prefix (``chart_coords_from_tuple`` is
+its one-chart case).
 """
 
 from __future__ import annotations
@@ -384,11 +385,14 @@ class Chart:
 def build_chart(cc: CoveringCollection, alpha: Sequence[int], n: int, r: int,
                 params: int = 0,
                 param_names: Sequence[str] | None = None,
-                base_names: Sequence[str] | None = None) -> Chart:
+                base_names: Sequence[str] | None = None,
+                table: VarTable | None = None) -> Chart:
     """Assemble the chart for one multi-index.
 
     ``n`` is the source fiber dimension and must match the collection;
     ``params`` counts unfolding parameters placed before the base block.
+    A ``table`` with the chart's coordinate names is used instead of a new
+    one, so that charts of one order can share it; its names must match.
     """
     alpha = tuple(alpha)
     if n != cc.n:
@@ -433,7 +437,11 @@ def build_chart(cc: CoveringCollection, alpha: Sequence[int], n: int, r: int,
         dup = next(nm for nm in names if nm in seen or seen.add(nm))
         raise CollectionError(
             f"variable name {dup!r} collides with generated chart coordinates")
-    return Chart(alpha=alpha, cc=cc, r=r, table=VarTable(names),
+    if table is None:
+        table = VarTable(names)
+    elif table.names != tuple(names):
+        raise ValueError(f"{table!r} does not hold the chart coordinates {names}")
+    return Chart(alpha=alpha, cc=cc, r=r, table=table,
                  param_names=param_names, base_names=base_names,
                  lambda_names=lambda_names, a_names=a_names)
 
@@ -451,25 +459,47 @@ def projection_to_Xr(chart: Chart) -> list[list[Poly]]:
     return chart.project([Poly.variable(chart.table, nm) for nm in chart.table.names])
 
 
-def chart_coords_from_tuple(chart: Chart, fiber_points: Sequence[Sequence[Fraction]],
-                            params: Sequence[Fraction] = ()) -> list | None:
-    """Chart coordinates representing a source tuple, or None off the chart.
+class TupleEncoding:
+    """One source tuple's chart coordinates on the charts of one collection.
 
     The inverse of ``Chart.project``: level j holds lambda_j, the chosen
     form on each current difference vector, and the companion forms divided
     by it, so each level needs the chosen form nonzero on every difference.
-    A tuple with a repeated point therefore gives None on every chart.
+    A tuple with a repeated point therefore has no coordinates on any chart.
+
+    Level j reads only alpha[:j], so each alpha prefix is encoded once, on
+    first use, and shared by every chart that extends it; a prefix whose
+    form vanishes on a difference leaves all those charts without
+    coordinates.  The encoding lives as long as the object.
 
     Each difference vector is scaled to integers N / d and each form F is
     applied as ``F.scaled_at(N) / F.denominator``, so lambda is
     ``F_a(N) / (q_a * d)`` and a companion ``F_k(N) * q_a / (q_k * F_a(N))``:
     d cancels, and a coordinate's one Fraction is built from two integers.
     """
-    cc = chart.cc
-    values = dict(zip(chart.param_names, params))
-    values.update(zip(chart.base_names, fiber_points[0]))
-    prev = [[q - b for q, b in zip(pt, fiber_points[0])] for pt in fiber_points[1:]]
-    for level, a in enumerate(chart.alpha, start=1):
+
+    def __init__(self, cc: CoveringCollection,
+                 fiber_points: Sequence[Sequence[Fraction]],
+                 params: Sequence[Fraction] = ()):
+        base = fiber_points[0]
+        self.cc = cc
+        self._head = (*params, *base)
+        # alpha prefix -> (its level coordinates, the next level's
+        # difference vectors), or None when the prefix misses the tuple
+        self._prefixes: dict[tuple, tuple | None] = {
+            (): ((), [[q - b for q, b in zip(pt, base)] for pt in fiber_points[1:]])}
+
+    def _prefix(self, alpha: tuple) -> tuple | None:
+        if alpha in self._prefixes:
+            return self._prefixes[alpha]
+        state = self._prefix(alpha[:-1])
+        if state is not None:
+            state = self._level(alpha[-1], *state)
+        self._prefixes[alpha] = state
+        return state
+
+    def _level(self, a: int, coords: tuple, prev: list) -> tuple | None:
+        cc = self.cc
         form = cc.forms[a - 1]
         qa = form.denominator
         companions = [cc.forms[k] for k in cc.companions[a - 1]]
@@ -482,6 +512,21 @@ def chart_coords_from_tuple(chart: Chart, fiber_points: Sequence[Sequence[Fracti
             encoded.append([Fraction(lam, qa * d),
                             *(Fraction(g.scaled_at(nums) * qa, g.denominator * lam)
                               for g in companions)])
-        values.update(zip(chart.level_names(level), encoded[0]))
-        prev = [[q - b for q, b in zip(later, encoded[0])] for later in encoded[1:]]
-    return [values[nm] for nm in chart.table.names]
+        first = encoded[0]
+        return ((*coords, *first),
+                [[q - b for q, b in zip(later, first)] for later in encoded[1:]])
+
+    def coords(self, chart: Chart) -> list | None:
+        """The tuple's coordinates on ``chart``, one value per table
+        variable, or None when the chart does not represent it."""
+        if chart.cc is not self.cc:
+            raise ValueError(f"{chart.name()} is over another collection")
+        state = self._prefix(chart.alpha)
+        return None if state is None else [*self._head, *state[0]]
+
+
+def chart_coords_from_tuple(chart: Chart, fiber_points: Sequence[Sequence[Fraction]],
+                            params: Sequence[Fraction] = ()) -> list | None:
+    """Chart coordinates representing a source tuple, or None off the chart:
+    ``TupleEncoding`` on one chart."""
+    return TupleEncoding(chart.cc, fiber_points, params).coords(chart)

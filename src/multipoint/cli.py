@@ -34,10 +34,11 @@ from .atlas import (
 from .divdiff import MapFormError, PolyMap
 from .ideals import chart_equations, dimension, expected_dimension, is_unit_ideal
 from .polyring import PolyError, VarTable
-from .verify import SUITES, SampleConfig
+from .verify import SAMPLED, SUITES, SampleConfig, StrictSample
 
 STRATEGIES = ("default", "vandermonde")
 MAX_CHARTS = 1000  # atlas size a run without --chart may build
+MAX_TRIALS = 1000  # --trials a check run may ask for: strict points per chart, corank-one maps
 
 
 class CliError(Exception):
@@ -321,6 +322,8 @@ def cmd_charts(spec: RunSpec, out) -> int:
 def cmd_check(spec: RunSpec, out) -> int:
     f = _build_map(spec)
     cc = _build_collection(spec, f)
+    if spec.trials > MAX_TRIALS:
+        raise CliError(f"--trials: {spec.trials} is more than {MAX_TRIALS}")
     try:
         cfg = SampleConfig(seed=spec.seed, trials=spec.trials)
     except ValueError as exc:
@@ -334,9 +337,12 @@ def cmd_check(spec: RunSpec, out) -> int:
 
     eqs_list = [chart_equations(f, spec.order, cc, alpha)
                 for alpha in _alphas(spec, f, cc)]
+    sample = StrictSample(eqs_list, cfg)  # drawn by the first suite that reads it
 
     def one(nm):
         kwargs = {"_corrupt": True} if (nm == "telescoping" and spec.corrupt) else {}
+        if nm in SAMPLED:
+            kwargs["sample"] = sample
         return SUITES[nm](eqs_list, cfg, **kwargs)
 
     reports = [one(nm) for nm in names]

@@ -68,6 +68,7 @@ class PolyMap:
         self.table = table
         self.coords = coords
         self.s = s
+        self._chart_tables: dict[int, VarTable] = {}  # order -> its charts' table
 
     @classmethod
     def from_strings(cls, var_names: Sequence[str], coord_srcs: Sequence[str],
@@ -102,9 +103,14 @@ class PolyMap:
         return self.coords[self.s:]
 
     def chart_for(self, cc, alpha, r: int) -> Chart:
-        return build_chart(cc, alpha, self.fiber_dim, r, self.s,
-                           param_names=self.param_names,
-                           base_names=self.fiber_names)
+        """The chart of ``alpha``; the charts of one order share one table,
+        and so its memo of monomial texts."""
+        chart = build_chart(cc, alpha, self.fiber_dim, r, self.s,
+                            param_names=self.param_names,
+                            base_names=self.fiber_names,
+                            table=self._chart_tables.get(r))
+        self._chart_tables.setdefault(r, chart.table)
+        return chart
 
     def specialize(self, values: Sequence[Scalar]) -> "PolyMap":
         """Fix the parameters to rational values, yielding a member of the family."""

@@ -21,11 +21,16 @@ pack, and ``DegreeBoundError`` names the bound wherever a monomial would
 exceed it: exponent tuples given to ``Poly``, ``*`` and ``**`` (checked from
 the operands' top degrees) and ``transplant``'s lifted terms.
 
-Code that needs exponents (``evaluate``, ``differentiate``, ``render``'s
-monomial text, ``transplant``'s source terms) reads ``Poly.exponents``: the
-terms' exponent tuples, in ``terms`` order, which each Poly unpacks at most
-once.  A tuple rather than a second map keeps the memory of a Poly close
-to what an exponent-tuple map alone took.
+Code that needs every exponent of a Poly (``evaluate``, ``differentiate``,
+``variables_used``, ``transplant``'s source terms and ``divdiff``'s
+synthetic division) reads ``Poly.exponents``: the terms' exponent tuples,
+in ``terms`` order, which each Poly unpacks at most once.  A tuple rather
+than a second map keeps the memory of a Poly close to what an
+exponent-tuple map alone took.  ``render`` reads no exponents: it takes a
+monomial's text from its table (``VarTable.monomial_text``), which builds
+the text of each packed monomial once and keeps it as long as the table
+lives.  The charts of one map and order share one table, so one run builds
+each text once.
 
 ``Poly(table, terms)`` reads exponent tuples and checks every term, for
 input at the edges such as ``verify.rand_poly`` and tests.  Everything
@@ -150,9 +155,10 @@ class VarTable:
 
     ``codec`` is the ring's monomial layout.  Its field width is the same for
     every table, so tables with equal names, which compare equal, pack alike.
+    ``monomial_text`` keeps the text of every monomial it has rendered.
     """
 
-    __slots__ = ("names", "_index", "codec")
+    __slots__ = ("names", "_index", "codec", "_texts")
 
     def __init__(self, names: Sequence[str]):
         names = tuple(names)
@@ -164,6 +170,16 @@ class VarTable:
         self.names = names
         self._index = {nm: i for i, nm in enumerate(names)}
         self.codec = Codec(len(names))
+        self._texts: dict[int, str] = {}  # packed monomial -> its text
+
+    def monomial_text(self, m: int) -> str:
+        """``x^2*y`` for a packed monomial, ``""`` for 1; built once per table."""
+        text = self._texts.get(m)
+        if text is None:
+            text = self._texts[m] = "*".join([
+                nm if e == 1 else f"{nm}^{e}"
+                for nm, e in zip(self.names, self.codec.unpack(m)) if e])
+        return text
 
     def index(self, name: str) -> int:
         try:
@@ -178,7 +194,8 @@ class VarTable:
         return len(self.names)
 
     def __eq__(self, other):
-        return isinstance(other, VarTable) and self.names == other.names
+        return self is other or (isinstance(other, VarTable)
+                                 and self.names == other.names)
 
     def __hash__(self):
         return hash(self.names)
@@ -779,19 +796,22 @@ def render(p: Poly) -> str:
     """Canonical text form; terms sorted descending in the ambient order.
 
     The form is unambiguous and always re-parses to the same polynomial.
+    Monomial texts come from the table's memo, not from ``Poly.exponents``.
     """
     if p.is_zero():
         return "0"
-    names = p.table.names
+    table = p.table
+    texts = table._texts
     terms = p.terms
     out = []
-    for m, exps in sorted(zip(terms, p.exponents), reverse=True):
+    for m in sorted(terms, reverse=True):
         c = terms[m]
         sign = "+"
         if c < 0:
             sign, c = "-", -c
-        mono = "*".join([nm if e == 1 else f"{nm}^{e}"
-                         for nm, e in zip(names, exps) if e])
+        mono = texts.get(m)
+        if mono is None:
+            mono = table.monomial_text(m)
         if c.denominator == 1:
             coeff = str(c.numerator)
         else:

@@ -9,7 +9,8 @@ and shared by all suites, and the sampling parameters.
 The two point suites judge against one truth, the images of a strict tuple:
 on any chart that represents the tuple, the generators vanish exactly when
 its source points share one image.  strict-points tests this on the chart
-the tuple was drawn on, overlap on every other chart.
+the tuple was drawn on, overlap on every other chart.  Both judge one
+``StrictSample``, which a ``check`` run draws once and passes to both.
 """
 
 from __future__ import annotations
@@ -17,10 +18,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from functools import cached_property
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .atlas import (
     Chart,
+    TupleEncoding,
     _default_param_names,
     chart_coords_from_tuple,
     standard_collection,
@@ -211,66 +214,120 @@ def _antipodal_witnesses(f: PolyMap, chart: Chart, rng: random.Random,
     return out
 
 
-def _strict_configurations(eqs: Sequence[ChartEquations], cfg: SampleConfig,
-                           witnesses: Sequence[tuple[tuple, Sequence]],
-                           report: VerifyReport) -> Iterator[tuple]:
-    """Strict configurations for the point suites.
+class Configuration(NamedTuple):
+    """One entry of a strict sample.
 
-    Each is (eqs, point, tuple, label, equal): ``equal`` says whether the
-    tuple's source points share one image under f, decided one fiber
-    coordinate at a time up to the first that differs (the parameter
-    coordinates are the identity and agree by construction).
+    ``equal`` says whether the source points of ``tup`` share one image
+    under f.  A supplied witness whose chart is missing from the run has
+    ``ce`` None and its description as ``label``.
+    """
+
+    ce: ChartEquations | None
+    point: list
+    tup: list
+    label: str
+    equal: bool
+
+
+def _strict_configurations(eqs: Sequence[ChartEquations], cfg: SampleConfig,
+                           witnesses: Sequence[tuple[tuple, Sequence]]
+                           ) -> tuple[list[Configuration], int]:
+    """The strict configurations for the point suites, and how many
+    witnesses were not strict.
+
+    ``equal`` is decided one fiber coordinate at a time up to the first that
+    differs (the parameter coordinates are the identity and agree by
+    construction).
 
     Per chart, in order: random chart points until ``cfg.trials`` are strict
     (at most ``cfg.trials * 20`` draws), then the chart's antipodal
     witnesses; last the supplied ``witnesses``, (alpha, chart point vector)
     pairs.  A point is strict when every lambda is nonzero and its source
     points, projected numerically by ``Chart.project``, are pairwise
-    distinct.  Each configuration yielded counts as a trial of ``report``; a
-    witness that is not strict counts as skipped, and one for a chart missing
-    from ``eqs`` as a failure.
+    distinct.
     """
     rng = random.Random(cfg.seed)
+    cases: list[Configuration] = []
+    skipped = 0
 
-    def strict(ce, point, label):
+    def strict(ce, point, label) -> bool:
         chart = ce.chart
         if any(point[chart.table.index(nm)] == 0 for nm in chart.lambda_names):
-            return None
+            return False
         tup = [tuple(x) for x in chart.project(point)]
         if len(set(tup)) != len(tup):
-            return None
-        report.trials += 1
+            return False
         params = point[:chart.s]
         sources = [[*params, *fib] for fib in tup]
         equal = all(len({evaluate(c, x) for x in sources}) == 1
                     for c in ce.chain.f.fiber_coords)
-        return ce, point, tup, label, equal
+        cases.append(Configuration(ce, point, tup, label, equal))
+        return True
 
     def strict_witnesses(ce, points):
+        nonlocal skipped
         for point in points:
-            case = strict(ce, list(point), "witness")
-            if case is None:
-                report.skipped += 1
-            else:
-                yield case
+            if not strict(ce, list(point), "witness"):
+                skipped += 1
 
     for ce in eqs:
         used = attempts = 0
         while used < cfg.trials and attempts < cfg.trials * 20:
             attempts += 1
-            case = strict(ce, _rand_chart_point(rng, ce.chart, cfg), "random")
-            if case is not None:
-                used += 1
-                yield case
-        yield from strict_witnesses(ce, _antipodal_witnesses(
+            used += strict(ce, _rand_chart_point(rng, ce.chart, cfg), "random")
+        strict_witnesses(ce, _antipodal_witnesses(
             ce.chain.f, ce.chart, rng, cfg, max(1, cfg.trials // 2)))
     by_alpha = {ce.chart.alpha: ce for ce in eqs}
     for alpha, point in witnesses:
         ce = by_alpha.get(tuple(alpha))
         if ce is None:
-            report.record(f"witness chart U{tuple(alpha)}", "a chart", "missing")
+            cases.append(Configuration(None, list(point), [],
+                                       f"witness chart U{tuple(alpha)}", False))
         else:
-            yield from strict_witnesses(ce, [point])
+            strict_witnesses(ce, [point])
+    return cases, skipped
+
+
+class StrictSample:
+    """The strict configurations of one run, which both point suites judge.
+
+    The sample is drawn on first use and kept by this object only.  A
+    ``check`` run passes one sample to strict-points and overlap, so it is
+    drawn at most once; a suite called without one draws its own.
+    """
+
+    def __init__(self, eqs: Sequence[ChartEquations], cfg: SampleConfig,
+                 witnesses: Sequence[tuple[tuple, Sequence]] = ()):
+        self.eqs, self.cfg, self.witnesses = eqs, cfg, witnesses
+
+    @cached_property
+    def _drawn(self) -> tuple[list[Configuration], int]:
+        return _strict_configurations(self.eqs, self.cfg, self.witnesses)
+
+    def configurations(self, report: VerifyReport) -> Iterator[Configuration]:
+        """Each configuration, counted as a trial of ``report``; a witness
+        that is not strict counts as skipped, and one for a missing chart as
+        a failure."""
+        cases, skipped = self._drawn
+        report.skipped += skipped
+        for case in cases:
+            if case.ce is None:
+                report.record(case.label, "a chart", "missing")
+            else:
+                report.trials += 1
+                yield case
+
+
+def _sample_for(eqs: Sequence[ChartEquations], cfg: SampleConfig,
+                witnesses: Sequence[tuple[tuple, Sequence]],
+                sample: StrictSample | None) -> StrictSample:
+    """``sample``, checked to be drawn for these arguments, else a new one."""
+    if sample is None:
+        return StrictSample(eqs, cfg, witnesses)
+    if (sample.eqs is not eqs or sample.cfg != cfg
+            or list(witnesses) != list(sample.witnesses)):
+        raise ValueError("the strict sample was drawn for another run")
+    return sample
 
 
 # ---- strict points ---------------------------------------------------------
@@ -286,16 +343,19 @@ def _judge(report: VerifyReport, generators: Sequence[Poly], point: Sequence,
 
 
 def check_strict_points(eqs: Sequence[ChartEquations], cfg: SampleConfig,
-                        witnesses: Sequence[tuple[tuple, Sequence]] = ()) -> VerifyReport:
+                        witnesses: Sequence[tuple[tuple, Sequence]] = (),
+                        sample: StrictSample | None = None) -> VerifyReport:
     """Vanishing of all generators <=> equal images, on strict configurations.
 
     Random chart points (all lambdas nonzero, projected points pairwise
     distinct) exercise the generic case; manufactured or supplied witness
     points exercise the vanishing case.  ``witnesses`` entries are
-    (alpha, chart point vector) pairs.
+    (alpha, chart point vector) pairs.  A ``sample`` drawn for the same
+    arguments is judged instead of a new draw.
     """
     report = VerifyReport(suite="strict-points")
-    for ce, point, _, label, equal in _strict_configurations(eqs, cfg, witnesses, report):
+    sample = _sample_for(eqs, cfg, witnesses, sample)
+    for ce, point, _, label, equal in sample.configurations(report):
         _judge(report, ce.generators, point, equal,
                lambda: f"{ce.chart.name()} {label} point {point}")
     return report
@@ -341,19 +401,23 @@ def check_diagonal_kernel(eqs: Sequence[ChartEquations],
 
 
 def check_overlap(eqs: Sequence[ChartEquations], cfg: SampleConfig,
-                  witnesses: Sequence[tuple[tuple, Sequence]] = ()) -> VerifyReport:
+                  witnesses: Sequence[tuple[tuple, Sequence]] = (),
+                  sample: StrictSample | None = None) -> VerifyReport:
     """Vanishing <=> equal images on every other chart that represents a tuple.
 
     Each strict configuration is encoded in every chart but its own (which
-    strict-points covers); a chart that does not represent the tuple counts
-    as skipped.
+    strict-points covers), each alpha prefix once; a chart that does not
+    represent the tuple counts as skipped.  A ``sample`` drawn for the same
+    arguments is judged instead of a new draw.
     """
     report = VerifyReport(suite="overlap")
-    for ce, point, tup, _, equal in _strict_configurations(eqs, cfg, witnesses, report):
+    sample = _sample_for(eqs, cfg, witnesses, sample)
+    for ce, point, tup, _, equal in sample.configurations(report):
+        encoding = TupleEncoding(ce.chart.cc, tup, point[:ce.chart.s])
         for other in eqs:
             if other is ce:
                 continue
-            seen = chart_coords_from_tuple(other.chart, tup, point[:ce.chart.s])
+            seen = encoding.coords(other.chart)
             if seen is None:
                 report.skipped += 1
                 continue
@@ -394,6 +458,9 @@ def check_corank1(eqs: Sequence[ChartEquations], cfg: SampleConfig) -> VerifyRep
                               "; ".join(str(g) for g in got))
     return report
 
+
+# the suites that judge a StrictSample: a run passes them one, as ``sample``
+SAMPLED = ("strict", "overlap")
 
 SUITES: dict[str, Callable] = {
     "telescoping": check_telescoping,

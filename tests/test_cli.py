@@ -1,5 +1,6 @@
 """End to end checks of the command line: exit codes, formats, determinism."""
 
+import dataclasses
 import hashlib
 import io
 import json
@@ -18,7 +19,7 @@ from multipoint.atlas import chart_count, covering_collection
 from multipoint.cli import RunSpec, build_parser, main, run
 from multipoint.divdiff import PolyMap
 from multipoint.ideals import kr_equations
-from multipoint.polyring import VarTable, parse_poly
+from multipoint.polyring import Poly, VarTable, parse_poly
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 FAMILY = ["--vars", "t,x,y", "--map", "t;x2+ty;y2;xy-tx"]
@@ -104,6 +105,19 @@ class TestExitCodes:
     def test_zero_trials(self, capsys):
         assert main(["check", *FAMILY, "-r", "2", "--trials", "0"]) == 2
         assert capsys.readouterr().err.startswith("error: --trials:")
+
+    def test_trials_above_the_bound(self, monkeypatch, capsys):
+        built = []
+        monkeypatch.setattr(cli, "chart_equations", lambda *a: built.append(a))
+        argv = ["check", "--vars", "x,y", "--map", "x2;y2", "-r", "2",
+                "--suite", "strict", "--trials"]
+        assert main([*argv, "100000000"]) == 2
+        assert main([*argv, str(cli.MAX_TRIALS + 1)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --trials: 100000000 is more than {cli.MAX_TRIALS}")
+        assert built == []  # refused before any chart is built
+        monkeypatch.undo()
+        assert main([*argv, str(cli.MAX_TRIALS)]) == 0
 
     def test_dim_without_fiber_target(self, capsys):
         # no generators: the zero ideal, whose dimension is the chart's
@@ -204,6 +218,77 @@ class TestCheck:
                              "--seed", "3", "--suite", "all"])
         assert code == 0 and "strict-points: pass" in out
         assert calls == []
+
+
+class TestSharedSample:
+    """strict-points and overlap judge one sample per check run, drawn by
+    the first of them and by no other suite."""
+
+    ARGV = ["check", *FAMILY, "-r", "3", "--trials", "4", "--seed", "2"]
+
+    def blocks(self, argv):
+        """Each suite's summary line with its failure rows, by suite name."""
+        code, out = capture(argv)
+        blocks = {}
+        for line in out.splitlines():
+            if line.startswith(" "):
+                blocks[name] += line + "\n"
+            else:
+                name = line.split(":")[0]
+                blocks[name] = line + "\n"
+        return code, blocks
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        calls = []
+        real = verify._strict_configurations
+
+        def counted(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(verify, "_strict_configurations", counted)
+        return calls
+
+    @pytest.mark.parametrize("suites, draws_made", [
+        (["strict"], 1),
+        (["overlap"], 1),
+        (["strict", "overlap"], 1),
+        (["overlap", "strict"], 1),
+        (["all"], 1),
+        (["telescoping", "kernel"], 0),
+    ])
+    def test_one_draw_and_the_same_counts(self, suites, draws_made, draws):
+        alone = {nm: self.blocks([*self.ARGV, "--suite", suite])[1][nm]
+                 for suite, nm in [("strict", "strict-points"), ("overlap", "overlap")]}
+        draws.clear()
+        argv = [*self.ARGV, *[arg for nm in suites for arg in ("--suite", nm)]]
+        code, blocks = self.blocks(argv)
+        assert code == 0 and len(draws) == draws_made
+        for nm, block in blocks.items():
+            if nm in alone:
+                assert block == alone[nm]
+        assert "overlap: pass (24 trials, 0 failures, " in alone["overlap"]
+
+    def test_zeroed_equations_keep_their_counts(self, monkeypatch, draws):
+        # the zeroed-equations control of test_verify, through cmd_check
+        def zeroed(*args):
+            ce = real(*args)
+            return dataclasses.replace(ce, generators=(Poly.zero(ce.chart.table),))
+
+        real = cli.chart_equations
+        monkeypatch.setattr(cli, "chart_equations", zeroed)
+        code, out = capture(["check", *FAMILY, "-r", "3", "--trials", "3",
+                             "--seed", "4"])
+        assert code == 1 and len(draws) == 1
+        assert "overlap: FAIL (18 trials, 71 failures, 19 skipped)" in out
+        assert "strict-points: FAIL (18 trials, " in out
+
+    def test_each_run_draws_its_own(self, draws):
+        first = capture(self.ARGV)
+        second = capture(self.ARGV)
+        assert first == second and first[0] == 0
+        assert len(draws) == 2 and draws[0] is not draws[1]
 
 
 class TestAtlasBound:

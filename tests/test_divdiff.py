@@ -76,6 +76,35 @@ def test_polymap_specialize():
     assert g.coords[1] == parse_poly("y^2-2*x", tb)
 
 
+def test_charts_of_one_map_share_one_table():
+    f = trifold()
+    cc = standard_collection(2, 3)
+    r3 = [f.chart_for(cc, alpha, 3) for alpha in multi_indices(2, 3)]
+    assert all(chart.table is r3[0].table for chart in r3)
+    # another order has other coordinates, so a table of its own
+    r2 = [f.chart_for(cc, alpha, 2) for alpha in multi_indices(2, 2, 3)]
+    assert all(chart.table is r2[0].table for chart in r2)
+    assert r2[0].table is not r3[0].table
+    # a second map with equal names shares nothing, but its tables compare equal
+    other = trifold().chart_for(cc, (1, 1), 3)
+    assert other.table is not r3[0].table and other.table == r3[0].table
+    # rendering over the shared table fills one memo, which an equal table
+    # reproduces from scratch
+    texts = [str(g) for chart in r3 for g in difference_chain(f, chart).levels[-1]]
+    fresh = [str(Poly.from_packed(VarTable(r3[0].table.names), g.terms))
+             for chart in r3 for g in difference_chain(f, chart).levels[-1]]
+    assert texts == fresh
+
+
+def test_build_chart_checks_a_given_table():
+    cc = standard_collection(2, 3)
+    chart = build_chart(cc, (1, 2), 2, 3, 1)
+    again = build_chart(cc, (2, 1), 2, 3, 1, table=chart.table)
+    assert again.table is chart.table
+    with pytest.raises(ValueError):
+        build_chart(cc, (2,), 2, 2, 1, table=chart.table)
+
+
 # ---- difference chains -----------------------------------------------------
 
 

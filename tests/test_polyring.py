@@ -226,18 +226,29 @@ def test_leading_monomial():
 
 
 def test_exponents_follow_terms_and_unpack_once(monkeypatch):
-    p = P("x^2*y+3*x+1")
+    table = VarTable(["x", "y"])  # fresh, so no monomial text is kept yet
+    p = P("x^2*y+3*x+1", table)
     calls = []
     real = Codec.unpack
     monkeypatch.setattr(Codec, "unpack", lambda self, m: calls.append(m) or real(self, m))
-    assert [XY.codec.pack(e) for e in p.exponents] == list(p.terms)
+    assert [table.codec.pack(e) for e in p.exponents] == list(p.terms)
     assert sorted(p.exponents) == [(0, 0), (1, 0), (2, 1)]
     evaluate(p, [1, 2])
-    render(p)
     differentiate(p, "x")
     transplant(p, TXY)
     assert p.variables_used() == ["x", "y"]
+    # the view unpacks each monomial once
     assert sorted(calls) == sorted(p.terms)
+    # render reads no view, and unpacks each monomial at most once per table
+    calls.clear()
+    q = P("2*x^2*y-x+y", table)
+    assert render(p) == "x^2*y+3*x+1"
+    assert render(q) == "2*x^2*y-x+y"
+    assert render(p + q) == "3*x^2*y+2*x+y+1"
+    assert q._exponents is None
+    assert sorted(calls) == sorted({*p.terms, *q.terms})
+    render(P("x^2*y", VarTable(["x", "y"])))  # an equal table keeps its own texts
+    assert len(calls) == len({*p.terms, *q.terms}) + 1
 
 
 # ---- degree bound ---------------------------------------------------------
@@ -453,6 +464,8 @@ def test_ring_axioms(p, q, r):
 @settings(max_examples=60, deadline=None)
 def test_render_roundtrip_property(p):
     assert parse_poly(render(p), XY) == p
+    # XY's monomial texts are shared by every example; a fresh table has none
+    assert render(p) == render(Poly.from_packed(VarTable(["x", "y"]), p.terms))
 
 
 @given(polys(), polys())
@@ -651,8 +664,12 @@ def test_render_order_is_descending_degrevlex(case):
 @settings(max_examples=60, deadline=None)
 @given(_wide_cases())
 def test_equal_tables_pack_alike(case):
-    p = case[0]
+    p, q = case[:2]
     fresh = VarTable(list(p.table.names))
     assert fresh is not p.table
     again = parse_poly(render(p), fresh)
     assert again == p and again.terms == p.terms
+    # render over the shared table, whose memo q and earlier examples filled,
+    # gives the text of a fresh equal table, whose memo is empty
+    render(q)
+    assert render(Poly.from_packed(VarTable(list(p.table.names)), p.terms)) == render(p)

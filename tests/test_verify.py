@@ -7,11 +7,13 @@ sure the corruption is reported, not silently absorbed.
 
 import dataclasses
 import itertools
+import operator
 from fractions import Fraction
 
 import pytest
 
 from multipoint.atlas import (
+    TupleEncoding,
     build_atlas,
     chart_coords_from_tuple,
     collection_from_text,
@@ -23,6 +25,7 @@ from multipoint.ideals import kr_equations
 from multipoint.polyring import Poly, evaluate
 from multipoint.verify import (
     SampleConfig,
+    StrictSample,
     check_corank1,
     check_diagonal_kernel,
     check_overlap,
@@ -232,6 +235,54 @@ class TestChartCoordsFromTuple:
                 assert chart.project(coords) == tup
             assert encoded >= 4, chart.name()
 
+    @pytest.mark.parametrize("cc, r", [
+        *[(covering_collection(n, r, strategy), r)
+          for n, r, strategy in itertools.product(
+              (1, 2, 3), (2, 3, 4), ("default", "vandermonde"))],
+        (collection_from_text("1,0\n2\n0,1\n1\n1/2,1\n1\n"), 2),
+        (collection_from_text("1,0\n2\n0,1\n1\n1/2,1\n1\n"), 3),
+        (collection_from_text(
+            "1,1,1\n2,3\n1/2,1,2\n3,4\n1/3,1,3\n4,5\n1/4,1,4\n5,1\n1/5,1,5\n1,2\n"), 3),
+    ])
+    def test_prefix_shared_encoding_is_the_one_chart_encoding(self, cc, r):
+        """One TupleEncoding over the whole atlas, read in a shuffled chart
+        order, gives on every chart what a one-chart encoding gives, None
+        included; the last tuple moves x^(1) along the kernel of form 1, so
+        every chart with alpha[0] = 1 misses it."""
+        rng = random.Random(r * 10 + cc.n)
+        charts = build_atlas(cc, cc.n, r, params=1)
+        rng.shuffle(charts)
+
+        def draw():
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+
+        tuples = [[[draw() for _ in range(cc.n)] for _ in range(r)] for _ in range(4)]
+        c = cc.forms[0].coeffs
+        kernel = [-c[1], c[0], *[0] * (cc.n - 2)] if cc.n > 1 else [0]
+        vanishing = [list(pt) for pt in tuples[0]]
+        vanishing[1] = [b + k for b, k in zip(vanishing[0], kernel)]
+        assert sum(map(operator.mul, c, kernel)) == 0
+        seen = 0
+        for tup in [*tuples, vanishing]:
+            params = [draw()]
+            shared = TupleEncoding(cc, tup, params)
+            for chart in charts:
+                coords = shared.coords(chart)
+                assert coords == chart_coords_from_tuple(chart, tup, params)
+                assert coords == TupleEncoding(cc, tup, params).coords(chart)
+                if coords is not None:
+                    seen += 1
+                    assert chart.project(coords) == tup
+        on_form_1 = [shared.coords(chart) for chart in charts if chart.alpha[0] == 1]
+        assert on_form_1 and all(coords is None for coords in on_form_1)
+        assert seen > 0
+
+    def test_encoding_refuses_another_collection(self):
+        cc = covering_collection(2, 3)
+        chart = build_atlas(covering_collection(2, 3, "vandermonde"), 2, 3)[0]
+        with pytest.raises(ValueError):
+            TupleEncoding(cc, [[Fraction(0)] * 2, [Fraction(1)] * 2]).coords(chart)
+
     def test_unrepresentable_tuple(self):
         f = family()
         cc = covering_collection(2, 3)
@@ -286,6 +337,25 @@ class TestOverlap:
         assert rep.failures[0][1:] == ("generators vanish: False",
                                        "generators vanish: True")
         assert not check_strict_points(eqs, cfg).passed
+        # one sample shared by both suites gives the same reports
+        sample = StrictSample(eqs, cfg)
+        shared = check_overlap(eqs, cfg, sample=sample)
+        assert (shared.trials, shared.skipped, shared.failures) == (
+            rep.trials, rep.skipped, rep.failures)
+        alone = check_strict_points(eqs, cfg)
+        strict = check_strict_points(eqs, cfg, sample=sample)
+        assert (strict.trials, strict.skipped, strict.failures) == (
+            alone.trials, alone.skipped, alone.failures)
+
+    def test_sample_is_checked_against_the_run(self):
+        eqs = kr_equations(fold(), 2, covering_collection(1, 2))
+        sample = StrictSample(eqs, CFG)
+        for args in [(list(eqs), CFG), (eqs, SampleConfig(seed=1, trials=5))]:
+            with pytest.raises(ValueError):
+                check_overlap(*args, sample=sample)
+        with pytest.raises(ValueError):
+            check_strict_points(eqs, CFG, witnesses=[((1,), [Fraction(1)] * 3)],
+                                sample=sample)
 
 
 @pytest.mark.parametrize("make, r, n, cfg", [
