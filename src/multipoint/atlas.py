@@ -13,6 +13,7 @@ its one-chart case).
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -73,6 +74,24 @@ def _invert(rows: list[list[Fraction]]) -> list[list[Fraction]] | None:
     return [row[n:] for row in m]
 
 
+def _integer_rows(rows: list[list[Fraction]]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """A rational matrix as integer rows over one denominator q."""
+    nums, q = common_denominator(v for row in rows for v in row)
+    width = len(rows[0])
+    return tuple(tuple(nums[k:k + width])
+                 for k in range(0, len(nums), width)), q
+
+
+def _add_scaled(a: tuple[list[int], int], b: tuple[list[int], int]) -> tuple[list[int], int]:
+    """The sum of two integer vectors over their denominators, over the lcm."""
+    (xs, p), (ys, q) = a, b
+    if p == q:
+        return [x + y for x, y in zip(xs, ys)], p
+    g = math.gcd(p, q)
+    u, v = q // g, p // g
+    return [x * u + y * v for x, y in zip(xs, ys)], p * u
+
+
 def expected_form_count(n: int, ell: int) -> int:
     return (ell - 1) * (n - 1) + 1
 
@@ -82,7 +101,9 @@ class CoveringCollection:
 
     ``companions[i]`` lists, 0-based, the indices of the n-1 forms paired
     with form i; the stacked matrix [L_i; companions] must be invertible,
-    and ``inverses[i]`` holds its inverse.
+    and ``inverses[i]`` holds its inverse.  ``integer_inverses[i]`` is the
+    same inverse as integer rows over one denominator, ``(rows, q)``, the
+    way ``LinearForm`` keeps ``numerators`` over ``denominator``.
     """
 
     def __init__(self, n: int, ell: int,
@@ -125,6 +146,7 @@ class CoveringCollection:
             if inv is None:
                 raise CollectionError(
                     f"form {i + 1} with its companions gives a singular matrix")
+        self.integer_inverses = tuple(_integer_rows(inv) for inv in self.inverses)
 
     def _check_general_position(self):
         # m = (ell-1)(n-1)+1 >= n, so every n-subset gives a square matrix
@@ -362,23 +384,50 @@ class Chart:
         return [sum(c * v for c, v in zip(row, unprojectivized) if c)
                 for row in inv]
 
+    def _nu_scaled(self, level: int, gamma: tuple[list[int], int]) -> tuple[list[int], int]:
+        """``nu_apply`` on an integer vector N over a denominator D: the
+        inverse's integer rows applied to (N_0 D, N_0 N_1, ..., N_0 N_{n-1}),
+        over q D^2."""
+        rows, q = self.cc.integer_inverses[self.alpha[level - 1] - 1]
+        nums, d = gamma
+        v0 = nums[0]
+        unprojectivized = [v0 * d, *(v0 * v for v in nums[1:])]
+        return ([sum(map(operator.mul, row, unprojectivized)) for row in rows],
+                q * d * d)
+
     def project(self, coords: Sequence) -> list[list]:
         """Source points x^(0..r-1) at ``coords``, one value per table variable.
 
         The values may be polynomials or rationals.  x^(0) is the base point
         itself; x^(j) accumulates the level increments by the descending
-        recursion through intermediate gamma vectors.
+        recursion through intermediate gamma vectors.  On rationals each
+        level and gamma vector is an integer vector over one denominator
+        (``_nu_scaled``), and each output coordinate one Fraction.
         """
         index = self.table.index
         levels = [[coords[index(nm)] for nm in self.level_names(j)]
                   for j in range(self.r)]
-        base = levels[0]
-        out = [list(base)]
+        out = [list(levels[0])]
+        if any(isinstance(v, Poly) for v in coords):
+            nu = self.nu_apply
+
+            def add(xs, ys):
+                return [x + y for x, y in zip(xs, ys)]
+
+            def point(xs):
+                return xs
+        else:
+            levels = [common_denominator(level) for level in levels]
+            nu, add = self._nu_scaled, _add_scaled
+
+            def point(scaled):
+                nums, d = scaled
+                return [Fraction(v, d) for v in nums]
         for j in range(1, self.r):
             gamma = levels[j]
             for i in range(j - 1, 0, -1):
-                gamma = [g + d for g, d in zip(levels[i], self.nu_apply(i + 1, gamma))]
-            out.append([b + d for b, d in zip(base, self.nu_apply(1, gamma))])
+                gamma = add(levels[i], nu(i + 1, gamma))
+            out.append(point(add(levels[0], nu(1, gamma))))
         return out
 
 

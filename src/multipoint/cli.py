@@ -39,6 +39,7 @@ from .verify import SAMPLED, SUITES, SampleConfig, StrictSample
 STRATEGIES = ("default", "vandermonde")
 MAX_CHARTS = 1000  # atlas size a run without --chart may build
 MAX_TRIALS = 1000  # --trials a check run may ask for: strict points per chart, corank-one maps
+MAX_POINTS = 500_000  # chart points the point suites of a check run may judge
 
 
 class CliError(Exception):
@@ -319,6 +320,18 @@ def cmd_charts(spec: RunSpec, out) -> int:
 # ---- check -----------------------------------------------------------------
 
 
+def _judged_points(names: list, trials: int, charts: int) -> int:
+    """Chart points the point suites among ``names`` judge: strict-points
+    one per trial on each chart, overlap one per trial on each chart for
+    every other chart."""
+    points = 0
+    if "strict" in names:
+        points += trials * charts
+    if "overlap" in names:
+        points += trials * charts * (charts - 1)
+    return points
+
+
 def cmd_check(spec: RunSpec, out) -> int:
     f = _build_map(spec)
     cc = _build_collection(spec, f)
@@ -335,8 +348,12 @@ def cmd_check(spec: RunSpec, out) -> int:
             raise CliError(f"--suite: unknown suite {nm!r}; choose from "
                            f"{', '.join(SUITES)} or all")
 
-    eqs_list = [chart_equations(f, spec.order, cc, alpha)
-                for alpha in _alphas(spec, f, cc)]
+    alphas = _alphas(spec, f, cc)
+    points = _judged_points(names, spec.trials, len(alphas))
+    if points > MAX_POINTS:
+        raise CliError(f"--trials: {spec.trials} trials on {len(alphas)} charts "
+                       f"judge {points} chart points, more than {MAX_POINTS}")
+    eqs_list = [chart_equations(f, spec.order, cc, alpha) for alpha in alphas]
     sample = StrictSample(eqs_list, cfg)  # drawn by the first suite that reads it
 
     def one(nm):

@@ -42,6 +42,9 @@ The hot exact loops run on integers over one common denominator
 (``common_denominator``, the lcm-and-scale step ``normalize`` also uses) and
 build a ``Fraction`` only at the exit: ``evaluate`` returns one per call, and
 ``transplant`` one per output term that its denominator does not divide.
+``evaluate`` reads a plan that each Poly builds from ``exponents`` on its
+first evaluation and keeps: its coefficients over one denominator and,
+per term, only the nonzero factors.
 Ring operators (``+``, ``-``, ``*`` and ``divide_by_variable``) still combine
 ``Fraction`` coefficients directly.
 """
@@ -261,7 +264,7 @@ class Poly:
     which trusts its input.
     """
 
-    __slots__ = ("table", "terms", "_exponents")
+    __slots__ = ("table", "terms", "_exponents", "_plan")
 
     def __init__(self, table: VarTable, terms: Mapping[tuple, Scalar]):
         pack = table.codec.pack
@@ -275,6 +278,7 @@ class Poly:
         self.table = table
         self.terms = clean
         self._exponents = None
+        self._plan = None
 
     # ---- constructors -------------------------------------------------
 
@@ -286,6 +290,7 @@ class Poly:
         p.table = table
         p.terms = terms
         p._exponents = None
+        p._plan = None
         return p
 
     @classmethod
@@ -445,31 +450,49 @@ def divide_by_variable(p: Poly, name: str) -> Poly:
     return Poly.from_packed(p.table, terms)
 
 
+def _evaluation_plan(p: Poly) -> tuple:
+    """``(den, top, steps)`` for ``evaluate``: the coefficients as integers
+    over ``den``, the top total degree, and per term its integer coefficient,
+    its power ``top - k`` of the point's denominator (k read from the packed
+    degree field) and its nonzero ``(index, exponent)`` factors."""
+    coeffs, den = common_denominator(p.terms.values())
+    shift = p.table.codec.shift
+    top = p.top_degree()
+    steps = tuple(
+        (c, top - (m >> shift),
+         tuple((i, e) for i, e in enumerate(exps) if e))
+        for c, m, exps in zip(coeffs, p.terms, p.exponents))
+    return den, top, steps
+
+
 def evaluate(p: Poly, point: Sequence[Scalar]) -> Fraction:
     """Exact evaluation at a rational point (one value per table variable).
 
     The point is scaled to integers over one denominator d, so a term of
-    total degree k sums as an int over d^k; one Fraction is built at the end.
+    total degree k sums as an int over d^top once lifted by d^(top - k); one
+    Fraction is built at the end.  The plan of each Poly (its coefficients
+    over one denominator and each term's nonzero factors) is built on the
+    first evaluation and kept with it.
     """
     if len(point) != len(p.table):
         raise ValueError(
             f"point has {len(point)} components, table has {len(p.table)} variables")
+    plan = p._plan
+    if plan is None:
+        plan = p._plan = _evaluation_plan(p)
+    den, top, steps = plan
     nums, d = common_denominator(point)
-    powers = [{1: v} for v in nums]  # per variable: exponent -> numerator ** exponent
-    by_degree: dict[int, Scalar] = {}
-    for exps, c in zip(p.exponents, p.terms.values()):
-        acc = 1
-        for pw, e in zip(powers, exps):
-            if e:
-                x = pw.get(e)
-                if x is None:
-                    x = pw[e] = pw[1] ** e
-                acc *= x
-        k = sum(exps)
-        by_degree[k] = by_degree.get(k, 0) + c * acc
-    top = max(by_degree, default=0)
-    total = sum(s * d ** (top - k) for k, s in by_degree.items())
-    return Fraction(total, d ** top)
+    lift = [1] * (top + 1)  # lift[j] == d ** j
+    if d != 1:
+        for j in range(1, top + 1):
+            lift[j] = lift[j - 1] * d
+    total = 0
+    for c, j, factors in steps:
+        acc = c * lift[j]
+        for i, e in factors:
+            acc *= nums[i] ** e
+        total += acc
+    return Fraction(total, den * lift[top])
 
 
 def differentiate(p: Poly, name: str) -> Poly:

@@ -33,6 +33,21 @@ def capture(argv):
     return code, out.getvalue()
 
 
+class _Built(Exception):
+    """Raised in place of building a chart's equations."""
+
+
+@pytest.fixture
+def admitted(monkeypatch):
+    """``with admitted(): ...`` asserts that a run gets as far as building
+    chart equations, which are not built."""
+    def build(*args):
+        raise _Built
+
+    monkeypatch.setattr(cli, "chart_equations", build)
+    return lambda: pytest.raises(_Built)
+
+
 class TestExitCodes:
     def test_success(self, capsys):
         assert main(["eqs", *FAMILY, "-r", "2"]) == 0
@@ -118,6 +133,32 @@ class TestExitCodes:
         assert built == []  # refused before any chart is built
         monkeypatch.undo()
         assert main([*argv, str(cli.MAX_TRIALS)]) == 0
+
+    def test_points_above_the_budget(self, admitted, capsys):
+        argv = ["check", "--vars", "x,y,z", "--map", "x2+yz;y2-xz;z2+xy", "-r", "4"]
+        # 105 charts: strict-points judges 1000 * 105 points, overlap 1000 * 105 * 104
+        assert main([*argv, "--trials", "1000"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --trials: 1000 trials on 105 charts judge 11025000 chart "
+            f"points, more than {cli.MAX_POINTS}\n")
+        # admitted, so the charts are built: the default 25 trials (275625
+        # points), strict-points alone (1000 * 105) and a suite that judges
+        # no points
+        for extra in ([], ["--trials", "1000", "--suite", "strict"],
+                      ["--trials", "1000", "--suite", "telescoping"]):
+            with admitted():
+                capture([*argv, *extra])
+
+    def test_budget_admits_the_benchmark_checks(self, admitted):
+        pool = json.loads((SRC.parent / "bench" / "reference.json").read_text())
+        checks = [inv["argv"] for group in pool["workloads"]["corpus"]["groups"]
+                  for inv in group if inv["argv"][0] == "check"]
+        assert checks
+        parser = build_parser()
+        for argv in checks:
+            spec = RunSpec.from_args(parser.parse_args(cli._glue_map_value(parser, argv)))
+            with admitted():
+                run(spec, io.StringIO())
 
     def test_dim_without_fiber_target(self, capsys):
         # no generators: the zero ideal, whose dimension is the chart's

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from multipoint import polyring
 from multipoint.polyring import (
     Codec,
     DegreeBoundError,
@@ -354,6 +355,38 @@ def test_evaluate_wrong_arity():
         evaluate(P("x"), [1, 2, 3])
 
 
+def _term_sum(p, point):
+    """p at point as a plain Fraction sum over its terms."""
+    total = Fraction(0)
+    for exps, c in zip(p.exponents, p.terms.values()):
+        term = Fraction(c)
+        for v, e in zip(point, exps):
+            term *= Fraction(v) ** e
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("src", [
+    "x^3*y-(2/3)*x*y+5", "(1/2)*t^2*y^2+(3/4)*x-(1/6)", "0", "7", "(5/3)"])
+def test_evaluation_plan_built_once(src, monkeypatch):
+    """The plan is built on the first evaluation and serves every later
+    point: zero coordinates, negative and non-integral ones."""
+    p = P(src, TXY)
+    built = []
+    real = polyring._evaluation_plan
+    monkeypatch.setattr(polyring, "_evaluation_plan",
+                        lambda q: built.append(q) or real(q))
+    for point in ([Fraction(-3, 2), Fraction(1, 3), Fraction(5, 7)],
+                  [0, 0, 0],
+                  [Fraction(1, 2), 0, -3],
+                  [2, -1, 4],
+                  [0, Fraction(2, 9), Fraction(-4, 3)]):
+        got = evaluate(p, point)
+        assert type(got) is Fraction
+        assert got == _term_sum(p, point)
+    assert len(built) == 1 and built[0] is p
+
+
 # ---- differentiate --------------------------------------------------------
 
 
@@ -583,27 +616,31 @@ def test_transplant_matches_sympy(case):
 
 @st.composite
 def _evaluations(draw):
-    """A polynomial with int and Fraction coefficients, possibly zero, and a
-    point with zero, negative and non-integral entries."""
+    """A polynomial with int and Fraction coefficients, possibly zero, and
+    two points with zero, negative and non-integral entries."""
     table = VarTable(["x", "y", "z"][:draw(st.integers(1, 3))])
     mono = st.tuples(*[st.integers(0, 3)] * len(table))
     scalars = st.integers(-4, 4) | small_coeffs
     p = Poly(table, draw(st.dictionaries(mono, scalars, max_size=5)))
-    return p, [draw(scalars) for _ in table.names]
+    return p, [[draw(scalars) for _ in table.names] for _ in range(2)]
 
 
 @settings(max_examples=100, deadline=None)
 @given(_evaluations())
-@example((Poly.zero(TXY), [Fraction(1, 2), 0, -3]))
-@example((P("x^3*y-(2/3)*x*y+5"), [Fraction(-3, 2), Fraction(1, 3)]))
+@example((Poly.zero(TXY), [[Fraction(1, 2), 0, -3], [1, 2, 3]]))
+@example((P("x^3*y-(2/3)*x*y+5"),
+          [[Fraction(-3, 2), Fraction(1, 3)], [Fraction(2, 5), -7]]))
 def test_evaluate_matches_sympy(case):
+    """Each point against sympy; the second evaluation reuses the
+    polynomial's evaluation plan."""
     sympy = pytest.importorskip("sympy")
-    p, point = case
-    got = evaluate(p, point)
-    assert type(got) is Fraction
-    subs = {sympy.Symbol(nm): _sympy_image(sympy, v)
-            for nm, v in zip(p.table.names, point)}
-    assert sympy.Rational(got.numerator, got.denominator) == _sympy_expr(sympy, p).subs(subs)
+    p, points = case
+    for point in points:
+        got = evaluate(p, point)
+        assert type(got) is Fraction
+        subs = {sympy.Symbol(nm): _sympy_image(sympy, v)
+                for nm, v in zip(p.table.names, point)}
+        assert sympy.Rational(got.numerator, got.denominator) == _sympy_expr(sympy, p).subs(subs)
 
 
 def test_substitute_into_zero_polynomial():

@@ -214,15 +214,18 @@ class TestChartCoordsFromTuple:
         """Forms with non-integral coefficients, so the codec works over a
         form denominator q != 1 (the default and vandermonde collections
         have integral forms): projecting the encoding of a random rational
-        tuple gives the tuple back."""
+        tuple gives the tuple back, and the integer projection of rationals
+        agrees with the symbolic one over inverses with denominators."""
         cc = collection_from_text(text)
         assert any(form.denominator != 1 for form in cc.forms)
+        assert any(q != 1 for _, q in cc.integer_inverses)
         rng = random.Random(11)
 
         def draw():
             return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
 
         for chart in build_atlas(cc, cc.n, r, params=1):
+            symbolic = projection_to_Xr(chart)
             encoded = 0
             for _ in range(6):
                 params = [draw()]
@@ -233,6 +236,7 @@ class TestChartCoordsFromTuple:
                 encoded += 1
                 assert coords[:1] == params
                 assert chart.project(coords) == tup
+                assert tup == [[evaluate(c, coords) for c in proj] for proj in symbolic]
             assert encoded >= 4, chart.name()
 
     @pytest.mark.parametrize("cc, r", [
