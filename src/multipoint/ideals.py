@@ -10,9 +10,17 @@ packed ints of the table's ``Codec``, the one layout of ``polyring``.  Int
 order is degrevlex order, a product is an addition, and divisibility is one
 guard-bit mask test.  The packed int is its own sort key: there is no key
 cache, leading terms are ``max`` of the term map, and S-pairs leave a heap
-keyed by their packed lcm (ties by index).  Reduction steps and
-S-polynomials add each shifted multiple through ``polyring``'s one
-term-product loop.
+keyed by their packed lcm (ties by index), which ``Codec.lcm`` computes
+from the guard bits without unpacking.  Reduction steps and S-polynomials
+add each shifted multiple through ``polyring``'s one term-product loop.
+
+A reduction step's reducer is the first basis entry whose leading monomial
+divides the head term.  A run keeps one memo from each head monomial to
+that entry's index (or None) and the number of entries searched: the basis
+only grows at its end, so an index once found stays right and a later step
+rescans only the entries appended since.  The memo lives for one run
+only; interreduction and ``contains`` reduce against other lists and start
+their own, and a restart at double width starts a new run.
 
 A term packs only when its total degree is at most the codec's cap, and
 under a degree-compatible order reduction never raises the degree, so only
@@ -55,7 +63,8 @@ def _repack(terms: dict, src: Codec, dst: Codec) -> dict:
     return {dst.pack(src.unpack(m)): c for m, c in terms.items()}
 
 
-def _normal_form(p: dict, basis: Sequence[tuple], codec: Codec) -> dict:
+def _normal_form(p: dict, basis: Sequence[tuple], codec: Codec,
+                 memo: dict | None = None) -> dict:
     """Full remainder of packed p against basis entries (lm, lc, terms).
 
     Fraction-free: instead of dividing, both the work polynomial and the
@@ -63,21 +72,34 @@ def _normal_form(p: dict, basis: Sequence[tuple], codec: Codec) -> dict:
     joint content is stripped to keep coefficients small.  The remainder is
     therefore a unit multiple of the true normal form, which preserves
     zero-ness and leading monomials.
+
+    The reducer of a term is the first entry whose leading monomial divides
+    it.  ``memo`` maps a monomial to ``(index of that entry or None, entries
+    searched)``; a later call rescans only the entries appended since, so a
+    memo stays valid while ``basis`` only grows at its end.
     """
     zero, guards = codec.zero, codec.guards
+    if memo is None:
+        memo = {}
+    size = len(basis)
     work = dict(p)
     out: dict = {}
     while work:
         m = max(work)
         c = work[m]
-        mz = m + zero
-        for lm, lc, g in basis:
-            if not (mz - lm) & guards:
-                break
-        else:
+        hit, searched = memo.get(m, (None, 0))
+        if hit is None and searched < size:
+            mz = m + zero
+            for i in range(searched, size):
+                if not (mz - basis[i][0]) & guards:
+                    hit = i
+                    break
+            memo[m] = (hit, size)
+        if hit is None:
             out[m] = c
             del work[m]
             continue
+        lm, lc, g = basis[hit]
         d = math.gcd(c, lc)
         a, b = lc // d, c // d
         if a != 1:
@@ -126,7 +148,8 @@ def _buchberger(polys: Sequence[dict], codec: Codec) -> list[dict]:
     # degrevlex key
     heap = []
     done = set()
-    zero = codec.zero
+    zero, guards = codec.zero, codec.guards
+    memo: dict = {}  # valid for the whole run: basis only grows at its end
 
     def candidates():
         """The nonzero inputs, then every nonzero S-pair remainder."""
@@ -136,10 +159,11 @@ def _buchberger(polys: Sequence[dict], codec: Codec) -> list[dict]:
             done.add((i, j))
             if l == basis[i][0] + basis[j][0] - zero:
                 continue  # coprime leading monomials reduce to zero
+            lz = l + zero
             chained = False
-            for k in range(len(basis)):
-                if k in (i, j) or not codec.divides(basis[k][0], l):
-                    continue
+            for k, e in enumerate(basis):
+                if (lz - e[0]) & guards or k == i or k == j:
+                    continue  # lm_k does not divide l, or k is in the pair
                 p1 = (min(i, k), max(i, k))
                 p2 = (min(j, k), max(j, k))
                 if p1 in done and p2 in done:
@@ -147,7 +171,8 @@ def _buchberger(polys: Sequence[dict], codec: Codec) -> list[dict]:
                     break
             if chained:
                 continue
-            h = _normal_form(_spoly(basis[i], basis[j], codec), basis, codec)
+            h = _normal_form(_spoly(basis[i], basis[j], codec), basis, codec,
+                             memo)
             if h:
                 yield h
 

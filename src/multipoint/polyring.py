@@ -108,6 +108,15 @@ class Codec:
     of a difference ``b - a + zero``, lies in ``[0, 2*cap]``, and the field's
     top (guard) bit is set exactly when ``a_i > b_i``.  Packing is linear:
     ``pack(e) == zero + sum(e_i * offsets[i])``.
+
+    ``lcm`` works on the packed ints.  The guard bits of ``b - a + zero``
+    mark the fields where ``a_i > b_i``; each is spread to a full-field mask,
+    and the lcm's field is the smaller of the two, taken from ``a`` or ``b``.
+    The fields of ``a`` minus those of the lcm have base-``2**w`` digits
+    ``max(0, b_i - a_i) >= 0``, so the lcm's degree is ``deg(a)`` plus that
+    difference mod ``2**w - 1``; this is exact because the digits sum to at
+    most ``deg(b) <= cap < 2**w - 1``.  A degree above ``cap`` raises
+    ``DegreeBoundError``, as ``pack`` does.
     """
 
     __slots__ = ("n", "w", "cap", "shift", "zero", "guards", "offsets",
@@ -150,7 +159,15 @@ class Codec:
         return not (b - a + self.zero) & self.guards
 
     def lcm(self, a: int, b: int) -> int:
-        return self.pack(tuple(map(max, self.unpack(a), self.unpack(b))))
+        w, fields = self.w, self._fields
+        over = (b - a + self.zero) & self.guards  # fields with a_i > b_i
+        pick = (over << 1) - (over >> (w - 1))  # those fields, every bit set
+        fa = a & fields
+        fl = (b & fields) ^ ((fa ^ b) & pick)  # the smaller field of a and b
+        # the digits of fa - fl sum to at most cap < 2**w - 1: the mod is exact
+        degree = (a >> self.shift) + (fa - fl) % ((1 << w) - 1)
+        self.check_degree(degree)
+        return (degree << self.shift) | fl
 
 
 class VarTable:

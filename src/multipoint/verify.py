@@ -15,6 +15,7 @@ the tuple was drawn on, overlap on every other chart.  Both judge one
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -229,6 +230,11 @@ class Configuration(NamedTuple):
     equal: bool
 
 
+def _all_equal(values: list) -> bool:
+    """Whether every value equals the first, by equality tests alone."""
+    return values.count(values[0]) == len(values)
+
+
 def _strict_configurations(eqs: Sequence[ChartEquations], cfg: SampleConfig,
                            witnesses: Sequence[tuple[tuple, Sequence]]
                            ) -> tuple[list[Configuration], int]:
@@ -255,11 +261,12 @@ def _strict_configurations(eqs: Sequence[ChartEquations], cfg: SampleConfig,
         if any(point[chart.table.index(nm)] == 0 for nm in chart.lambda_names):
             return False
         tup = [tuple(x) for x in chart.project(point)]
-        if len(set(tup)) != len(tup):
+        # equality tests, not sets: hashing a Fraction costs a modular inverse
+        if any(a == b for a, b in itertools.combinations(tup, 2)):
             return False
         params = point[:chart.s]
         sources = [[*params, *fib] for fib in tup]
-        equal = all(len({evaluate(c, x) for x in sources}) == 1
+        equal = all(_all_equal([evaluate(c, x) for x in sources])
                     for c in ce.chain.f.fiber_coords)
         cases.append(Configuration(ce, point, tup, label, equal))
         return True

@@ -89,6 +89,25 @@ def test_normal_form_keeps_reduced_part():
     assert by_exponents(Poly.from_packed(XY, out)) == {(1, 0): 1, (0, 0): 1}
 
 
+def test_reducer_memo_follows_an_appended_basis():
+    # one memo across calls while the basis grows at its end, as in a run
+    basis = [_entry(packed("x^2-y"))]
+    p = packed("x*y^2+x^2+y")
+    xy2 = XY_CODEC.pack((1, 2))
+    memo = {}
+    first = _normal_form(p, basis, XY_CODEC, memo)
+    assert first == _normal_form(p, basis, XY_CODEC)
+    assert by_exponents(Poly.from_packed(XY, first)) == {(1, 2): 1, (0, 1): 2}
+    assert memo[xy2] == (None, 1)  # no divisor among the one entry
+    basis.append(_entry(packed("y^2+1")))
+    second = _normal_form(p, basis, XY_CODEC, memo)
+    assert second == _normal_form(p, basis, XY_CODEC)
+    # x*y^2 gained a divisor from the appended entry: x - 2y, up to a unit
+    assert by_exponents(Poly.from_packed(XY, second)) == {(1, 0): 1, (0, 1): -2}
+    assert memo[xy2] == (1, 2)
+    assert _normal_form(p, basis, XY_CODEC, memo) == second
+
+
 # ---- groebner --------------------------------------------------------------
 
 
@@ -476,6 +495,9 @@ def _codec_cases(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_codec_cases())
+@example((Codec(2, 3), (3, 0), (0, 3), (0, 0)))  # lcm x^3*y^3 above cap 3
+@example((Codec(3, 3), (2, 0, 1), (1, 2, 0), (0, 0, 0)))  # lcm of degree 5
+@example((Codec(2, 16), (32766, 0), (0, 1), (1, 0)))  # lcm of degree cap
 def test_codec_matches_tuple_monomials(case):
     codec, a, b, c = case
     pa, pb, pc = codec.pack(a), codec.pack(b), codec.pack(c)
@@ -487,6 +509,12 @@ def test_codec_matches_tuple_monomials(case):
     assert codec.divides(pa, codec.pack(ac))
     assert codec.divides(codec.pack(ac), pa) == (not any(c))
     assert pa + (pc - codec.pack((0,) * codec.n)) == codec.pack(ac)
+    lcm = tuple(map(max, a, b))
+    if sum(lcm) <= codec.cap:
+        assert codec.lcm(pa, pb) == codec.pack(lcm)
+    else:
+        with pytest.raises(DegreeBoundError):
+            codec.lcm(pa, pb)
 
 
 @pytest.mark.parametrize("w", [2, 3, 16])
