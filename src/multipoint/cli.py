@@ -34,7 +34,14 @@ from .atlas import (
 from .divdiff import MapFormError, PolyMap
 from .ideals import chart_equations, dimension, expected_dimension, is_unit_ideal
 from .polyring import PolyError, VarTable
-from .verify import SAMPLED, SUITES, SampleConfig, StrictSample
+from .verify import (
+    SAMPLED,
+    SUITES,
+    SampleConfig,
+    StrictSample,
+    antipodal_variable,
+    witnesses_per_chart,
+)
 
 STRATEGIES = ("default", "vandermonde")
 MAX_CHARTS = 1000  # atlas size a run without --chart may build
@@ -320,15 +327,18 @@ def cmd_charts(spec: RunSpec, out) -> int:
 # ---- check -----------------------------------------------------------------
 
 
-def _judged_points(names: list, trials: int, charts: int) -> int:
-    """Chart points the point suites among ``names`` judge: strict-points
-    one per trial on each chart, overlap one per trial on each chart for
-    every other chart."""
+def _judged_points(names: list, trials: int, charts: int,
+                   witnesses: int) -> int:
+    """At most the chart points the point suites among ``names`` judge:
+    strict-points one per trial and one per antipodal witness on each
+    chart (``witnesses`` per chart), overlap each of those on every other
+    chart."""
+    per_chart = trials + witnesses
     points = 0
     if "strict" in names:
-        points += trials * charts
+        points += per_chart * charts
     if "overlap" in names:
-        points += trials * charts * (charts - 1)
+        points += per_chart * charts * (charts - 1)
     return points
 
 
@@ -349,7 +359,10 @@ def cmd_check(spec: RunSpec, out) -> int:
                            f"{', '.join(SUITES)} or all")
 
     alphas = _alphas(spec, f, cc)
-    points = _judged_points(names, spec.trials, len(alphas))
+    # the antipodal witnesses depend on f and r alone: no chain is built yet
+    witnesses = (witnesses_per_chart(spec.trials)
+                 if spec.order == 2 and antipodal_variable(f) is not None else 0)
+    points = _judged_points(names, spec.trials, len(alphas), witnesses)
     if points > MAX_POINTS:
         raise CliError(f"--trials: {spec.trials} trials on {len(alphas)} charts "
                        f"judge {points} chart points, more than {MAX_POINTS}")

@@ -1,9 +1,8 @@
 """Per-chart defining equations and Groebner-basis queries.
 
 The basis engine is a plain Buchberger loop over the integer term maps of
-normalized polynomials (content is stripped after every combination step),
-with the product and chain pair criteria, followed by minimalization and tail
-interreduction.
+normalized polynomials, with the product and chain pair criteria, followed by
+minimalization and tail interreduction.
 
 The engine runs directly on ``normalize(g).terms``: its monomials are the
 packed ints of the table's ``Codec``, the one layout of ``polyring``.  Int
@@ -13,6 +12,15 @@ cache, leading terms are ``max`` of the term map, and S-pairs leave a heap
 keyed by their packed lcm (ties by index), which ``Codec.lcm`` computes
 from the guard bits without unpacking.  Reduction steps and S-polynomials
 add each shifted multiple through ``polyring``'s one term-product loop.
+
+Reduction is fraction-free and heap-ordered, after Monagan & Pearce (2007):
+each step's head is the top of a heap of the monomials the work polynomial
+has held, pushed as ``_add_multiple`` creates them, and one that has since
+left the work polynomial is skipped when it surfaces.  Steps scale by the
+reducer's leading coefficient and never divide; the content is stripped
+once, from the finished remainder.  Stripping it after each step as well
+would change every intermediate work polynomial by a unit only, so the
+primitive remainder is the same.
 
 A reduction step's reducer is the first basis entry whose leading monomial
 divides the head term.  A run keeps one memo from each head monomial to
@@ -37,7 +45,6 @@ Dimension is the standard combinatorial dimension of the leading-term ideal.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -69,9 +76,16 @@ def _normal_form(p: dict, basis: Sequence[tuple], codec: Codec,
 
     Fraction-free: instead of dividing, both the work polynomial and the
     emitted remainder are scaled by the reducer's leading coefficient, and
-    joint content is stripped to keep coefficients small.  The remainder is
-    therefore a unit multiple of the true normal form, which preserves
-    zero-ness and leading monomials.
+    the content is stripped once, from the finished remainder.  The result
+    is the primitive normal form, a unit multiple of the true one, which
+    preserves zero-ness and leading monomials.
+
+    Heads leave a heap of negated monomials: it holds every monomial of p
+    and each one that a reduction step creates in the work polynomial, so
+    its top is the largest monomial still there once entries that have left
+    (cancelled, reduced or emitted) are skipped.  A monomial that cancels
+    and comes back is pushed again, and whichever of its entries surfaces
+    second is skipped.
 
     The reducer of a term is the first entry whose leading monomial divides
     it.  ``memo`` maps a monomial to ``(index of that entry or None, entries
@@ -83,10 +97,15 @@ def _normal_form(p: dict, basis: Sequence[tuple], codec: Codec,
         memo = {}
     size = len(basis)
     work = dict(p)
+    heap = [-m for m in work]
+    heapq.heapify(heap)
+    created: list = []
     out: dict = {}
-    while work:
-        m = max(work)
-        c = work[m]
+    while heap:
+        m = -heapq.heappop(heap)
+        c = work.get(m)
+        if c is None:
+            continue  # left work after it was pushed
         hit, searched = memo.get(m, (None, 0))
         if hit is None and searched < size:
             mz = m + zero
@@ -107,16 +126,10 @@ def _normal_form(p: dict, basis: Sequence[tuple], codec: Codec,
                 out[k] *= a
             for k in work:
                 work[k] *= a
-        _add_multiple(work, -b, m - lm, g)
-        if abs(a) > 1 and (work or out):
-            joint = 0
-            for v in itertools.chain(work.values(), out.values()):
-                joint = math.gcd(joint, v)
-            if joint > 1:
-                for k in work:
-                    work[k] //= joint
-                for k in out:
-                    out[k] //= joint
+        _add_multiple(work, -b, m - lm, g, created)
+        for k in created:
+            heapq.heappush(heap, -k)
+        created.clear()
     return primitive_terms(out)
 
 

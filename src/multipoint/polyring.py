@@ -42,6 +42,8 @@ The hot exact loops run on integers over one common denominator
 (``common_denominator``, the lcm-and-scale step ``normalize`` also uses) and
 build a ``Fraction`` only at the exit: ``evaluate`` returns one per call, and
 ``transplant`` one per output term that its denominator does not divide.
+A caller that evaluates at one point many times scales it once
+(``scale_point``) and passes the ``ScaledPoint`` to each ``evaluate``.
 ``evaluate`` reads a plan that each Poly builds from ``exponents`` on its
 first evaluation and keeps: its coefficients over one denominator and,
 per term, only the nonzero factors.
@@ -53,7 +55,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -230,20 +232,32 @@ def degrevlex_key(exps: Sequence[int]):
     return (sum(exps), tuple(-e for e in reversed(exps)))
 
 
-def _add_multiple(out: dict, c: Scalar, shift: int, g: Mapping) -> None:
+def _add_multiple(out: dict, c: Scalar, shift: int, g: Mapping,
+                  created: list | None = None) -> None:
     """out += c * x^shift * g, dropping zero sums; a packed shift is a
-    monomial minus its codec's ``zero``.
+    monomial minus its codec's ``zero``.  ``c`` is nonzero and ``g`` holds
+    no zero coefficient, so only a sum with an existing term can vanish.
+
+    When ``created`` is given, each monomial that was not in ``out`` is
+    appended to it: the Groebner engine's reduction keeps its heap of head
+    candidates from exactly these.
 
     The one term-product loop: ``*``, ``transplant`` and the Groebner
     engine's reduction steps and S-polynomials all run on it.
     """
     for m, v in g.items():
         m += shift
-        s = out.get(m, 0) + c * v
-        if s:
-            out[m] = s
+        s = out.get(m)
+        if s is None:
+            out[m] = c * v
+            if created is not None:
+                created.append(m)
         else:
-            del out[m]
+            s += c * v
+            if s:
+                out[m] = s
+            else:
+                del out[m]
 
 
 def _product(t1: Mapping, t2: Mapping, zero: int) -> dict:
@@ -482,23 +496,41 @@ def _evaluation_plan(p: Poly) -> tuple:
     return den, top, steps
 
 
-def evaluate(p: Poly, point: Sequence[Scalar]) -> Fraction:
+class ScaledPoint(NamedTuple):
+    """A rational point as integers ``nums`` over one denominator ``d``.
+
+    ``evaluate`` scales each point it is given; a caller that evaluates
+    several polynomials at one point scales it once with ``scale_point``.
+    """
+
+    nums: list[int]
+    d: int
+
+
+def scale_point(point: Sequence[Scalar]) -> ScaledPoint:
+    """``point`` scaled to integers over the lcm of its denominators."""
+    return ScaledPoint(*common_denominator(point))
+
+
+def evaluate(p: Poly, point: Sequence[Scalar] | ScaledPoint) -> Fraction:
     """Exact evaluation at a rational point (one value per table variable).
 
-    The point is scaled to integers over one denominator d, so a term of
-    total degree k sums as an int over d^top once lifted by d^(top - k); one
-    Fraction is built at the end.  The plan of each Poly (its coefficients
-    over one denominator and each term's nonzero factors) is built on the
-    first evaluation and kept with it.
+    The point is scaled to integers over one denominator d, unless it comes
+    as a ``ScaledPoint``, so a term of total degree k sums as an int over
+    d^top once lifted by d^(top - k); one Fraction is built at the end.  The
+    plan of each Poly (its coefficients over one denominator and each term's
+    nonzero factors) is built on the first evaluation and kept with it.
     """
-    if len(point) != len(p.table):
+    if not isinstance(point, ScaledPoint):
+        point = scale_point(point)
+    nums, d = point
+    if len(nums) != len(p.table):
         raise ValueError(
-            f"point has {len(point)} components, table has {len(p.table)} variables")
+            f"point has {len(nums)} components, table has {len(p.table)} variables")
     plan = p._plan
     if plan is None:
         plan = p._plan = _evaluation_plan(p)
     den, top, steps = plan
-    nums, d = common_denominator(point)
     lift = [1] * (top + 1)  # lift[j] == d ** j
     if d != 1:
         for j in range(1, top + 1):

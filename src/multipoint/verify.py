@@ -44,6 +44,7 @@ from .polyring import (
     differentiate,
     evaluate,
     normalize,
+    scale_point,
     substitute,
     transplant,
 )
@@ -183,35 +184,48 @@ def check_telescoping(eqs: Sequence[ChartEquations], cfg: SampleConfig,
 # ---- strict configurations -------------------------------------------------
 
 
-def _antipodal_witnesses(f: PolyMap, chart: Chart, rng: random.Random,
-                         cfg: SampleConfig, count: int) -> list[list[Fraction]]:
-    """Chart points of double pairs (v, -v) for maps even in one fiber variable.
-
-    Looks for a fiber variable v such that flipping its sign fixes every
-    coordinate function; the pair (x, x|v->-v) then has equal images, and its
-    chart coordinates exist whenever the chosen form does not kill 2v.
-    """
-    if chart.r != 2:
-        return []
+def antipodal_variable(f: PolyMap) -> int | None:
+    """The index among f's fiber variables of the first v whose sign flip
+    fixes every coordinate function, or None when f is even in none."""
     table = f.table
-    out = []
     for k, vname in enumerate(f.fiber_names):
         flipped = {vname: -Poly.variable(table, vname)}
-        if any(substitute(c, flipped) != c for c in f.coords):
-            continue
-        for _ in range(count * 4):
-            if len(out) >= count:
-                break
-            params = [rand_fraction(rng, cfg.coeff_bound) for _ in range(f.s)]
-            fiber = [rand_fraction(rng, cfg.coeff_bound) for _ in f.fiber_names]
-            v = rand_fraction(rng, cfg.coeff_bound, nonzero=True)
-            fiber[k] = v
-            mirror = list(fiber)
-            mirror[k] = -v
-            point = chart_coords_from_tuple(chart, [fiber, mirror], params)
-            if point is not None:
-                out.append(point)
-        break
+        if all(substitute(c, flipped) == c for c in f.coords):
+            return k
+    return None
+
+
+def witnesses_per_chart(trials: int) -> int:
+    """How many antipodal witnesses the strict sample tries on each chart
+    of an order-2 run whose map ``antipodal_variable`` finds even."""
+    return max(1, trials // 2)
+
+
+def _antipodal_witnesses(f: PolyMap, chart: Chart, rng: random.Random,
+                         cfg: SampleConfig) -> list[list[Fraction]]:
+    """Chart points of double pairs (v, -v) for maps even in one fiber variable.
+
+    Takes the fiber variable v of ``antipodal_variable``; the pair
+    (x, x|v->-v) then has equal images, and its chart coordinates exist
+    whenever the chosen form does not kill 2v.
+    """
+    k = antipodal_variable(f) if chart.r == 2 else None
+    if k is None:
+        return []
+    count = witnesses_per_chart(cfg.trials)
+    out = []
+    for _ in range(count * 4):
+        if len(out) >= count:
+            break
+        params = [rand_fraction(rng, cfg.coeff_bound) for _ in range(f.s)]
+        fiber = [rand_fraction(rng, cfg.coeff_bound) for _ in f.fiber_names]
+        v = rand_fraction(rng, cfg.coeff_bound, nonzero=True)
+        fiber[k] = v
+        mirror = list(fiber)
+        mirror[k] = -v
+        point = chart_coords_from_tuple(chart, [fiber, mirror], params)
+        if point is not None:
+            out.append(point)
     return out
 
 
@@ -265,7 +279,7 @@ def _strict_configurations(eqs: Sequence[ChartEquations], cfg: SampleConfig,
         if any(a == b for a, b in itertools.combinations(tup, 2)):
             return False
         params = point[:chart.s]
-        sources = [[*params, *fib] for fib in tup]
+        sources = [scale_point([*params, *fib]) for fib in tup]
         equal = all(_all_equal([evaluate(c, x) for x in sources])
                     for c in ce.chain.f.fiber_coords)
         cases.append(Configuration(ce, point, tup, label, equal))
@@ -282,8 +296,7 @@ def _strict_configurations(eqs: Sequence[ChartEquations], cfg: SampleConfig,
         while used < cfg.trials and attempts < cfg.trials * 20:
             attempts += 1
             used += strict(ce, _rand_chart_point(rng, ce.chart, cfg), "random")
-        strict_witnesses(ce, _antipodal_witnesses(
-            ce.chain.f, ce.chart, rng, cfg, max(1, cfg.trials // 2)))
+        strict_witnesses(ce, _antipodal_witnesses(ce.chain.f, ce.chart, rng, cfg))
     by_alpha = {ce.chart.alpha: ce for ce in eqs}
     for alpha, point in witnesses:
         ce = by_alpha.get(tuple(alpha))
@@ -343,7 +356,8 @@ def _sample_for(eqs: Sequence[ChartEquations], cfg: SampleConfig,
 def _judge(report: VerifyReport, generators: Sequence[Poly], point: Sequence,
            equal: bool, where: Callable[[], str]):
     """Record a row unless the generators all vanish at ``point`` exactly when ``equal``."""
-    vanish = all(evaluate(g, point) == 0 for g in generators)
+    scaled = scale_point(point)
+    vanish = all(evaluate(g, scaled) == 0 for g in generators)
     if vanish != equal:
         report.record(where(), f"generators vanish: {equal}",
                       f"generators vanish: {vanish}")

@@ -160,6 +160,27 @@ class TestExitCodes:
             with admitted():
                 run(spec, io.StringIO())
 
+    @pytest.mark.parametrize("argv, judged", [
+        # even in every fiber variable: 3 antipodal witnesses per chart,
+        # 27 strict points, each on the 2 other charts but one skipped
+        (["--vars", "x,y,z", "--map", "x2;y2;z2", "-r", "2", "--trials", "6"], 27 + 53),
+        (["--vars", "x,y", "--map", "x2;y2", "-r", "2", "--trials", "1"], None),
+        ([*FAMILY, "-r", "2", "--trials", "4"], None),
+        (["--vars", "x,y,z", "--map", "x2+yz;y2-xz;z2+xy", "-r", "3", "--trials", "2"],
+         None),
+    ])
+    def test_budget_covers_the_points_judged(self, argv, judged, monkeypatch):
+        budgets, points = [], []
+        real_budget, real_judge = cli._judged_points, verify._judge
+        monkeypatch.setattr(cli, "_judged_points",
+                            lambda *a: budgets.append(real_budget(*a)) or budgets[-1])
+        monkeypatch.setattr(verify, "_judge",
+                            lambda *a: points.append(a) or real_judge(*a))
+        capture(["check", *argv, "--suite", "strict", "--suite", "overlap"])
+        assert len(budgets) == 1 and budgets[0] >= len(points) > 0
+        if judged is not None:
+            assert len(points) == judged
+
     def test_dim_without_fiber_target(self, capsys):
         # no generators: the zero ideal, whose dimension is the chart's
         assert main(["dim", "--vars", "t,x", "--map", "t", "--params", "1"]) == 0

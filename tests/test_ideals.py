@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import multipoint.ideals as ideals_mod
@@ -32,9 +32,11 @@ from multipoint.polyring import (
     DegreeBoundError,
     Poly,
     VarTable,
+    _add_multiple,
     degrevlex_key,
     normalize,
     parse_poly,
+    primitive_terms,
 )
 
 XY = VarTable(["x", "y"])
@@ -106,6 +108,101 @@ def test_reducer_memo_follows_an_appended_basis():
     assert by_exponents(Poly.from_packed(XY, second)) == {(1, 0): 1, (0, 1): -2}
     assert memo[xy2] == (1, 2)
     assert _normal_form(p, basis, XY_CODEC, memo) == second
+
+
+def _normal_form_by_max(p, basis, codec, returned=None):
+    """The reduction loop as it was before the head heap: each head is
+    ``max(work)``, and the joint content of ``work`` and ``out`` is stripped
+    after every scaled step.  ``returned`` collects each monomial that a
+    step cancelled and a later step put back before it headed one."""
+    zero, guards = codec.zero, codec.guards
+    work, out, cancelled = dict(p), {}, set()
+    while work:
+        m = max(work)
+        c = work[m]
+        hit = next((i for i, (lm, _, _) in enumerate(basis)
+                    if not (m + zero - lm) & guards), None)
+        if hit is None:
+            out[m] = c
+            del work[m]
+            continue
+        lm, lc, g = basis[hit]
+        d = math.gcd(c, lc)
+        a, b = lc // d, c // d
+        if a != 1:
+            for k in work:
+                work[k] *= a
+            for k in out:
+                out[k] *= a
+        before = set(work)
+        _add_multiple(work, -b, m - lm, g)
+        cancelled |= before - set(work) - {m}
+        if returned is not None:
+            returned.extend(sorted(cancelled & (set(work) - before)))
+        cancelled -= set(work)
+        joint = math.gcd(*work.values(), *out.values())
+        if abs(a) > 1 and joint > 1:
+            work = {k: v // joint for k, v in work.items()}
+            out = {k: v // joint for k, v in out.items()}
+    return primitive_terms(out)
+
+
+XYZ = VarTable(["x", "y", "z"])
+# 3xy^2 reduced by 2xy - z + 2 cancels the 3y of p, which 2x^2 - y puts back
+CANCEL_AND_RETURN = (XYZ.codec, [P("2*x^2-y", XYZ).terms, P("2*x*y-z+2", XYZ).terms],
+                     P("3*x*y^2+3*x^2+3*y-3*z", XYZ).terms)
+# the same shape with coprime leading coefficients above 2**64
+BIG_COPRIME = (XYZ.codec, [P(f"{2**64 + 13}*x^2-y", XYZ).terms,
+                           P(f"{2**65 + 7}*x*y-z+{2**65 + 7}", XYZ).terms],
+               P(f"{2**66 + 1}*x*y^2+3*x^2+{2**66 + 1}*y-3*z", XYZ).terms)
+
+
+@st.composite
+def _reductions(draw):
+    """Up to three reducers and a polynomial over 1-3 variables, packed; in
+    half the cases every leading coefficient is above 2**64, pairwise
+    coprime, and so are the polynomial's coefficients."""
+    codec = VarTable(["x", "y", "z"][:draw(st.integers(1, 3))]).codec
+    big = draw(st.booleans())
+
+    def terms(size, degree, coeffs):
+        monos = draw(st.lists(_exponents(codec.n, degree), min_size=1,
+                              max_size=size, unique=True))
+        return {codec.pack(e): draw(coeffs) for e in monos}
+
+    small = st.integers(-3, 3).filter(bool)
+    basis = [terms(3, 2, small) for _ in range(draw(st.integers(1, 3)))]
+    if big:
+        lcs = [draw(st.integers(2**64, 2**70)) for _ in basis]
+        assume(all(math.gcd(a, b) == 1
+                   for i, a in enumerate(lcs) for b in lcs[i + 1:]))
+        for t, lc in zip(basis, lcs):
+            t[max(t)] = lc * draw(st.sampled_from([1, -1]))
+    p = terms(5, 4, st.integers(-2**70, 2**70).filter(bool) if big else small)
+    return codec, basis, p
+
+
+def test_cancel_and_return_cases_put_a_monomial_back():
+    for codec, basis, p in (CANCEL_AND_RETURN, BIG_COPRIME):
+        returned = []
+        _normal_form_by_max(p, [_entry(t) for t in basis], codec, returned)
+        assert returned == [codec.pack((0, 1, 0))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_reductions())
+@example(CANCEL_AND_RETURN)
+@example(BIG_COPRIME)
+def test_normal_form_matches_the_max_loop(case):
+    """The heap loop, with and without a memo, against the loop it replaced;
+    the memo is shared while the basis grows at its end, as in a run."""
+    codec, basis, p = case
+    entries = [_entry(t) for t in basis]
+    memo = {}
+    for k in range(1, len(entries) + 1):
+        want = _normal_form_by_max(p, entries[:k], codec)
+        assert _normal_form(p, entries[:k], codec) == want
+        assert _normal_form(p, entries[:k], codec, memo) == want
 
 
 # ---- groebner --------------------------------------------------------------

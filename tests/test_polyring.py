@@ -24,6 +24,7 @@ from multipoint.polyring import (
     normalize,
     parse_poly,
     render,
+    scale_point,
     substitute,
     transplant,
 )
@@ -201,6 +202,38 @@ def test_table_mismatch_raises():
         P("x") + P("x", TXY)
 
 
+@st.composite
+def _multiples(draw):
+    """A term map, a nonzero scalar, a shift and a term map to add, over
+    monomials of degree at most 3 in x, y, all packed in XY's codec."""
+    codec = XY.codec
+    mono = st.tuples(st.integers(0, 2), st.integers(0, 1)).map(codec.pack)
+    coeffs = st.integers(-3, 3).filter(bool)
+    out = draw(st.dictionaries(mono, coeffs, max_size=6))
+    g = draw(st.dictionaries(mono, coeffs, max_size=6))
+    shift = codec.pack(draw(st.tuples(st.integers(0, 1), st.integers(0, 1)))) - codec.zero
+    return out, draw(coeffs), shift, g
+
+
+@settings(max_examples=200, deadline=None)
+@given(_multiples())
+@example(({XY.codec.pack((1, 0)): 2}, -1, 0, {XY.codec.pack((1, 0)): 2}))  # all cancel
+# (x^2 + 2xy + 5) + x * (x - 2y + 3): x^2 grows, xy cancels, x is new
+@example((P("x^2+2*x*y+5").terms, 1, XY.codec.pack((1, 0)) - XY.codec.zero,
+          P("x-2*y+3").terms))
+def test_add_multiple_drops_zero_sums_and_lists_new_monomials(case):
+    out, c, shift, g = case
+    want = dict(out)
+    for m, v in g.items():
+        want[m + shift] = want.get(m + shift, 0) + c * v
+    want = {m: v for m, v in want.items() if v}
+    plain, listed, created = dict(out), dict(out), []
+    polyring._add_multiple(plain, c, shift, g)
+    polyring._add_multiple(listed, c, shift, g, created)
+    assert plain == listed == want
+    assert created == [m + shift for m in g if m + shift not in out]
+
+
 # ---- degrevlex order ------------------------------------------------------
 
 
@@ -353,6 +386,8 @@ def test_evaluate_exact():
 def test_evaluate_wrong_arity():
     with pytest.raises(ValueError):
         evaluate(P("x"), [1, 2, 3])
+    with pytest.raises(ValueError):
+        evaluate(P("x"), scale_point([1, 2, 3]))
 
 
 def _term_sum(p, point):
@@ -631,13 +666,14 @@ def _evaluations(draw):
 @example((P("x^3*y-(2/3)*x*y+5"),
           [[Fraction(-3, 2), Fraction(1, 3)], [Fraction(2, 5), -7]]))
 def test_evaluate_matches_sympy(case):
-    """Each point against sympy; the second evaluation reuses the
-    polynomial's evaluation plan."""
+    """Each point against sympy, given as it is and scaled once; the second
+    evaluation reuses the polynomial's evaluation plan."""
     sympy = pytest.importorskip("sympy")
     p, points = case
     for point in points:
         got = evaluate(p, point)
         assert type(got) is Fraction
+        assert evaluate(p, scale_point(point)) == got
         subs = {sympy.Symbol(nm): _sympy_image(sympy, v)
                 for nm, v in zip(p.table.names, point)}
         assert sympy.Rational(got.numerator, got.denominator) == _sympy_expr(sympy, p).subs(subs)

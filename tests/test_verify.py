@@ -21,6 +21,7 @@ from multipoint.atlas import (
     projection_to_Xr,
 )
 from multipoint.divdiff import DifferenceChain, PolyMap, difference_chain
+from multipoint import verify
 from multipoint.ideals import kr_equations
 from multipoint.polyring import Poly, evaluate
 from multipoint.verify import (
@@ -373,6 +374,31 @@ def test_point_suites_draw_the_same_configurations(make, r, n, cfg):
     overlap = check_overlap(eqs, cfg)
     assert strict.passed and overlap.passed
     assert strict.trials == overlap.trials > 0
+
+
+@pytest.mark.parametrize("make, r, n", [(family, 3, 2), (fold, 2, 1)])
+def test_point_suites_scale_each_point_once(make, r, n, monkeypatch):
+    """Every evaluation in the point suites gets a point scaled before it:
+    one per judged chart point and one per source point of a draw."""
+    scaled, evaluated = [], []
+    real_scale, real_evaluate = verify.scale_point, verify.evaluate
+
+    def scale(point):
+        scaled.append(real_scale(point))
+        return scaled[-1]
+
+    def evaluate_scaled(p, point):
+        assert any(point is s for s in scaled)
+        evaluated.append(p)
+        return real_evaluate(p, point)
+
+    monkeypatch.setattr(verify, "scale_point", scale)
+    monkeypatch.setattr(verify, "evaluate", evaluate_scaled)
+    eqs = kr_equations(make(), r, covering_collection(n, r))
+    sample = StrictSample(eqs, CFG)
+    assert check_strict_points(eqs, CFG, sample=sample).passed
+    assert check_overlap(eqs, CFG, sample=sample).passed
+    assert 0 < len(scaled) <= len(evaluated)
 
 
 class TestCorank1Suite:
