@@ -4,10 +4,13 @@ A covering collection is a family of linear forms on the source fiber C^n in
 general position, each with n-1 companion forms.  Every multi-index alpha
 picks one form per level and determines an affine chart with coordinates
 (params | base | lambda/a blocks); the nu maps translate level coordinates
-into source-space increments.  ``Chart.project`` recovers the r source points
-from chart coordinates, polynomial or rational, and ``TupleEncoding`` inverts
-it on a rational tuple, once per alpha prefix (``chart_coords_from_tuple`` is
-its one-chart case).
+into source-space increments.  Each form's inverse matrix is kept once, as
+integer rows over one denominator, and one routine applies it to a vector of
+polynomials or integers over a denominator: ``Chart.nu`` and
+``Chart.project``, which recovers the r source points from chart
+coordinates, polynomial or rational, both run through it.
+``TupleEncoding`` inverts ``Chart.project`` on a rational tuple, once per
+alpha prefix.
 """
 
 from __future__ import annotations
@@ -82,8 +85,9 @@ def _integer_rows(rows: list[list[Fraction]]) -> tuple[tuple[tuple[int, ...], ..
                  for k in range(0, len(nums), width)), q
 
 
-def _add_scaled(a: tuple[list[int], int], b: tuple[list[int], int]) -> tuple[list[int], int]:
-    """The sum of two integer vectors over their denominators, over the lcm."""
+def _add_scaled(a: tuple[list, int], b: tuple[list, int]) -> tuple[list, int]:
+    """The sum of two vectors over their denominators, over the lcm; the
+    entries may be integers or polynomials."""
     (xs, p), (ys, q) = a, b
     if p == q:
         return [x + y for x, y in zip(xs, ys)], p
@@ -101,9 +105,9 @@ class CoveringCollection:
 
     ``companions[i]`` lists, 0-based, the indices of the n-1 forms paired
     with form i; the stacked matrix [L_i; companions] must be invertible,
-    and ``inverses[i]`` holds its inverse.  ``integer_inverses[i]`` is the
-    same inverse as integer rows over one denominator, ``(rows, q)``, the
-    way ``LinearForm`` keeps ``numerators`` over ``denominator``.
+    and ``inverses[i]`` holds its inverse as integer rows over one
+    denominator, ``(rows, q)``, the way ``LinearForm`` keeps ``numerators``
+    over ``denominator``.
     """
 
     def __init__(self, n: int, ell: int,
@@ -141,12 +145,12 @@ class CoveringCollection:
         self.forms = forms
         self.companions = companions
         self._check_general_position()
-        self.inverses = tuple(_invert(self.matrix(i)) for i in range(m))
-        for i, inv in enumerate(self.inverses):
+        inverses = [_invert(self.matrix(i)) for i in range(m)]
+        for i, inv in enumerate(inverses):
             if inv is None:
                 raise CollectionError(
                     f"form {i + 1} with its companions gives a singular matrix")
-        self.integer_inverses = tuple(_integer_rows(inv) for inv in self.inverses)
+        self.inverses = tuple(map(_integer_rows, inverses))
 
     def _check_general_position(self):
         # m = (ell-1)(n-1)+1 >= n, so every n-subset gives a square matrix
@@ -367,28 +371,20 @@ class Chart:
 
     @cached_property
     def nu(self) -> tuple[tuple[Poly, ...], ...]:
-        """nu_i of every level i: nu_apply on the level's own coordinates."""
-        return tuple(tuple(self.nu_apply(i, self.level_tuple(i)))
+        """nu_i of every level i, on the level's own coordinates."""
+        return tuple(tuple(_over(*self._nu(i, (self.level_tuple(i), 1))))
                      for i in range(1, self.r))
 
-    def nu_apply(self, level: int, gamma: Sequence) -> list:
-        """nu of level against an arbitrary coordinate vector.
+    def _nu(self, level: int, gamma: tuple[list, int]) -> tuple[list, int]:
+        """nu of level on a vector N over a denominator D, its entries
+        polynomials or integers.
 
-        The vector (v_0, ..., v_{n-1}) is read as level coordinates, so the
-        image is the matrix inverse applied to (v_0, v_0*v_1, ..., v_0*v_{n-1}).
-        Entries may be polynomials or rationals.
+        N / D is read as level coordinates (v_0, ..., v_{n-1}), so the image
+        is the matrix inverse applied to (v_0, v_0*v_1, ..., v_0*v_{n-1}):
+        the inverse's integer rows applied to (N_0 D, N_0 N_1, ...,
+        N_0 N_{n-1}), over q D^2.
         """
-        inv = self.cc.inverses[self.alpha[level - 1] - 1]
-        v0 = gamma[0]
-        unprojectivized = [v0] + [v0 * v for v in gamma[1:]]
-        return [sum(c * v for c, v in zip(row, unprojectivized) if c)
-                for row in inv]
-
-    def _nu_scaled(self, level: int, gamma: tuple[list[int], int]) -> tuple[list[int], int]:
-        """``nu_apply`` on an integer vector N over a denominator D: the
-        inverse's integer rows applied to (N_0 D, N_0 N_1, ..., N_0 N_{n-1}),
-        over q D^2."""
-        rows, q = self.cc.integer_inverses[self.alpha[level - 1] - 1]
+        rows, q = self.cc.inverses[self.alpha[level - 1] - 1]
         nums, d = gamma
         v0 = nums[0]
         unprojectivized = [v0 * d, *(v0 * v for v in nums[1:])]
@@ -400,35 +396,30 @@ class Chart:
 
         The values may be polynomials or rationals.  x^(0) is the base point
         itself; x^(j) accumulates the level increments by the descending
-        recursion through intermediate gamma vectors.  On rationals each
-        level and gamma vector is an integer vector over one denominator
-        (``_nu_scaled``), and each output coordinate one Fraction.
+        recursion through intermediate gamma vectors.  Each level and gamma
+        vector is a vector over one integer denominator: a level of
+        polynomials over 1, a rational level scaled to integers.  Only the
+        output divides by the denominator, once per coordinate.
         """
         index = self.table.index
         levels = [[coords[index(nm)] for nm in self.level_names(j)]
                   for j in range(self.r)]
         out = [list(levels[0])]
-        if any(isinstance(v, Poly) for v in coords):
-            nu = self.nu_apply
-
-            def add(xs, ys):
-                return [x + y for x, y in zip(xs, ys)]
-
-            def point(xs):
-                return xs
-        else:
-            levels = [common_denominator(level) for level in levels]
-            nu, add = self._nu_scaled, _add_scaled
-
-            def point(scaled):
-                nums, d = scaled
-                return [Fraction(v, d) for v in nums]
+        symbolic = any(isinstance(v, Poly) for v in coords)
+        levels = [(level, 1) if symbolic else common_denominator(level)
+                  for level in levels]
         for j in range(1, self.r):
             gamma = levels[j]
             for i in range(j - 1, 0, -1):
-                gamma = add(levels[i], nu(i + 1, gamma))
-            out.append(point(add(levels[0], nu(1, gamma))))
+                gamma = _add_scaled(levels[i], self._nu(i + 1, gamma))
+            nums, d = _add_scaled(levels[0], self._nu(1, gamma))
+            out.append(_over(nums, d) if symbolic else [Fraction(v, d) for v in nums])
         return out
+
+
+def _over(nums: list[Poly], d: int) -> list[Poly]:
+    """The polynomials ``nums`` divided by the integer d."""
+    return nums if d == 1 else [v * Fraction(1, d) for v in nums]
 
 
 def build_chart(cc: CoveringCollection, alpha: Sequence[int], n: int, r: int,
@@ -573,9 +564,3 @@ class TupleEncoding:
         state = self._prefix(chart.alpha)
         return None if state is None else [*self._head, *state[0]]
 
-
-def chart_coords_from_tuple(chart: Chart, fiber_points: Sequence[Sequence[Fraction]],
-                            params: Sequence[Fraction] = ()) -> list | None:
-    """Chart coordinates representing a source tuple, or None off the chart:
-    ``TupleEncoding`` on one chart."""
-    return TupleEncoding(chart.cc, fiber_points, params).coords(chart)

@@ -26,7 +26,6 @@ from .atlas import (
     Chart,
     TupleEncoding,
     _default_param_names,
-    chart_coords_from_tuple,
     standard_collection,
 )
 from .divdiff import (
@@ -42,6 +41,7 @@ from .polyring import (
     Poly,
     VarTable,
     differentiate,
+    divide_by_variable,
     evaluate,
     normalize,
     scale_point,
@@ -201,15 +201,15 @@ def witnesses_per_chart(trials: int) -> int:
     return max(1, trials // 2)
 
 
-def _antipodal_witnesses(f: PolyMap, chart: Chart, rng: random.Random,
+def _antipodal_witnesses(f: PolyMap, k: int | None, chart: Chart, rng: random.Random,
                          cfg: SampleConfig) -> list[list[Fraction]]:
     """Chart points of double pairs (v, -v) for maps even in one fiber variable.
 
-    Takes the fiber variable v of ``antipodal_variable``; the pair
-    (x, x|v->-v) then has equal images, and its chart coordinates exist
-    whenever the chosen form does not kill 2v.
+    Takes the index k of the fiber variable v that ``antipodal_variable``
+    found, or None for no witnesses; the pair (x, x|v->-v) then has equal
+    images, and its chart coordinates exist whenever the chosen form does
+    not kill 2v.
     """
-    k = antipodal_variable(f) if chart.r == 2 else None
     if k is None:
         return []
     count = witnesses_per_chart(cfg.trials)
@@ -223,7 +223,7 @@ def _antipodal_witnesses(f: PolyMap, chart: Chart, rng: random.Random,
         fiber[k] = v
         mirror = list(fiber)
         mirror[k] = -v
-        point = chart_coords_from_tuple(chart, [fiber, mirror], params)
+        point = TupleEncoding(chart.cc, [fiber, mirror], params).coords(chart)
         if point is not None:
             out.append(point)
     return out
@@ -269,6 +269,9 @@ def _strict_configurations(eqs: Sequence[ChartEquations], cfg: SampleConfig,
     rng = random.Random(cfg.seed)
     cases: list[Configuration] = []
     skipped = 0
+    # one run has one map and one order: decide its antipodal variable once
+    k = (antipodal_variable(eqs[0].chain.f)
+         if eqs and eqs[0].chart.r == 2 else None)
 
     def strict(ce, point, label) -> bool:
         chart = ce.chart
@@ -296,7 +299,7 @@ def _strict_configurations(eqs: Sequence[ChartEquations], cfg: SampleConfig,
         while used < cfg.trials and attempts < cfg.trials * 20:
             attempts += 1
             used += strict(ce, _rand_chart_point(rng, ce.chart, cfg), "random")
-        strict_witnesses(ce, _antipodal_witnesses(ce.chain.f, ce.chart, rng, cfg))
+        strict_witnesses(ce, _antipodal_witnesses(ce.chain.f, k, ce.chart, rng, cfg))
     by_alpha = {ce.chart.alpha: ce for ce in eqs}
     for alpha, point in witnesses:
         ce = by_alpha.get(tuple(alpha))
@@ -403,9 +406,9 @@ def check_diagonal_kernel(eqs: Sequence[ChartEquations],
         seen.add(chart.alpha[0])
         table = chart.table
         lam = chart.lambda_names[0]
-        # nu_1 / lambda_1: the matrix inverse applied to (1, a_1, ...)
-        direction = chart.nu_apply(
-            1, [Poly.constant(table, 1), *chart.level_tuple(1)[1:]])
+        # nu_1 / lambda_1: the matrix inverse applied to (1, a_1, ...), as
+        # every component of nu_1 is a multiple of lambda_1
+        direction = [divide_by_variable(v, lam) for v in chart.nu[0]]
         for idx, g in enumerate(ce.chain.levels[0]):
             at_diag = substitute(g, {lam: Poly.zero(table)})
             coord = transplant(f.fiber_coords[idx], table)

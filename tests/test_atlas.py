@@ -57,6 +57,24 @@ def test_invert_oracle():
         assert product == [[int(i == j) for j in range(n)] for i in range(n)]
 
 
+@pytest.mark.parametrize("cc", [
+    vandermonde_collection(3, 4),
+    collection_from_text("1,0\n2\n-1/2,1\n1\n"),
+])
+def test_inverses_are_integer_rows_over_q(cc):
+    # rows / q times the stacked matrix is the identity, for every form
+    n = cc.n
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i in range(len(cc.forms)):
+        rows, q = cc.inverses[i]
+        assert all(isinstance(c, int) for row in rows for c in row)
+        matrix = cc.matrix(i)
+        product = [[sum(Fraction(rows[a][k], q) * matrix[k][b] for k in range(n))
+                    for b in range(n)] for a in range(n)]
+        assert product == identity
+    assert any(q != 1 for _, q in cc.inverses)
+
+
 # ---- collections -----------------------------------------------------------
 
 
@@ -254,11 +272,16 @@ def test_chart_nu_divisible_by_lambda():
             divide_by_variable(component, lam)
 
 
-def test_chart_matrix_recovers_level_coordinates():
+@pytest.mark.parametrize("cc, alpha", [
+    (vandermonde_collection(3, 3), (5, 3)),
+    # inverses over q = 30, 2 and 2 at levels 1, 2 and 3
+    (vandermonde_collection(3, 4), (7, 5, 3)),
+])
+def test_chart_matrix_recovers_level_coordinates(cc, alpha):
     # applying the stacked matrix to nu must give (lambda, lambda*a_k)
-    cc = vandermonde_collection(3, 3)
-    chart = build_chart(cc, (5, 3), 3, 3)
-    for level in (1, 2):
+    r = len(alpha) + 1
+    chart = build_chart(cc, alpha, cc.n, r)
+    for level in range(1, r):
         rows = cc.matrix(chart.alpha[level - 1] - 1)
         lam = Poly.variable(chart.table, chart.lambda_names[level - 1])
         expected = [lam] + [lam * Poly.variable(chart.table, nm)
@@ -268,6 +291,7 @@ def test_chart_matrix_recovers_level_coordinates():
             for c, comp in zip(row, chart.nu[level - 1]):
                 acc = acc + comp * c
             assert acc == want
+    assert any(cc.inverses[a - 1][1] != 1 for a in alpha)
 
 
 def test_chart_alpha_out_of_range():

@@ -181,6 +181,21 @@ class TestExitCodes:
         if judged is not None:
             assert len(points) == judged
 
+    def test_antipodal_variable_decided_once_per_run(self, monkeypatch):
+        # once for the cli budget and once for the sampler, not once per chart
+        calls = []
+        real = verify.antipodal_variable
+
+        def counted(f):
+            calls.append(f)
+            return real(f)
+
+        monkeypatch.setattr(cli, "antipodal_variable", counted)
+        monkeypatch.setattr(verify, "antipodal_variable", counted)
+        code, _ = capture(["check", "--vars", "x,y,z", "--map", "x2;y2;z2",
+                           "-r", "2", "--trials", "6"])
+        assert code == 0 and len(calls) == 2
+
     def test_dim_without_fiber_target(self, capsys):
         # no generators: the zero ideal, whose dimension is the chart's
         assert main(["dim", "--vars", "t,x", "--map", "t", "--params", "1"]) == 0
@@ -526,6 +541,15 @@ class TestPinnedOutput:
          "e2f8e0677ff201d8a51096d9a2cdfa6f8318125eced29ed4fe78859fcec36376"),
         (["check", *FIBER3, "--trials", "3"],
          "33af15001274c0e516dc3f16aa9d59c3a3be07c50c410e2887c53aa748fc386d"),
+        # depth-3 recursion of the projections, the second over inverses
+        # with denominators 30, 2 and 2
+        (["charts", "--vars", "t,x,y", "--map", "t;x2+ty;y2-tx;x3+y3+xy", "-r", "4",
+          "--format", "json"],
+         "395f93c0e1dcf961e5bf2bb3e021df8531464e4d3ad20ae91fd35589923f0805"),
+        (["charts", "--vars", "x,y,z", "--map", "x2+yz;y2-xz;z2+xy", "-r", "4",
+          "--collection", "vandermonde", "--chart", "7,5,3", "--chart", "1,1,1",
+          "--format", "json"],
+         "d2cf4718fd73946a9bd67cc6522394b0b7bf007acb9d2e02c4f2f8bc2c81133f"),
     ])
     def test_stdout_digest(self, argv, digest):
         code, text = capture(argv)

@@ -15,7 +15,6 @@ import pytest
 from multipoint.atlas import (
     TupleEncoding,
     build_atlas,
-    chart_coords_from_tuple,
     collection_from_text,
     covering_collection,
     projection_to_Xr,
@@ -187,6 +186,8 @@ class TestStrictPoints:
 
 
 class TestChartCoordsFromTuple:
+    """``TupleEncoding`` against ``Chart.project``, the map it inverts."""
+
     def test_roundtrip_through_projection(self):
         """project agrees with the symbolic projection, and the inverse
         recovers the chart point from the projected tuple when its points
@@ -203,7 +204,7 @@ class TestChartCoordsFromTuple:
                 assert tup == [[evaluate(c, point) for c in proj]
                                for proj in projection_to_Xr(chart)]
                 strict = len(set(map(tuple, tup))) == len(tup)
-                assert (chart_coords_from_tuple(chart, tup, point[:1])
+                assert (TupleEncoding(cc, tup, point[:1]).coords(chart)
                         == (point if strict else None))
 
     @pytest.mark.parametrize("text, r", [
@@ -215,11 +216,11 @@ class TestChartCoordsFromTuple:
         """Forms with non-integral coefficients, so the codec works over a
         form denominator q != 1 (the default and vandermonde collections
         have integral forms): projecting the encoding of a random rational
-        tuple gives the tuple back, and the integer projection of rationals
-        agrees with the symbolic one over inverses with denominators."""
+        tuple gives the tuple back, and so does evaluating the symbolic
+        projection at it, over inverses with denominators."""
         cc = collection_from_text(text)
         assert any(form.denominator != 1 for form in cc.forms)
-        assert any(q != 1 for _, q in cc.integer_inverses)
+        assert any(q != 1 for _, q in cc.inverses)
         rng = random.Random(11)
 
         def draw():
@@ -231,7 +232,7 @@ class TestChartCoordsFromTuple:
             for _ in range(6):
                 params = [draw()]
                 tup = [[draw() for _ in range(cc.n)] for _ in range(r)]
-                coords = chart_coords_from_tuple(chart, tup, params)
+                coords = TupleEncoding(cc, tup, params).coords(chart)
                 if coords is None:  # a chosen form vanishes on a difference
                     continue
                 encoded += 1
@@ -273,7 +274,6 @@ class TestChartCoordsFromTuple:
             shared = TupleEncoding(cc, tup, params)
             for chart in charts:
                 coords = shared.coords(chart)
-                assert coords == chart_coords_from_tuple(chart, tup, params)
                 assert coords == TupleEncoding(cc, tup, params).coords(chart)
                 if coords is not None:
                     seen += 1
@@ -294,7 +294,7 @@ class TestChartCoordsFromTuple:
         chart = f.chart_for(cc, (2,), 2)
         # second form is y; a tuple moving only in x is invisible to it
         tup = [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))]
-        assert chart_coords_from_tuple(chart, tup, [Fraction(0)]) is None
+        assert TupleEncoding(cc, tup, [Fraction(0)]).coords(chart) is None
 
 
 class TestOverlap:
