@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .polyring import Poly, PolyError, Scalar, VarTable, common_denominator
+from .polyring import Poly, PolyError, Scalar, VarTable, _integral, common_denominator
 
 
 class CollectionError(PolyError):
@@ -44,8 +44,7 @@ class LinearForm:
     denominator: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        coeffs = tuple(c.numerator if c.denominator == 1 else c
-                       for c in map(Fraction, self.coeffs))
+        coeffs = tuple(_integral(Fraction(c)) for c in self.coeffs)
         if not any(coeffs):
             raise CollectionError("linear form must be nonzero")
         nums, q = common_denominator(coeffs)

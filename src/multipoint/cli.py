@@ -34,14 +34,7 @@ from .atlas import (
 from .divdiff import MapFormError, PolyMap
 from .ideals import chart_equations, dimension, expected_dimension, is_unit_ideal
 from .polyring import PolyError, VarTable
-from .verify import (
-    SAMPLED,
-    SUITES,
-    SampleConfig,
-    StrictSample,
-    antipodal_variable,
-    witnesses_per_chart,
-)
+from .verify import SUITES, CheckRun, SampleConfig, judged_points
 
 STRATEGIES = ("default", "vandermonde")
 MAX_CHARTS = 1000  # atlas size a run without --chart may build
@@ -327,21 +320,6 @@ def cmd_charts(spec: RunSpec, out) -> int:
 # ---- check -----------------------------------------------------------------
 
 
-def _judged_points(names: list, trials: int, charts: int,
-                   witnesses: int) -> int:
-    """At most the chart points the point suites among ``names`` judge:
-    strict-points one per trial and one per antipodal witness on each
-    chart (``witnesses`` per chart), overlap each of those on every other
-    chart."""
-    per_chart = trials + witnesses
-    points = 0
-    if "strict" in names:
-        points += per_chart * charts
-    if "overlap" in names:
-        points += per_chart * charts * (charts - 1)
-    return points
-
-
 def cmd_check(spec: RunSpec, out) -> int:
     f = _build_map(spec)
     cc = _build_collection(spec, f)
@@ -359,23 +337,13 @@ def cmd_check(spec: RunSpec, out) -> int:
                            f"{', '.join(SUITES)} or all")
 
     alphas = _alphas(spec, f, cc)
-    # the antipodal witnesses depend on f and r alone: no chain is built yet
-    witnesses = (witnesses_per_chart(spec.trials)
-                 if spec.order == 2 and antipodal_variable(f) is not None else 0)
-    points = _judged_points(names, spec.trials, len(alphas), witnesses)
+    points = judged_points(f, spec.order, len(alphas), cfg, names)
     if points > MAX_POINTS:
         raise CliError(f"--trials: {spec.trials} trials on {len(alphas)} charts "
                        f"judge {points} chart points, more than {MAX_POINTS}")
-    eqs_list = [chart_equations(f, spec.order, cc, alpha) for alpha in alphas]
-    sample = StrictSample(eqs_list, cfg)  # drawn by the first suite that reads it
-
-    def one(nm):
-        kwargs = {"_corrupt": True} if (nm == "telescoping" and spec.corrupt) else {}
-        if nm in SAMPLED:
-            kwargs["sample"] = sample
-        return SUITES[nm](eqs_list, cfg, **kwargs)
-
-    reports = [one(nm) for nm in names]
+    run = CheckRun([chart_equations(f, spec.order, cc, alpha) for alpha in alphas], cfg)
+    reports = [SUITES[nm](run, _corrupt=True) if nm == "telescoping" and spec.corrupt
+               else SUITES[nm](run) for nm in names]
     paint = _styler(out)
     ok = True
     for rep in reports:

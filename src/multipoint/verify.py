@@ -3,14 +3,15 @@
 Every check works in exact rational arithmetic; a suite returns a report
 whose failure list is empty exactly when the property held on every trial.
 Sampling is driven by a seeded generator, so reports are reproducible.
-Every suite takes ``(eqs, cfg)``: the chart equations of one run, built once
-and shared by all suites, and the sampling parameters.
+Every suite takes one ``CheckRun``: the chart equations of one run, built
+once and shared by all suites, its sampling parameters and any supplied
+witnesses.
 
 The two point suites judge against one truth, the images of a strict tuple:
 on any chart that represents the tuple, the generators vanish exactly when
 its source points share one image.  strict-points tests this on the chart
-the tuple was drawn on, overlap on every other chart.  Both judge one
-``StrictSample``, which a ``check`` run draws once and passes to both.
+the tuple was drawn on, overlap on every other chart.  Both judge the
+run's one strict sample, drawn by the first of them to read it.
 """
 
 from __future__ import annotations
@@ -161,15 +162,13 @@ def telescoping_failures(chain: DifferenceChain) -> list[tuple[str, str, str]]:
     return out
 
 
-def check_telescoping(eqs: Sequence[ChartEquations], cfg: SampleConfig,
-                      _corrupt: bool = False) -> VerifyReport:
-    """Exact symbolic telescoping on every chart and level.
+def check_telescoping(run: CheckRun, _corrupt: bool = False) -> VerifyReport:
+    """Exact symbolic telescoping on every chart and level; deterministic.
 
-    The check is deterministic; cfg is accepted for interface uniformity.
     ``_corrupt`` checks a broken copy of the first chain (negative control).
     """
     report = VerifyReport(suite="telescoping")
-    for k, ce in enumerate(eqs):
+    for k, ce in enumerate(run.eqs):
         chain = ce.chain
         if _corrupt and k == 0:
             broken = list(list(level) for level in chain.levels)
@@ -197,16 +196,38 @@ def antipodal_variable(f: PolyMap) -> int | None:
 
 def witnesses_per_chart(trials: int) -> int:
     """How many antipodal witnesses the strict sample tries on each chart
-    of an order-2 run whose map ``antipodal_variable`` finds even."""
+    of a run whose ``_witness_variable`` is not None."""
     return max(1, trials // 2)
+
+
+def _witness_variable(f: PolyMap, r: int) -> int | None:
+    """The fiber variable whose antipodal pairs an order-r run of f adds to
+    its strict sample: ``antipodal_variable(f)`` at r = 2, else None."""
+    return antipodal_variable(f) if r == 2 else None
+
+
+def judged_points(f: PolyMap, r: int, charts: int, cfg: SampleConfig,
+                  names: Sequence[str]) -> int:
+    """At most the chart points the point suites among ``names`` judge in a
+    run of ``cfg`` on ``charts`` order-r charts of f, decided before any
+    chain is built: strict-points one per trial and one per antipodal
+    witness on each chart, overlap each of those on every other chart."""
+    per_chart = cfg.trials + (0 if _witness_variable(f, r) is None
+                              else witnesses_per_chart(cfg.trials))
+    points = 0
+    if "strict" in names:
+        points += per_chart * charts
+    if "overlap" in names:
+        points += per_chart * charts * (charts - 1)
+    return points
 
 
 def _antipodal_witnesses(f: PolyMap, k: int | None, chart: Chart, rng: random.Random,
                          cfg: SampleConfig) -> list[list[Fraction]]:
     """Chart points of double pairs (v, -v) for maps even in one fiber variable.
 
-    Takes the index k of the fiber variable v that ``antipodal_variable``
-    found, or None for no witnesses; the pair (x, x|v->-v) then has equal
+    Takes the index k of the fiber variable v that ``_witness_variable``
+    gave, or None for no witnesses; the pair (x, x|v->-v) then has equal
     images, and its chart coordinates exist whenever the chosen form does
     not kill 2v.
     """
@@ -270,8 +291,7 @@ def _strict_configurations(eqs: Sequence[ChartEquations], cfg: SampleConfig,
     cases: list[Configuration] = []
     skipped = 0
     # one run has one map and one order: decide its antipodal variable once
-    k = (antipodal_variable(eqs[0].chain.f)
-         if eqs and eqs[0].chart.r == 2 else None)
+    k = _witness_variable(eqs[0].chain.f, eqs[0].chart.r) if eqs else None
 
     def strict(ce, point, label) -> bool:
         chart = ce.chart
@@ -311,17 +331,19 @@ def _strict_configurations(eqs: Sequence[ChartEquations], cfg: SampleConfig,
     return cases, skipped
 
 
-class StrictSample:
-    """The strict configurations of one run, which both point suites judge.
+@dataclass(frozen=True, eq=False)
+class CheckRun:
+    """One run of the suites: the chart equations, built once and shared by
+    every suite, the sampling parameters, and supplied witnesses for the
+    point suites, (alpha, chart point vector) pairs.
 
-    The sample is drawn on first use and kept by this object only.  A
-    ``check`` run passes one sample to strict-points and overlap, so it is
-    drawn at most once; a suite called without one draws its own.
+    The strict sample both point suites judge is drawn on first use and
+    kept by this object only, so a run draws it at most once.
     """
 
-    def __init__(self, eqs: Sequence[ChartEquations], cfg: SampleConfig,
-                 witnesses: Sequence[tuple[tuple, Sequence]] = ()):
-        self.eqs, self.cfg, self.witnesses = eqs, cfg, witnesses
+    eqs: Sequence[ChartEquations]
+    cfg: SampleConfig
+    witnesses: Sequence[tuple[tuple, Sequence]] = ()
 
     @cached_property
     def _drawn(self) -> tuple[list[Configuration], int]:
@@ -341,18 +363,6 @@ class StrictSample:
                 yield case
 
 
-def _sample_for(eqs: Sequence[ChartEquations], cfg: SampleConfig,
-                witnesses: Sequence[tuple[tuple, Sequence]],
-                sample: StrictSample | None) -> StrictSample:
-    """``sample``, checked to be drawn for these arguments, else a new one."""
-    if sample is None:
-        return StrictSample(eqs, cfg, witnesses)
-    if (sample.eqs is not eqs or sample.cfg != cfg
-            or list(witnesses) != list(sample.witnesses)):
-        raise ValueError("the strict sample was drawn for another run")
-    return sample
-
-
 # ---- strict points ---------------------------------------------------------
 
 
@@ -366,20 +376,15 @@ def _judge(report: VerifyReport, generators: Sequence[Poly], point: Sequence,
                       f"generators vanish: {vanish}")
 
 
-def check_strict_points(eqs: Sequence[ChartEquations], cfg: SampleConfig,
-                        witnesses: Sequence[tuple[tuple, Sequence]] = (),
-                        sample: StrictSample | None = None) -> VerifyReport:
+def check_strict_points(run: CheckRun) -> VerifyReport:
     """Vanishing of all generators <=> equal images, on strict configurations.
 
     Random chart points (all lambdas nonzero, projected points pairwise
     distinct) exercise the generic case; manufactured or supplied witness
-    points exercise the vanishing case.  ``witnesses`` entries are
-    (alpha, chart point vector) pairs.  A ``sample`` drawn for the same
-    arguments is judged instead of a new draw.
+    points exercise the vanishing case.
     """
     report = VerifyReport(suite="strict-points")
-    sample = _sample_for(eqs, cfg, witnesses, sample)
-    for ce, point, _, label, equal in sample.configurations(report):
+    for ce, point, _, label, equal in run.configurations(report):
         _judge(report, ce.generators, point, equal,
                lambda: f"{ce.chart.name()} {label} point {point}")
     return report
@@ -388,8 +393,7 @@ def check_strict_points(eqs: Sequence[ChartEquations], cfg: SampleConfig,
 # ---- diagonal kernel -------------------------------------------------------
 
 
-def check_diagonal_kernel(eqs: Sequence[ChartEquations],
-                          cfg: SampleConfig) -> VerifyReport:
+def check_diagonal_kernel(run: CheckRun) -> VerifyReport:
     """At lambda=0 the first differences are the Jacobian times the direction.
 
     Symbolic check of level 1 on the first chart of each first index alpha[0]
@@ -399,7 +403,7 @@ def check_diagonal_kernel(eqs: Sequence[ChartEquations],
     """
     report = VerifyReport(suite="diagonal-kernel")
     seen = set()
-    for ce in eqs:
+    for ce in run.eqs:
         chart, f = ce.chart, ce.chain.f
         if chart.alpha[0] in seen:
             continue
@@ -424,21 +428,17 @@ def check_diagonal_kernel(eqs: Sequence[ChartEquations],
 # ---- chart overlap ---------------------------------------------------------
 
 
-def check_overlap(eqs: Sequence[ChartEquations], cfg: SampleConfig,
-                  witnesses: Sequence[tuple[tuple, Sequence]] = (),
-                  sample: StrictSample | None = None) -> VerifyReport:
+def check_overlap(run: CheckRun) -> VerifyReport:
     """Vanishing <=> equal images on every other chart that represents a tuple.
 
     Each strict configuration is encoded in every chart but its own (which
     strict-points covers), each alpha prefix once; a chart that does not
-    represent the tuple counts as skipped.  A ``sample`` drawn for the same
-    arguments is judged instead of a new draw.
+    represent the tuple counts as skipped.
     """
     report = VerifyReport(suite="overlap")
-    sample = _sample_for(eqs, cfg, witnesses, sample)
-    for ce, point, tup, _, equal in sample.configurations(report):
+    for ce, point, tup, _, equal in run.configurations(report):
         encoding = TupleEncoding(ce.chart.cc, tup, point[:ce.chart.s])
-        for other in eqs:
+        for other in run.eqs:
             if other is ce:
                 continue
             seen = encoding.coords(other.chart)
@@ -453,8 +453,10 @@ def check_overlap(eqs: Sequence[ChartEquations], cfg: SampleConfig,
 # ---- corank-one oracle -----------------------------------------------------
 
 
-def check_corank1(eqs: Sequence[ChartEquations], cfg: SampleConfig) -> VerifyReport:
-    """Random corank-one maps against the classical recursion; ignores ``eqs``."""
+def check_corank1(run: CheckRun) -> VerifyReport:
+    """Random corank-one maps against the classical recursion; reads only
+    ``run.cfg``."""
+    cfg = run.cfg
     rng = random.Random(cfg.seed)
     report = VerifyReport(suite="corank1")
     for _ in range(cfg.trials):
@@ -482,9 +484,6 @@ def check_corank1(eqs: Sequence[ChartEquations], cfg: SampleConfig) -> VerifyRep
                               "; ".join(str(g) for g in got))
     return report
 
-
-# the suites that judge a StrictSample: a run passes them one, as ``sample``
-SAMPLED = ("strict", "overlap")
 
 SUITES: dict[str, Callable] = {
     "telescoping": check_telescoping,

@@ -22,6 +22,7 @@ from multipoint.ideals import (
 )
 from multipoint.polyring import normalize, parse_poly
 from multipoint.verify import (
+    CheckRun,
     SampleConfig,
     check_corank1,
     check_diagonal_kernel,
@@ -171,7 +172,7 @@ def test_criterion_05_chart_count(report):
 
 
 def test_criterion_06_corank1_oracle(report):
-    rep = check_corank1((), SampleConfig(seed=424242, trials=55))
+    rep = check_corank1(CheckRun((), SampleConfig(seed=424242, trials=55)))
     ok = rep.passed and rep.trials >= 50
     report(6, ok, f"corank-one oracle equivalence, {rep.trials} maps, "
                    f"{len(rep.failures)} mismatches")
@@ -199,7 +200,7 @@ def test_criterion_08_diagonal_kernel_corpus(corpus, report):
     cfg = SampleConfig(seed=1, trials=1)
     for f, _, _ in corpus:
         rep = check_diagonal_kernel(
-            kr_equations(f, 2, covering_collection(f.fiber_dim, 2)), cfg)
+            CheckRun(kr_equations(f, 2, covering_collection(f.fiber_dim, 2)), cfg))
         seen += rep.trials
         bad.extend(rep.failures)
     ok = not bad

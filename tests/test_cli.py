@@ -171,8 +171,8 @@ class TestExitCodes:
     ])
     def test_budget_covers_the_points_judged(self, argv, judged, monkeypatch):
         budgets, points = [], []
-        real_budget, real_judge = cli._judged_points, verify._judge
-        monkeypatch.setattr(cli, "_judged_points",
+        real_budget, real_judge = cli.judged_points, verify._judge
+        monkeypatch.setattr(cli, "judged_points",
                             lambda *a: budgets.append(real_budget(*a)) or budgets[-1])
         monkeypatch.setattr(verify, "_judge",
                             lambda *a: points.append(a) or real_judge(*a))
@@ -182,7 +182,7 @@ class TestExitCodes:
             assert len(points) == judged
 
     def test_antipodal_variable_decided_once_per_run(self, monkeypatch):
-        # once for the cli budget and once for the sampler, not once per chart
+        # once for the point budget and once for the sampler, not once per chart
         calls = []
         real = verify.antipodal_variable
 
@@ -190,7 +190,6 @@ class TestExitCodes:
             calls.append(f)
             return real(f)
 
-        monkeypatch.setattr(cli, "antipodal_variable", counted)
         monkeypatch.setattr(verify, "antipodal_variable", counted)
         code, _ = capture(["check", "--vars", "x,y,z", "--map", "x2;y2;z2",
                            "-r", "2", "--trials", "6"])

@@ -24,8 +24,8 @@ from multipoint import verify
 from multipoint.ideals import kr_equations
 from multipoint.polyring import Poly, evaluate
 from multipoint.verify import (
+    CheckRun,
     SampleConfig,
-    StrictSample,
     check_corank1,
     check_diagonal_kernel,
     check_overlap,
@@ -69,23 +69,24 @@ class TestSampleConfig:
 class TestTelescoping:
     def test_family_all_charts(self):
         rep = check_telescoping(
-            kr_equations(family(), 3, covering_collection(2, 3)), CFG)
+            CheckRun(kr_equations(family(), 3, covering_collection(2, 3)), CFG))
         assert rep.passed
         assert rep.trials == 6 * 2 * 3
 
     def test_fold(self):
-        rep = check_telescoping(kr_equations(fold(), 2, covering_collection(1, 2)), CFG)
+        rep = check_telescoping(
+            CheckRun(kr_equations(fold(), 2, covering_collection(1, 2)), CFG))
         assert rep.passed and rep.trials == 1
 
     def test_corrupt_flag_reports_failure(self):
         eqs = kr_equations(family(), 3, covering_collection(2, 3))
-        rep = check_telescoping(eqs, CFG, _corrupt=True)
+        rep = check_telescoping(CheckRun(eqs, CFG), _corrupt=True)
         assert not rep.passed
         assert len(rep.failures) == 1
         desc, expected, actual = rep.failures[0]
         assert "level 1" in desc and expected != actual
         # the corruption is a copy: the shared equations stay intact
-        assert check_telescoping(eqs, CFG).passed
+        assert check_telescoping(CheckRun(eqs, CFG)).passed
 
     def test_dropped_term_reported(self):
         f = family()
@@ -111,23 +112,23 @@ class TestTelescoping:
 class TestDiagonalKernel:
     def test_family(self):
         rep = check_diagonal_kernel(
-            kr_equations(family(), 2, covering_collection(2, 3)), CFG)
+            CheckRun(kr_equations(family(), 2, covering_collection(2, 3)), CFG))
         assert rep.passed and rep.trials == 3 * 3
 
     def test_fold(self):
         rep = check_diagonal_kernel(
-            kr_equations(fold(), 2, covering_collection(1, 2)), CFG)
+            CheckRun(kr_equations(fold(), 2, covering_collection(1, 2)), CFG))
         assert rep.passed and rep.trials == 1
 
     def test_vandermonde_forms(self):
         cc = covering_collection(2, 3, "vandermonde")
-        rep = check_diagonal_kernel(kr_equations(family(), 2, cc), CFG)
+        rep = check_diagonal_kernel(CheckRun(kr_equations(family(), 2, cc), CFG))
         assert rep.passed
 
     def test_order_three_charts_check_each_first_index_once(self):
         # level 1 depends on alpha[0] only: six order-3 charts, three checked
         rep = check_diagonal_kernel(
-            kr_equations(family(), 3, covering_collection(2, 3)), CFG)
+            CheckRun(kr_equations(family(), 3, covering_collection(2, 3)), CFG))
         assert rep.passed and rep.trials == 3 * 3
 
     def test_broken_level_one_names_the_order_r_chart(self):
@@ -138,50 +139,54 @@ class TestDiagonalKernel:
         broken = DifferenceChain(f=chain.f, chart=chain.chart,
                                  levels=tuple(tuple(lv) for lv in levels))
         eqs[0] = dataclasses.replace(eqs[0], chain=broken)
-        rep = check_diagonal_kernel(eqs, CFG)
+        rep = check_diagonal_kernel(CheckRun(eqs, CFG))
         assert [d for d, _, _ in rep.failures] == ["U(1,1) component 1"]
 
 
 class TestStrictPoints:
     def test_family_r2(self):
         rep = check_strict_points(
-            kr_equations(family(), 2, covering_collection(2, 3)), CFG)
+            CheckRun(kr_equations(family(), 2, covering_collection(2, 3)), CFG))
         assert rep.passed and rep.trials > 0
 
     def test_family_r3(self):
-        rep = check_strict_points(kr_equations(family(), 3, covering_collection(2, 3)),
-                                  SampleConfig(seed=2, trials=3))
+        rep = check_strict_points(CheckRun(
+            kr_equations(family(), 3, covering_collection(2, 3)),
+            SampleConfig(seed=2, trials=3)))
         assert rep.passed and rep.trials > 0
 
     def test_fold_builtin_witnesses(self):
         # y -> -y fixes (x, y^2), so antipodal double points are manufactured
         rep = check_strict_points(
-            kr_equations(fold(), 2, covering_collection(1, 2)), CFG)
+            CheckRun(kr_equations(fold(), 2, covering_collection(1, 2)), CFG))
         assert rep.passed
         assert rep.trials > CFG.trials
 
     def test_explicit_witness(self):
         wit = [((1,), [Fraction(1), Fraction(3), Fraction(-6)])]
-        rep = check_strict_points(kr_equations(fold(), 2, covering_collection(1, 2)),
-                                  SampleConfig(seed=1, trials=2), witnesses=wit)
+        rep = check_strict_points(CheckRun(
+            kr_equations(fold(), 2, covering_collection(1, 2)),
+            SampleConfig(seed=1, trials=2), wit))
         assert rep.passed
 
     def test_witness_on_exceptional_locus_skipped(self):
         wit = [((1,), [Fraction(1), Fraction(3), Fraction(0)])]
-        rep = check_strict_points(kr_equations(fold(), 2, covering_collection(1, 2)),
-                                  SampleConfig(seed=1, trials=2), witnesses=wit)
+        rep = check_strict_points(CheckRun(
+            kr_equations(fold(), 2, covering_collection(1, 2)),
+            SampleConfig(seed=1, trials=2), wit))
         assert rep.passed and rep.skipped >= 1
 
     def test_witness_for_unknown_chart_is_failure(self):
         wit = [((9,), [Fraction(0)] * 3)]
-        rep = check_strict_points(kr_equations(fold(), 2, covering_collection(1, 2)),
-                                  SampleConfig(seed=1, trials=2), witnesses=wit)
+        rep = check_strict_points(CheckRun(
+            kr_equations(fold(), 2, covering_collection(1, 2)),
+            SampleConfig(seed=1, trials=2), wit))
         assert not rep.passed
 
     def test_deterministic(self):
         cc = covering_collection(2, 3)
-        a = check_strict_points(kr_equations(family(), 2, cc), CFG)
-        b = check_strict_points(kr_equations(family(), 2, cc), CFG)
+        a = check_strict_points(CheckRun(kr_equations(family(), 2, cc), CFG))
+        b = check_strict_points(CheckRun(kr_equations(family(), 2, cc), CFG))
         assert (a.trials, a.skipped, a.failures) == (b.trials, b.skipped, b.failures)
 
 
@@ -299,34 +304,53 @@ class TestChartCoordsFromTuple:
 
 class TestOverlap:
     def test_family_r2(self):
-        rep = check_overlap(kr_equations(family(), 2, covering_collection(2, 3)), CFG)
+        rep = check_overlap(
+            CheckRun(kr_equations(family(), 2, covering_collection(2, 3)), CFG))
         assert rep.passed and rep.trials > 0
 
     def test_family_r3(self):
-        rep = check_overlap(kr_equations(family(), 3, covering_collection(2, 3)),
-                            SampleConfig(seed=4, trials=3))
+        rep = check_overlap(CheckRun(
+            kr_equations(family(), 3, covering_collection(2, 3)),
+            SampleConfig(seed=4, trials=3)))
         assert rep.passed and rep.trials > 0
 
     def test_single_chart_map(self):
-        rep = check_overlap(kr_equations(fold(), 2, covering_collection(1, 2)), CFG)
+        rep = check_overlap(
+            CheckRun(kr_equations(fold(), 2, covering_collection(1, 2)), CFG))
         assert rep.passed
 
-    def test_explicit_witness_transfers(self):
-        f = family()
-        cc = covering_collection(2, 3)
-        # strict double point of the t=0 member: (1,0) and (-1,0)
-        wit = [((1,), [Fraction(0), Fraction(1), Fraction(0),
+    # strict double point of the t=0 member of family(): (1,0) and (-1,0)
+    WITNESS = [((1,), [Fraction(0), Fraction(1), Fraction(0),
                        Fraction(-2), Fraction(0)])]
-        rep = check_overlap(kr_equations(f, 2, cc), SampleConfig(seed=1, trials=2),
-                            witnesses=wit)
+
+    def test_explicit_witness_transfers(self):
+        eqs = kr_equations(family(), 2, covering_collection(2, 3))
+        rep = check_overlap(CheckRun(eqs, SampleConfig(seed=1, trials=2), self.WITNESS))
         assert rep.passed
+
+    def test_one_run_carries_its_witness_to_both_point_suites(self, monkeypatch):
+        """A witness supplied to a run is one more trial of strict-points and
+        of overlap, which judge one sample, drawn once."""
+        eqs = kr_equations(family(), 2, covering_collection(2, 3))
+        cfg = SampleConfig(seed=1, trials=2)
+        plain = CheckRun(eqs, cfg)
+        base = [check_strict_points(plain), check_overlap(plain)]
+        draws = []
+        real = verify._strict_configurations
+        monkeypatch.setattr(verify, "_strict_configurations",
+                            lambda *a: draws.append(a) or real(*a))
+        run = CheckRun(eqs, cfg, self.WITNESS)
+        reps = [check_strict_points(run), check_overlap(run)]
+        assert len(draws) == 1
+        for rep, without in zip(reps, base):
+            assert rep.passed and rep.trials == without.trials + 1
 
     def test_witness_on_exceptional_locus_skipped(self):
         eqs = kr_equations(fold(), 2, covering_collection(1, 2))
         cfg = SampleConfig(seed=1, trials=2)
         wit = [((1,), [Fraction(1), Fraction(3), Fraction(0)])]
-        base = check_overlap(eqs, cfg)
-        rep = check_overlap(eqs, cfg, witnesses=wit)
+        base = check_overlap(CheckRun(eqs, cfg))
+        rep = check_overlap(CheckRun(eqs, cfg, wit))
         assert rep.passed and rep.trials == base.trials
         assert rep.skipped == base.skipped + 1
 
@@ -336,31 +360,21 @@ class TestOverlap:
         eqs = [dataclasses.replace(ce, generators=(Poly.zero(ce.chart.table),))
                for ce in kr_equations(family(), 3, covering_collection(2, 3))]
         cfg = SampleConfig(seed=4, trials=3)
-        rep = check_overlap(eqs, cfg)
+        rep = check_overlap(CheckRun(eqs, cfg))
         assert (rep.trials, rep.skipped) == (18, 19)
         assert len(rep.failures) == 71
         assert rep.failures[0][1:] == ("generators vanish: False",
                                        "generators vanish: True")
-        assert not check_strict_points(eqs, cfg).passed
-        # one sample shared by both suites gives the same reports
-        sample = StrictSample(eqs, cfg)
-        shared = check_overlap(eqs, cfg, sample=sample)
+        assert not check_strict_points(CheckRun(eqs, cfg)).passed
+        # one run shared by both suites gives the same reports
+        run = CheckRun(eqs, cfg)
+        shared = check_overlap(run)
         assert (shared.trials, shared.skipped, shared.failures) == (
             rep.trials, rep.skipped, rep.failures)
-        alone = check_strict_points(eqs, cfg)
-        strict = check_strict_points(eqs, cfg, sample=sample)
+        alone = check_strict_points(CheckRun(eqs, cfg))
+        strict = check_strict_points(run)
         assert (strict.trials, strict.skipped, strict.failures) == (
             alone.trials, alone.skipped, alone.failures)
-
-    def test_sample_is_checked_against_the_run(self):
-        eqs = kr_equations(fold(), 2, covering_collection(1, 2))
-        sample = StrictSample(eqs, CFG)
-        for args in [(list(eqs), CFG), (eqs, SampleConfig(seed=1, trials=5))]:
-            with pytest.raises(ValueError):
-                check_overlap(*args, sample=sample)
-        with pytest.raises(ValueError):
-            check_strict_points(eqs, CFG, witnesses=[((1,), [Fraction(1)] * 3)],
-                                sample=sample)
 
 
 @pytest.mark.parametrize("make, r, n, cfg", [
@@ -370,8 +384,8 @@ class TestOverlap:
 ])
 def test_point_suites_draw_the_same_configurations(make, r, n, cfg):
     eqs = kr_equations(make(), r, covering_collection(n, r))
-    strict = check_strict_points(eqs, cfg)
-    overlap = check_overlap(eqs, cfg)
+    strict = check_strict_points(CheckRun(eqs, cfg))
+    overlap = check_overlap(CheckRun(eqs, cfg))
     assert strict.passed and overlap.passed
     assert strict.trials == overlap.trials > 0
 
@@ -395,20 +409,21 @@ def test_point_suites_scale_each_point_once(make, r, n, monkeypatch):
     monkeypatch.setattr(verify, "scale_point", scale)
     monkeypatch.setattr(verify, "evaluate", evaluate_scaled)
     eqs = kr_equations(make(), r, covering_collection(n, r))
-    sample = StrictSample(eqs, CFG)
-    assert check_strict_points(eqs, CFG, sample=sample).passed
-    assert check_overlap(eqs, CFG, sample=sample).passed
+    run = CheckRun(eqs, CFG)
+    assert check_strict_points(run).passed
+    assert check_overlap(run).passed
     assert 0 < len(scaled) <= len(evaluated)
 
 
 class TestCorank1Suite:
     def test_random_normal_forms(self):
-        rep = check_corank1((), SampleConfig(seed=9, trials=10))
+        rep = check_corank1(CheckRun((), SampleConfig(seed=9, trials=10)))
         assert rep.passed and rep.trials == 10
 
     def test_deterministic(self):
         cfg = SampleConfig(seed=9, trials=6)
-        assert check_corank1((), cfg).failures == check_corank1((), cfg).failures
+        assert (check_corank1(CheckRun((), cfg)).failures
+                == check_corank1(CheckRun((), cfg)).failures)
 
 
 class TestRandPolymap:
