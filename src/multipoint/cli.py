@@ -341,7 +341,8 @@ def cmd_check(spec: RunSpec, out) -> int:
     if points > MAX_POINTS:
         raise CliError(f"--trials: {spec.trials} trials on {len(alphas)} charts "
                        f"judge {points} chart points, more than {MAX_POINTS}")
-    run = CheckRun([chart_equations(f, spec.order, cc, alpha) for alpha in alphas], cfg)
+    run = CheckRun(lambda: [chart_equations(f, spec.order, cc, alpha)
+                            for alpha in alphas], cfg)
     reports = [SUITES[nm](run, _corrupt=True) if nm == "telescoping" and spec.corrupt
                else SUITES[nm](run) for nm in names]
     paint = _styler(out)

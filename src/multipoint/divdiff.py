@@ -6,6 +6,12 @@ The chain for a map f on a chart starts from the exact quotient
 gamma^(j-1) -> gamma^(j-1) + nu_j into the previous level, subtracts, and
 divides by lambda_j.  Unfolding parameters ride along unchanged and their
 coordinate functions are omitted from the output.
+
+nu_j depends only on the form alpha_j that the chart picks at level j, so
+every component of a level, and every chart with the same alpha_j, applies
+one shift.  The map keeps that shift as one ``Substitution`` per
+(collection, order, level, alpha_j) for as long as it lives, and with it
+every expansion made through it.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from .polyring import (
     Poly,
     PolyError,
     Scalar,
+    Substitution,
     VarTable,
     divide_by_variable,
     parse_poly,
@@ -69,6 +76,8 @@ class PolyMap:
         self.coords = coords
         self.s = s
         self._chart_tables: dict[int, VarTable] = {}  # order -> its charts' table
+        # (collection, order, level, form index at that level) -> level shift
+        self._shifts: dict[tuple, Substitution] = {}
 
     @classmethod
     def from_strings(cls, var_names: Sequence[str], coord_srcs: Sequence[str],
@@ -111,6 +120,17 @@ class PolyMap:
                             table=self._chart_tables.get(r))
         self._chart_tables.setdefault(r, chart.table)
         return chart
+
+    def shift_for(self, chart: Chart, j: int) -> Substitution:
+        """The level-j shift of ``chart``, as one ``Substitution`` for every
+        chart of this map that picks the same form at level j: nu_j depends
+        only on the collection, the order, j and alpha_j, so those charts
+        share each expansion."""
+        key = (chart.cc, chart.r, j, chart.alpha[j - 1])
+        shift = self._shifts.get(key)
+        if shift is None:
+            shift = self._shifts[key] = Substitution(chart.table, level_shift(chart, j))
+        return shift
 
     def specialize(self, values: Sequence[Scalar]) -> "PolyMap":
         """Fix the parameters to rational values, yielding a member of the family."""
@@ -159,11 +179,12 @@ def level_shift(chart: Chart, j: int) -> dict[str, Poly]:
 
 
 def difference_chain(f: PolyMap, chart: Chart) -> DifferenceChain:
-    """Compute difference levels 1..r-1 of f on the chart."""
+    """Compute difference levels 1..r-1 of f on the chart, each level's
+    shift taken from ``f.shift_for``."""
     _check_compatible(f, chart)
     levels = [tuple(transplant(c, chart.table) for c in f.fiber_coords)]
     for j in range(1, chart.r):
-        shift = level_shift(chart, j)
+        shift = f.shift_for(chart, j)
         levels.append(tuple(
             divide_by_variable(substitute(g, shift) - g, chart.lambda_names[j - 1])
             for g in levels[-1]))

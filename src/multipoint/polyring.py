@@ -49,6 +49,18 @@ first evaluation and keeps: its coefficients over one denominator and,
 per term, only the nonzero factors.
 Ring operators (``+``, ``-``, ``*`` and ``divide_by_variable``) still combine
 ``Fraction`` coefficients directly.
+
+Substitution has one expansion routine, ``transplant``; ``substitute`` calls
+it with p's own table as the target.  It takes its images from a
+``Substitution``: the images scaled to integers, and a memo from an exponent
+vector E of the substituted variables to the integer product
+``prod(image_i ** E_i)``.  The memo does not depend on the polynomial
+substituted into, so a ``Substitution`` used again expands each E once.
+``transplant`` builds one for a plain mapping and drops it with the call.
+``divdiff`` keeps one per level shift on the run's ``PolyMap``, keyed by
+(collection, order, level, alpha_j) and living as long as the map, so every
+component and every chart of a run that picks one form at one level shares
+its expansions.  The telescoping check builds its own.
 """
 
 from __future__ import annotations
@@ -455,11 +467,15 @@ class Poly:
 # ---- operations ------------------------------------------------------
 
 
-def substitute(p: Poly, assignment: Mapping[str, Poly | Scalar]) -> Poly:
-    """Simultaneous substitution of variables by polynomials, exact expansion."""
-    for name in assignment:
+def substitute(p: Poly, assignment: Mapping[str, Poly | Scalar] | Substitution) -> Poly:
+    """Simultaneous substitution of variables by polynomials, exact expansion.
+
+    A ``Substitution`` keeps the expansions it makes for its next call.
+    """
+    names = assignment.names if isinstance(assignment, Substitution) else assignment
+    for name in names:
         p.table.index(name)
-    return transplant(p, p.table, assignment) if assignment else p
+    return transplant(p, p.table, assignment) if names else p
 
 
 def divide_by_variable(p: Poly, name: str) -> Poly:
@@ -591,31 +607,23 @@ def normalize(p: Poly) -> Poly:
     return Poly.from_packed(p.table, primitive_terms(dict(zip(p.terms, nums))))
 
 
-def transplant(p: Poly, table: VarTable,
-               mapping: Mapping[str, Poly | Scalar] | None = None) -> Poly:
-    """Rebuild p over another table, mapping variables by name.
+class Substitution:
+    """Named variables mapped, simultaneously, to polynomials over one
+    target table, with every expansion made so far.
 
-    Variables listed in ``mapping`` are replaced, simultaneously, by the given
-    polynomial over the target table; all others keep their name and must
-    exist in the target table wherever they occur in p.
-
-    The expansion runs on integers: p and each image are scaled by their
-    common denominators, and every term is lifted to the one denominator
-    ``D = den(p) * prod(den_i ** top_i)``, ``top_i`` being variable i's
-    largest exponent in p.  Only output terms that D does not divide become
-    Fractions.  A source term lifts to total degree ``sum(e_i * deg_i)``
-    (``deg_i`` 1 for a kept variable and the image's top degree otherwise),
-    which must fit the target's codec.
+    Each image is kept scaled to integers, with its denominator (``dens``)
+    and its top degree (``degrees``), in ``names`` order.  ``product(E)``, for
+    an exponent vector E of the substituted variables in that order, is the
+    integer product ``prod(image_i ** E_i)``, built once and kept as long as
+    the object.  It does not depend on the polynomial substituted into: each
+    term's lift ``prod(den_i ** (top_i - E_i))`` stays with ``transplant``.
     """
-    mapping = mapping or {}
-    codec = table.codec
-    kept = []  # (source index, target offset) of each variable that keeps its name
-    images: dict[int, Poly] = {}  # source index -> image scaled to integers
-    dens: dict[int, int] = {}  # source index -> its image's denominator, if not 1
-    missing = []
-    for i, nm in enumerate(p.table.names):
-        if nm in mapping:
-            repl = mapping[nm]
+
+    __slots__ = ("table", "names", "images", "dens", "degrees", "_products")
+
+    def __init__(self, table: VarTable, mapping: Mapping[str, Poly | Scalar]):
+        images, dens = [], []
+        for nm, repl in mapping.items():
             if isinstance(repl, (int, Fraction)):
                 repl = Poly.constant(table, repl)
             if repl.table != table:
@@ -623,22 +631,85 @@ def transplant(p: Poly, table: VarTable,
             nums, den = common_denominator(repl.terms.values())
             if den != 1:
                 repl = Poly.from_packed(table, dict(zip(repl.terms, nums)))
-                dens[i] = den
-            images[i] = repl
-        elif nm in table:
+            images.append(repl)
+            dens.append(den)
+        self.table = table
+        self.names = tuple(mapping)
+        self.images = tuple(images)
+        self.dens = tuple(dens)
+        self.degrees = tuple(img.top_degree() for img in images)
+        # exponent vector -> integer product of image powers, as packed terms
+        self._products = {(0,) * len(images): {table.codec.zero: 1}}
+
+    def product(self, e: tuple) -> dict:
+        """``prod(image_i ** e_i)`` as integer packed terms; the caller has
+        checked that its degree fits the table.  A vector is the product of
+        its prefix before its last nonzero entry and that entry's power."""
+        got = self._products.get(e)
+        if got is None:
+            k = len(e) - 1
+            while not e[k]:
+                k -= 1
+            if any(e[:k]):
+                rest = (*e[:k], *(0,) * (len(e) - k))
+                alone = (*(0,) * k, e[k], *(0,) * (len(e) - k - 1))
+                got = _product(self.product(rest), self.product(alone),
+                               self.table.codec.zero)
+            else:
+                got = (self.images[k] ** e[k]).terms
+            self._products[e] = got
+        return got
+
+
+def transplant(p: Poly, table: VarTable,
+               mapping: Mapping[str, Poly | Scalar] | Substitution | None = None) -> Poly:
+    """Rebuild p over another table, mapping variables by name.
+
+    Variables listed in ``mapping`` are replaced, simultaneously, by the given
+    polynomial over the target table; all others keep their name and must
+    exist in the target table wherever they occur in p.  A plain mapping
+    becomes a ``Substitution`` for this call alone, of the variables that p's
+    table has; a ``Substitution`` passed in (every name in p's table) keeps
+    its expansions for later calls.
+
+    The expansion runs on integers: p is scaled by its common denominator
+    and every term is lifted to the one denominator
+    ``D = den(p) * prod(den_i ** top_i)``, ``top_i`` being variable i's
+    largest exponent in p, so a term with exponents E of the substituted
+    variables is ``c * prod(den_i ** (top_i - E_i))`` times the
+    substitution's ``product(E)``.  Only output terms that D does not divide
+    become Fractions.  A source term lifts to total degree
+    ``sum(e_i * deg_i)`` (``deg_i`` 1 for a kept variable and the image's
+    top degree otherwise), which must fit the target's codec.
+    """
+    if not isinstance(mapping, Substitution):
+        mapping = Substitution(table, {nm: mapping[nm] for nm in p.table.names
+                                       if nm in mapping} if mapping else {})
+    elif mapping.table != table:
+        raise TableMismatchError(
+            f"substitution over {mapping.table!r}, target is {table!r}")
+    codec = table.codec
+    where = [p.table.index(nm) for nm in mapping.names]  # source index of each image
+    kept = []  # (source index, target offset) of each variable that keeps its name
+    missing = []
+    for i, nm in enumerate(p.table.names):
+        if i in where:
+            continue
+        if nm in table:
             kept.append((i, codec.offsets[table.index(nm)]))
         else:
             missing.append(i)
     source = p.exponents
     nums, D = common_denominator(p.terms.values())
-    top = {i: max((exps[i] for exps in source), default=0) for i in dens}
-    for i, t in top.items():
-        D *= dens[i] ** t
-    degrees = {i: img.top_degree() for i, img in images.items()}
+    lifted = []  # (position, denominator, top exponent in p) of each image with den != 1
+    for k, den in enumerate(mapping.dens):
+        if den != 1:
+            t = max((exps[where[k]] for exps in source), default=0)
+            lifted.append((k, den, t))
+            D *= den ** t
+    degrees = mapping.degrees
+    product = mapping.product
     zero = codec.zero
-    # powers of each image are cached: chains reuse the same exponents a lot
-    powers: dict[tuple[int, int], dict] = {}
-    unit = {zero: 1}
     out: dict = {}
     for exps, c in zip(source, nums):
         for i in missing:
@@ -652,21 +723,14 @@ def transplant(p: Poly, table: VarTable,
             if e:
                 mono += e * offset
                 degree += e
-        for i, d in degrees.items():
-            degree += exps[i] * d
+        vec = tuple([exps[i] for i in where])
+        for e, d in zip(vec, degrees):
+            degree += e * d
         codec.check_degree(degree)
-        factor = None
-        for i, img in images.items():
-            e = exps[i]
-            if e:
-                piece = powers.get((i, e))
-                if piece is None:
-                    piece = powers[(i, e)] = (img ** e).terms
-                factor = piece if factor is None else _product(factor, piece, zero)
-        for i, t in top.items():
-            if t != exps[i]:
-                c *= dens[i] ** (t - exps[i])
-        _add_multiple(out, c, mono - zero, unit if factor is None else factor)
+        for k, den, t in lifted:
+            if t != vec[k]:
+                c *= den ** (t - vec[k])
+        _add_multiple(out, c, mono - zero, product(vec))
     if D != 1:
         for m, v in out.items():
             q, rem = divmod(v, D)

@@ -4,8 +4,8 @@ Every check works in exact rational arithmetic; a suite returns a report
 whose failure list is empty exactly when the property held on every trial.
 Sampling is driven by a seeded generator, so reports are reproducible.
 Every suite takes one ``CheckRun``: the chart equations of one run, built
-once and shared by all suites, its sampling parameters and any supplied
-witnesses.
+once, on first read, and shared by all suites, its sampling parameters and
+any supplied witnesses.
 
 The two point suites judge against one truth, the images of a strict tuple:
 on any chart that represents the tuple, the generators vanish exactly when
@@ -40,6 +40,7 @@ from .divdiff import (
 from .ideals import ChartEquations
 from .polyring import (
     Poly,
+    Substitution,
     VarTable,
     differentiate,
     divide_by_variable,
@@ -145,13 +146,24 @@ def _rand_chart_point(rng: random.Random, chart: Chart, cfg: SampleConfig) -> li
 # ---- telescoping -----------------------------------------------------------
 
 
-def telescoping_failures(chain: DifferenceChain) -> list[tuple[str, str, str]]:
-    """Violations of the defining recursion of the chain, as report rows."""
+def telescoping_failures(chain: DifferenceChain,
+                         shifts: dict | None = None) -> list[tuple[str, str, str]]:
+    """Violations of the defining recursion of the chain, as report rows.
+
+    Each level's shift is built here from the chart's nu (``level_shift``),
+    never taken from the map, so no expansion the chain was built with is
+    reused.  ``shifts`` keeps them by (collection, table, level, alpha_j)
+    across the chains of one check.
+    """
     chart = chain.chart
+    shifts = {} if shifts is None else shifts
     out = []
     levels = [[transplant(c, chart.table) for c in chain.f.fiber_coords], *chain.levels]
     for j in range(1, chain.depth + 1):
-        shift = level_shift(chart, j)
+        key = (chart.cc, chart.table, j, chart.alpha[j - 1])
+        shift = shifts.get(key)
+        if shift is None:
+            shift = shifts[key] = Substitution(chart.table, level_shift(chart, j))
         lam = Poly.variable(chart.table, chart.lambda_names[j - 1])
         for idx, (prev, cur) in enumerate(zip(levels[j - 1], levels[j])):
             lhs = lam * cur
@@ -165,9 +177,11 @@ def telescoping_failures(chain: DifferenceChain) -> list[tuple[str, str, str]]:
 def check_telescoping(run: CheckRun, _corrupt: bool = False) -> VerifyReport:
     """Exact symbolic telescoping on every chart and level; deterministic.
 
-    ``_corrupt`` checks a broken copy of the first chain (negative control).
+    The check builds its own level shifts, once per run.  ``_corrupt``
+    checks a broken copy of the first chain (negative control).
     """
     report = VerifyReport(suite="telescoping")
+    shifts: dict = {}
     for k, ce in enumerate(run.eqs):
         chain = ce.chain
         if _corrupt and k == 0:
@@ -176,7 +190,7 @@ def check_telescoping(run: CheckRun, _corrupt: bool = False) -> VerifyReport:
             chain = DifferenceChain(f=chain.f, chart=chain.chart,
                                     levels=tuple(tuple(lv) for lv in broken))
         report.trials += chain.depth * len(chain.levels[0])
-        report.failures.extend(telescoping_failures(chain))
+        report.failures.extend(telescoping_failures(chain, shifts))
     return report
 
 
@@ -337,13 +351,20 @@ class CheckRun:
     every suite, the sampling parameters, and supplied witnesses for the
     point suites, (alpha, chart point vector) pairs.
 
-    The strict sample both point suites judge is drawn on first use and
-    kept by this object only, so a run draws it at most once.
+    ``source`` is the list of chart equations or a function that builds it,
+    called on the first read of ``eqs``, so a run whose suites read no
+    chart builds none.  The strict sample both point suites judge is drawn
+    on first use and kept by this object only, so a run draws it at most
+    once.
     """
 
-    eqs: Sequence[ChartEquations]
+    source: Sequence[ChartEquations] | Callable[[], Sequence[ChartEquations]]
     cfg: SampleConfig
     witnesses: Sequence[tuple[tuple, Sequence]] = ()
+
+    @cached_property
+    def eqs(self) -> Sequence[ChartEquations]:
+        return self.source() if callable(self.source) else self.source
 
     @cached_property
     def _drawn(self) -> tuple[list[Configuration], int]:

@@ -181,6 +181,23 @@ class TestExitCodes:
         if judged is not None:
             assert len(points) == judged
 
+    @pytest.mark.parametrize("argv, built", [
+        # 105 charts, none read by the corank-one oracle
+        (["--vars", "x,y,z", "--map", "x2+yz;y2-xz;z2+xy", "-r", "4",
+          "--suite", "corank1"], 0),
+        (["--vars", "x,y,z", "--map", "x2+yz;y2-xz;z2+xy", "-r", "3",
+          "--suite", "corank1", "--suite", "kernel"], 15),
+    ])
+    def test_charts_built_only_for_suites_that_read_them(self, argv, built,
+                                                         monkeypatch):
+        calls = []
+        real = cli.chart_equations
+        monkeypatch.setattr(cli, "chart_equations",
+                            lambda *a: calls.append(a) or real(*a))
+        code, text = capture(["check", *argv, "--trials", "2"])
+        assert code == 0 and "corank1: pass (2 trials, 0 failures)" in text
+        assert len(calls) == built
+
     def test_antipodal_variable_decided_once_per_run(self, monkeypatch):
         # once for the point budget and once for the sampler, not once per chart
         calls = []
@@ -549,6 +566,11 @@ class TestPinnedOutput:
           "--collection", "vandermonde", "--chart", "7,5,3", "--chart", "1,1,1",
           "--format", "json"],
          "d2cf4718fd73946a9bd67cc6522394b0b7bf007acb9d2e02c4f2f8bc2c81133f"),
+        # forms shared at levels 2 and 3, over inverses with denominators
+        (["eqs", "--vars", "x,y,z", "--map", "x2+yz;y2-xz;z2+xy", "-r", "4",
+          "--collection", "vandermonde", "--chart", "1,1,1", "--chart", "2,1,1",
+          "--chart", "7,5,1", "--format", "json"],
+         "a87f7895258b5771bdbd88ed416b3fedb3868ff852855096dd92d4a7ec3dd676"),
     ])
     def test_stdout_digest(self, argv, digest):
         code, text = capture(argv)

@@ -4,7 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from multipoint.atlas import build_chart, multi_indices, standard_collection
+from multipoint.atlas import (
+    build_chart,
+    collection_from_text,
+    covering_collection,
+    index_bound,
+    multi_indices,
+    standard_collection,
+    vandermonde_collection,
+)
 from multipoint.divdiff import (
     MapFormError,
     PolyMap,
@@ -164,6 +172,51 @@ def test_telescoping_identity_symbolic():
                  for nm, d in zip(prev_names, chart.nu[1])}
         for g_prev, g in zip(chain.levels[0], chain.levels[1]):
             assert lam2 * g == substitute(g_prev, shift) - g_prev
+
+
+FIBER3_COORDS = ("x^2+y*z", "y^2-x*z", "z^2+x*y")
+# four rational forms on the fiber of the trifold: its charts go up to r = 4
+RATIONAL_FORMS = "1,0\n2\n0,1\n1\n1/2,1\n1\n1,-1/3\n2\n"
+
+
+def _map_and_collection(kind, r):
+    if kind == "default":
+        return trifold, covering_collection(2, r)
+    if kind == "vandermonde":
+        return (lambda: PolyMap.from_strings(("x", "y", "z"), FIBER3_COORDS),
+                vandermonde_collection(3, r))
+    return trifold, collection_from_text(RATIONAL_FORMS)
+
+
+def _fresh_chain(make, cc, alpha, r):
+    f = make()
+    return difference_chain(f, f.chart_for(cc, alpha, r))
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+@pytest.mark.parametrize("kind", ["default", "vandermonde", "rational"])
+def test_shared_shifts_give_the_fresh_chains(kind, r):
+    """Every chart's chain from one map, whose level shifts and their
+    expansions are shared by all its charts, equals the chain from a map of
+    its own; the map keeps one shift per level and form."""
+    make, cc = _map_and_collection(kind, r)
+    shared = make()
+    for alpha in multi_indices(cc.n, r, cc.ell):
+        chain = difference_chain(shared, shared.chart_for(cc, alpha, r))
+        assert chain.levels == _fresh_chain(make, cc, alpha, r).levels
+    assert len(shared._shifts) == sum(index_bound(cc.n, cc.ell, j) for j in range(1, r))
+
+
+def test_shifts_kept_per_collection():
+    """Two collections at one order on one map share the charts' table but
+    not their shifts: the same multi-index means other forms."""
+    f = trifold()
+    ccs = [standard_collection(2, 3), vandermonde_collection(2, 3)]
+    for cc in ccs:
+        for alpha in multi_indices(2, 3, 3):
+            chain = difference_chain(f, f.chart_for(cc, alpha, 3))
+            assert chain.levels == _fresh_chain(trifold, cc, alpha, 3).levels
+    assert len(f._chart_tables) == 1 and len(f._shifts) == 2 * (3 + 2)
 
 
 def test_chain_chart_mismatch():

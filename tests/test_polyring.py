@@ -14,6 +14,7 @@ from multipoint.polyring import (
     NotDivisibleError,
     ParseError,
     Poly,
+    Substitution,
     TableMismatchError,
     UnknownVariableError,
     VarTable,
@@ -647,6 +648,42 @@ def test_transplant_matches_sympy(case):
     got = transplant(p, target, mapping)
     assert got.table == target
     assert sympy.expand(_sympy_expr(sympy, got) - _sympy_subs(sympy, p, mapping)) == 0
+
+
+@st.composite
+def _shared_substitutions(draw):
+    """One mapping, its first image with a denominator, and several
+    polynomials to push through it, the zero polynomial among them."""
+    table = VarTable(["x", "y", "z"][:draw(st.integers(2, 3))])
+    chosen = draw(st.lists(st.sampled_from(table.names), unique=True,
+                           min_size=1, max_size=len(table)))
+    mapping = {nm: _image(draw, table) for nm in chosen}
+    mapping[chosen[0]] = (_rand_poly(draw, table) + 1) * Fraction(1, draw(st.integers(2, 5)))
+    polys = [_rand_poly(draw, table, max_terms=4) for _ in range(draw(st.integers(1, 4)))]
+    polys.insert(draw(st.integers(0, len(polys))), Poly.zero(table))
+    return table, mapping, polys
+
+
+@settings(max_examples=60, deadline=None)
+@given(_shared_substitutions())
+@example((XY, {"x": P("(1/2)*x+(2/3)*y"), "y": Fraction(1, 3)},
+          [P("x^2*y+(3/4)*x*y^2"), Poly.zero(XY), P("x^2-y+1")]))
+def test_reused_substitution_matches_fresh_and_sympy(case):
+    """One Substitution, reused for every polynomial, twice over (the second
+    pass reads only kept expansions), gives what a fresh one and sympy give."""
+    sympy = pytest.importorskip("sympy")
+    table, mapping, polys = case
+    shared = Substitution(table, mapping)
+    for p in [*polys, *reversed(polys)]:
+        got = substitute(p, shared)
+        assert got == substitute(p, mapping) == transplant(p, table, shared)
+        assert sympy.expand(_sympy_expr(sympy, got) - _sympy_subs(sympy, p, mapping)) == 0
+
+
+def test_substitution_over_another_table_is_refused():
+    shared = Substitution(TXY, {"x": P("t+y", TXY)})
+    with pytest.raises(TableMismatchError):
+        substitute(P("x"), shared)
 
 
 @st.composite

@@ -21,7 +21,7 @@ from multipoint.atlas import (
 )
 from multipoint.divdiff import DifferenceChain, PolyMap, difference_chain
 from multipoint import verify
-from multipoint.ideals import kr_equations
+from multipoint.ideals import chart_equations, kr_equations
 from multipoint.polyring import Poly, evaluate
 from multipoint.verify import (
     CheckRun,
@@ -107,6 +107,28 @@ class TestTelescoping:
         f = family()
         chart = f.chart_for(covering_collection(2, 3), (2, 1), 3)
         assert telescoping_failures(difference_chain(f, chart)) == []
+
+    def test_corrupt_shift_memo_is_caught(self):
+        """A corrupted expansion in the map's kept level-1 shift corrupts
+        the next chart that picks the same form; telescoping builds its own
+        shifts from the chart's nu, so it reports the chart."""
+        f = family()
+        cc = covering_collection(2, 3)
+        chart_equations(f, 3, cc, (1, 1))
+        shift = f._shifts[(cc, 3, 1, 1)]
+        codec = shift.table.codec
+        lam = shift.table.index("l1")
+        # a term with lambda_1 in it, so the chain still divides by lambda_1
+        terms, m = next((t, m) for e, t in shift._products.items() if any(e)
+                        for m in t if codec.unpack(m)[lam])
+        terms[m] += 1
+        bad = chart_equations(f, 3, cc, (1, 2))
+        fresh = family()
+        want = difference_chain(fresh, fresh.chart_for(cc, (1, 2), 3))
+        assert bad.chain.levels[0] != want.levels[0]
+        rep = check_telescoping(CheckRun([bad], CFG))
+        assert rep.failures
+        assert all(d.startswith("U(1,2) level 1 ") for d, _, _ in rep.failures)
 
 
 class TestDiagonalKernel:
