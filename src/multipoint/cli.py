@@ -200,17 +200,16 @@ def cmd_eqs(spec: RunSpec, out) -> int:
         return 0
     paint = _styler(out)
     out.write(_map_header(f, spec) + "\n")
+    width = len(f.fiber_coords)  # every level: one component per coordinate
     for eqs in eqs_list:
         chart = eqs.chart
         out.write(paint(f"chart {chart.name()}", "1") +
                   f"  [{', '.join(chart.table.names)}]\n")
         out.write(f"  away from {chart.exceptional} = 0\n")
-        pos = 0
-        for level, raw in enumerate(eqs.levels, start=1):
+        for level in range(1, chart.r):
             out.write(f"  level {level}:\n")
-            for g in eqs.generators[pos:pos + len(raw)]:
+            for g in eqs.generators[(level - 1) * width:level * width]:
                 out.write(f"    {g} = 0\n")
-            pos += len(raw)
         if any(g.is_constant() and not g.is_zero() for g in eqs.generators):
             out.write("  unit ideal: no multiple points meet this chart\n")
     return 0

@@ -9,14 +9,27 @@ coordinate functions are omitted from the output.
 
 nu_j depends only on the form alpha_j that the chart picks at level j, so
 every component of a level, and every chart with the same alpha_j, applies
-one shift.  The map keeps that shift as one ``Substitution`` per
-(collection, order, level, alpha_j) for as long as it lives, and with it
-every expansion made through it.
+one shift.  The map keeps that shift as one ``LevelShift`` (a
+``Substitution``) per (collection, order, level, alpha_j) for as long as it
+lives, and with it every expansion made through it.  It also keeps level 0,
+its fiber coordinates on the charts' table, once per table.
+
+The chain runs on integers: a component is an integer polynomial q over
+one positive denominator d.  Each level is one pass over the previous
+one's terms.  A term c * x^rest * gamma^E becomes, after the substitution,
+the subtraction and the division by lambda_j, c * x^rest * Q(E) over d,
+where Q(E) is the shift's product for E less its pure term gamma^E, divided
+by lambda_j: every entry of nu_j is a multiple of lambda_j, and so every
+other term of the product.  A term with E = 0 cancels.  The shift keeps
+each Q(E) it builds.  A component's denominator is reduced against its
+coefficients, and its primitive part, the chart generator, is that of q.
+``DifferenceChain.levels`` builds the rational levels only when read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import operator
 from fractions import Fraction
 from typing import Sequence
 
@@ -27,8 +40,11 @@ from .polyring import (
     Scalar,
     Substitution,
     VarTable,
+    _divided,
+    _expand,
     divide_by_variable,
     parse_poly,
+    scale_poly,
     substitute,
     transplant,
 )
@@ -76,8 +92,10 @@ class PolyMap:
         self.coords = coords
         self.s = s
         self._chart_tables: dict[int, VarTable] = {}  # order -> its charts' table
+        # chart table -> the fiber coordinates on it, over a denominator each
+        self._level_zero: dict[VarTable, tuple[tuple[Poly, int], ...]] = {}
         # (collection, order, level, form index at that level) -> level shift
-        self._shifts: dict[tuple, Substitution] = {}
+        self._shifts: dict[tuple, LevelShift] = {}
 
     @classmethod
     def from_strings(cls, var_names: Sequence[str], coord_srcs: Sequence[str],
@@ -121,15 +139,25 @@ class PolyMap:
         self._chart_tables.setdefault(r, chart.table)
         return chart
 
-    def shift_for(self, chart: Chart, j: int) -> Substitution:
-        """The level-j shift of ``chart``, as one ``Substitution`` for every
+    def level_zero(self, chart: Chart) -> tuple[tuple[Poly, int], ...]:
+        """The fiber coordinates on ``chart``'s table, each as an integer
+        polynomial over a positive denominator; built once per table, so
+        once per order for the charts of ``chart_for``."""
+        level = self._level_zero.get(chart.table)
+        if level is None:
+            level = self._level_zero[chart.table] = tuple(
+                scale_poly(transplant(c, chart.table)) for c in self.fiber_coords)
+        return level
+
+    def shift_for(self, chart: Chart, j: int) -> LevelShift:
+        """The level-j shift of ``chart``, as one ``LevelShift`` for every
         chart of this map that picks the same form at level j: nu_j depends
         only on the collection, the order, j and alpha_j, so those charts
-        share each expansion."""
+        share each expansion and each difference quotient."""
         key = (chart.cc, chart.r, j, chart.alpha[j - 1])
         shift = self._shifts.get(key)
         if shift is None:
-            shift = self._shifts[key] = Substitution(chart.table, level_shift(chart, j))
+            shift = self._shifts[key] = LevelShift(chart, j)
         return shift
 
     def specialize(self, values: Sequence[Scalar]) -> "PolyMap":
@@ -147,17 +175,51 @@ class PolyMap:
         return f"PolyMap({', '.join(self.table.names)} -> {funcs}; s={self.s})"
 
 
-@dataclass(frozen=True)
 class DifferenceChain:
-    """The generalized divided differences of one map on one chart."""
+    """The generalized divided differences of one map on one chart.
 
-    f: PolyMap
-    chart: Chart
-    levels: tuple[tuple[Poly, ...], ...]
+    A chain holds its levels in one of two forms and builds the other on its
+    first read: ``scaled``, each component an integer polynomial over one
+    positive denominator ``(q, d)``, which ``difference_chain`` computes,
+    and ``levels``, each component a ``Poly`` with rational coefficients,
+    which a chain built by hand (``DifferenceChain(f=..., chart=...,
+    levels=...)``) is given.
+    """
+
+    __slots__ = ("f", "chart", "_levels", "_scaled")
+
+    def __init__(self, f: PolyMap, chart: Chart,
+                 levels: tuple[tuple[Poly, ...], ...] | None = None,
+                 scaled: tuple[tuple[tuple[Poly, int], ...], ...] | None = None):
+        if (levels is None) == (scaled is None):
+            raise ValueError("a chain takes either levels or scaled levels")
+        self.f = f
+        self.chart = chart
+        self._levels = levels
+        self._scaled = scaled
+
+    @property
+    def levels(self) -> tuple[tuple[Poly, ...], ...]:
+        """Levels 1..r-1, rational coefficients; built once, on first read."""
+        if self._levels is None:
+            self._levels = tuple(
+                tuple(Poly.from_packed(q.table, _divided(dict(q.terms), d))
+                      for q, d in level)
+                for level in self._scaled)
+        return self._levels
+
+    @property
+    def scaled(self) -> tuple[tuple[tuple[Poly, int], ...], ...]:
+        """Levels 1..r-1, each component an integer polynomial q over a
+        positive denominator d, the level being q / d."""
+        if self._scaled is None:
+            self._scaled = tuple(tuple(map(scale_poly, level))
+                                 for level in self._levels)
+        return self._scaled
 
     @property
     def depth(self) -> int:
-        return len(self.levels)
+        return len(self._scaled if self._levels is None else self._levels)
 
 
 def _check_compatible(f: PolyMap, chart: Chart):
@@ -178,17 +240,63 @@ def level_shift(chart: Chart, j: int) -> dict[str, Poly]:
             for nm, d in zip(chart.level_names(j - 1), chart.nu[j - 1])}
 
 
+class LevelShift(Substitution):
+    """Level j's shift of a chart, with the difference quotient of each of
+    its products.
+
+    Every entry of nu_j is a multiple of lambda_j, so the product for E less
+    its pure term ``den^E * gamma^E``, the one term with no nu factor, is
+    divisible by lambda_j; ``quotient(E)`` is that quotient, built once
+    through ``divide_by_variable`` and kept as long as the object.
+    """
+
+    __slots__ = ("lam", "_offsets", "_quotients")
+
+    def __init__(self, chart: Chart, j: int):
+        super().__init__(chart.table, level_shift(chart, j))
+        self.lam = chart.lambda_names[j - 1]
+        offsets = chart.table.codec.offsets
+        self._offsets = tuple(offsets[chart.table.index(nm)] for nm in self.names)
+        # exponent vector -> (product(E) - its pure term) / lambda_j, as packed terms
+        self._quotients: dict[tuple, dict] = {}
+
+    def quotient(self, e: tuple) -> dict:
+        got = self._quotients.get(e)
+        if got is None:
+            terms = dict(self.product(e))
+            del terms[self.table.codec.zero + sum(map(operator.mul, e, self._offsets))]
+            got = self._quotients[e] = divide_by_variable(
+                Poly.from_packed(self.table, terms), self.lam).terms
+        return got
+
+
+def _next_level(g: Poly, d: int, shift: LevelShift) -> tuple[Poly, int]:
+    """(g(gamma + nu_j) - g(gamma)) / lambda_j for the level component g / d,
+    as an integer polynomial over a positive denominator, in one pass over
+    g's terms: a term with exponent vector E of gamma contributes through
+    ``shift.quotient(E)``, and one with E = 0 cancels.  The denominator is
+    reduced against the coefficients, so it does not grow level by level."""
+    out, lift = _expand(g, g.terms.values(), g.table, shift, shift.quotient)
+    d *= lift
+    k = math.gcd(d, *out.values())
+    if k != 1:
+        out = {m: v // k for m, v in out.items()}
+        d //= k
+    return Poly.from_packed(g.table, out), d
+
+
 def difference_chain(f: PolyMap, chart: Chart) -> DifferenceChain:
-    """Compute difference levels 1..r-1 of f on the chart, each level's
-    shift taken from ``f.shift_for``."""
+    """Compute difference levels 1..r-1 of f on the chart, on integers: level
+    0 from ``f.level_zero``, each level j in one pass through the shift
+    ``f.shift_for(chart, j)``."""
     _check_compatible(f, chart)
-    levels = [tuple(transplant(c, chart.table) for c in f.fiber_coords)]
+    level = f.level_zero(chart)
+    levels = []
     for j in range(1, chart.r):
         shift = f.shift_for(chart, j)
-        levels.append(tuple(
-            divide_by_variable(substitute(g, shift) - g, chart.lambda_names[j - 1])
-            for g in levels[-1]))
-    return DifferenceChain(f=f, chart=chart, levels=tuple(levels[1:]))
+        level = tuple(_next_level(g, d, shift) for g, d in level)
+        levels.append(level)
+    return DifferenceChain(f=f, chart=chart, scaled=tuple(levels))
 
 
 # ---- classical corank-one divided differences ------------------------------

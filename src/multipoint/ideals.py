@@ -330,10 +330,6 @@ class ChartEquations:
     chain: DifferenceChain = field(repr=False)
     generators: tuple[Poly, ...]
 
-    @property
-    def levels(self) -> tuple[tuple[Poly, ...], ...]:
-        return self.chain.levels
-
     @cached_property
     def projections(self) -> tuple[tuple[Poly, ...], ...]:
         """Projection formulas to the r source copies, built on first read."""
@@ -351,7 +347,9 @@ def chart_equations(f: PolyMap, r: int, cc: CoveringCollection,
         raise ValueError("order r must be >= 2")
     chart = f.chart_for(cc, alpha, r)
     chain = difference_chain(f, chart)
-    gens = tuple(normalize(g) for level in chain.levels for g in level)
+    # the primitive part of q is that of q / d, i.e. normalize(q / d)
+    gens = tuple(Poly.from_packed(chart.table, primitive_terms(q.terms))
+                 for level in chain.scaled for q, _ in level)
     return ChartEquations(chart=chart, chain=chain, generators=gens)
 
 

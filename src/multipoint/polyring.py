@@ -19,11 +19,13 @@ tables pack alike.
 A total degree above the cap ``2**(FIELD_BITS - 1) - 1`` = 32767 does not
 pack, and ``DegreeBoundError`` names the bound wherever a monomial would
 exceed it: exponent tuples given to ``Poly``, ``*`` and ``**`` (checked from
-the operands' top degrees) and ``transplant``'s lifted terms.
+the operands' top degrees) and the lifted terms of the expansion loop.
+A product with a monomial of coefficient 1 shifts every monomial of the
+other factor and multiplies no coefficient.
 
 Code that needs every exponent of a Poly (``evaluate``, ``differentiate``,
-``variables_used``, ``transplant``'s source terms and ``divdiff``'s
-synthetic division) reads ``Poly.exponents``: the terms' exponent tuples,
+``variables_used`` and ``divdiff``'s synthetic division) reads
+``Poly.exponents``: the terms' exponent tuples,
 in ``terms`` order, which each Poly unpacks at most once.  A tuple rather
 than a second map keeps the memory of a Poly close to what an
 exponent-tuple map alone took.  ``render`` reads no exponents: it takes a
@@ -39,9 +41,10 @@ and the ring operators), builds through ``Poly.from_packed``, with no
 per-term checks.
 
 The hot exact loops run on integers over one common denominator
-(``common_denominator``, the lcm-and-scale step ``normalize`` also uses) and
-build a ``Fraction`` only at the exit: ``evaluate`` returns one per call, and
-``transplant`` one per output term that its denominator does not divide.
+(``common_denominator``, the lcm-and-scale step ``normalize`` and
+``scale_poly`` also use) and build a ``Fraction`` only at the exit:
+``evaluate`` returns one per call, and ``transplant`` one per output term
+that its denominator does not divide.
 A caller that evaluates at one point many times scales it once
 (``scale_point``) and passes the ``ScaledPoint`` to each ``evaluate``.
 ``evaluate`` reads a plan that each Poly builds from ``exponents`` on its
@@ -50,24 +53,31 @@ per term, only the nonzero factors.
 Ring operators (``+``, ``-``, ``*`` and ``divide_by_variable``) still combine
 ``Fraction`` coefficients directly.
 
-Substitution has one expansion routine, ``transplant``; ``substitute`` calls
-it with p's own table as the target.  It takes its images from a
-``Substitution``: the images scaled to integers, and a memo from an exponent
-vector E of the substituted variables to the integer product
-``prod(image_i ** E_i)``.  The memo does not depend on the polynomial
-substituted into, so a ``Substitution`` used again expands each E once.
-``transplant`` builds one for a plain mapping and drops it with the call.
-``divdiff`` keeps one per level shift on the run's ``PolyMap``, keyed by
-(collection, order, level, alpha_j) and living as long as the map, so every
-component and every chart of a run that picks one form at one level shares
-its expansions.  The telescoping check builds its own.
+Substitution has one expansion loop, ``_expand``: per source term it reads
+the exponent vector E of the substituted variables and the kept monomial
+from the packed int, lifts the coefficient to one common denominator,
+checks the lifted degree and adds the term times an expansion of E into
+one integer term map.  Two routines call it.  ``transplant`` (and
+``substitute``, which is ``transplant`` onto p's own table) expands E into
+``Substitution.product(E)`` and divides by the denominator at the end.
+``divdiff``'s difference chain expands E into a difference quotient built
+from that product, and keeps its levels as integer polynomials, each over
+one denominator.  A ``Substitution`` holds the images scaled to integers and
+a memo from E to the integer product ``prod(image_i ** E_i)``.  The memo
+does not depend on the polynomial substituted into, so a ``Substitution``
+used again expands each E once.  ``transplant`` builds one for a plain
+mapping and drops it with the call.  ``divdiff`` keeps one per level shift
+on the run's ``PolyMap``, keyed by (collection, order, level, alpha_j) and
+living as long as the map, so every component and every chart of a run
+that picks one form at one level shares its expansions.  The telescoping
+check builds its own.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -254,7 +264,7 @@ def _add_multiple(out: dict, c: Scalar, shift: int, g: Mapping,
     appended to it: the Groebner engine's reduction keeps its heap of head
     candidates from exactly these.
 
-    The one term-product loop: ``*``, ``transplant`` and the Groebner
+    The one term-product loop: ``*``, ``_expand`` and the Groebner
     engine's reduction steps and S-polynomials all run on it.
     """
     for m, v in g.items():
@@ -433,6 +443,13 @@ class Poly:
         self._check(other)
         codec = self.table.codec
         codec.check_degree(self.top_degree() + other.top_degree())
+        for unit, p in ((other, self), (self, other)):
+            if len(unit.terms) == 1:
+                (m, c), = unit.terms.items()
+                if c == 1:  # a monomial: shift every monomial of p
+                    shift = m - codec.zero
+                    return Poly.from_packed(
+                        self.table, {k + shift: v for k, v in p.terms.items()})
         return Poly.from_packed(self.table, _ints_where_integral(
             _product(self.terms, other.terms, codec.zero)))
 
@@ -601,6 +618,23 @@ def common_denominator(values: Iterable[Scalar]) -> tuple[list[int], int]:
     return [v.numerator * (d // v.denominator) for v in values], d
 
 
+def scale_poly(p: Poly) -> tuple[Poly, int]:
+    """p as an integer polynomial over one positive denominator: the pair
+    ``(q, d)`` with ``p == q / d``, d the lcm of p's denominators."""
+    nums, d = common_denominator(p.terms.values())
+    return (p if d == 1 else Poly.from_packed(p.table, dict(zip(p.terms, nums)))), d
+
+
+def _divided(terms: dict, d: int) -> dict:
+    """An integer term map divided by ``d > 0`` in place: a Fraction only
+    where d does not divide the coefficient."""
+    if d != 1:
+        for m, v in terms.items():
+            q, rem = divmod(v, d)
+            terms[m] = Fraction(v, d) if rem else q
+    return terms
+
+
 def normalize(p: Poly) -> Poly:
     """Scale by a rational unit: coprime integer coefficients, positive leading one."""
     nums, _ = common_denominator(p.terms.values())
@@ -616,7 +650,8 @@ class Substitution:
     an exponent vector E of the substituted variables in that order, is the
     integer product ``prod(image_i ** E_i)``, built once and kept as long as
     the object.  It does not depend on the polynomial substituted into: each
-    term's lift ``prod(den_i ** (top_i - E_i))`` stays with ``transplant``.
+    term's lift ``prod(den_i ** (top_i - E_i))`` stays with the expansion
+    loop, ``_expand``.
     """
 
     __slots__ = ("table", "names", "images", "dens", "degrees", "_products")
@@ -628,9 +663,7 @@ class Substitution:
                 repl = Poly.constant(table, repl)
             if repl.table != table:
                 raise TableMismatchError(f"image of {nm!r} is over the wrong table")
-            nums, den = common_denominator(repl.terms.values())
-            if den != 1:
-                repl = Poly.from_packed(table, dict(zip(repl.terms, nums)))
+            repl, den = scale_poly(repl)
             images.append(repl)
             dens.append(den)
         self.table = table
@@ -661,6 +694,77 @@ class Substitution:
         return got
 
 
+def _expand(p: Poly, nums: Iterable[int], table: VarTable, sub: Substitution,
+            expansion: Callable[[tuple], Mapping]) -> tuple[dict, int]:
+    """The one expansion loop: the integer term map of
+    ``sum(c * lift * x^rest * expansion(E))`` over p's terms, and ``L``.
+
+    ``nums`` are p's coefficients as integers, in ``terms`` order, E is a
+    term's exponent vector of the substituted variables (in ``sub.names``
+    order) and x^rest its other variables, each moved onto ``table`` by
+    name.  Both are read from the packed monomial, one field per variable;
+    over p's own table x^rest is the monomial less E's fields.  The lift is
+    ``prod(den_i ** (top_i - E_i))``, ``top_i`` being variable i's largest
+    exponent in p, so every term lies over the one denominator
+    ``L = prod(den_i ** top_i)``.  A source term lifts to total degree
+    ``sum(e_i * deg_i)`` (``deg_i`` 1 for a kept variable and the image's top
+    degree otherwise), which must fit the target's codec; it is checked
+    before ``expansion(E)`` is read.
+    """
+    codec, src = table.codec, p.table.codec
+    mask, cap, w = (1 << src.w) - 1, src.cap, src.w
+    where = [p.table.index(nm) for nm in sub.names]  # source index of each image
+    at = [w * i for i in where]  # their fields' bit positions
+    own = p.table == table
+    if own:
+        offsets = [codec.offsets[i] for i in where]
+    else:
+        kept = []  # (field position, target offset) of each variable that keeps its name
+        missing = []  # field positions of the variables that have no image
+        for i, nm in enumerate(p.table.names):
+            if i in where:
+                continue
+            if nm in table:
+                kept.append((w * i, codec.offsets[table.index(nm)]))
+            else:
+                missing.append(i)
+    vecs = [tuple([cap - ((m >> k) & mask) for k in at]) for m in p.terms]
+    lift = 1
+    lifted = []  # (position, denominator, top exponent in p) of each image with den != 1
+    for k, den in enumerate(sub.dens):
+        if den != 1:
+            t = max((vec[k] for vec in vecs), default=0)
+            lifted.append((k, den, t))
+            lift *= den ** t
+    extra = [d - 1 for d in sub.degrees]  # degree each unit of E_i adds
+    shift, zero = src.shift, codec.zero
+    out: dict = {}
+    for m, vec, c in zip(p.terms, vecs, nums):
+        if own:
+            mono = m
+            for e, offset in zip(vec, offsets):
+                mono -= e * offset
+        else:
+            for i in missing:
+                if (m >> (w * i)) & mask != cap:
+                    raise KeyError(
+                        f"variable {p.table.names[i]!r} has no image in {table!r}")
+            mono = zero
+            for k, offset in kept:
+                mono += (cap - ((m >> k) & mask)) * offset
+        degree = m >> shift
+        for e, d in zip(vec, extra):
+            degree += e * d
+        codec.check_degree(degree)
+        terms = expansion(vec)
+        if terms:
+            for k, den, t in lifted:
+                if t != vec[k]:
+                    c *= den ** (t - vec[k])
+            _add_multiple(out, c, mono - zero, terms)
+    return out, lift
+
+
 def transplant(p: Poly, table: VarTable,
                mapping: Mapping[str, Poly | Scalar] | Substitution | None = None) -> Poly:
     """Rebuild p over another table, mapping variables by name.
@@ -672,15 +776,10 @@ def transplant(p: Poly, table: VarTable,
     table has; a ``Substitution`` passed in (every name in p's table) keeps
     its expansions for later calls.
 
-    The expansion runs on integers: p is scaled by its common denominator
-    and every term is lifted to the one denominator
-    ``D = den(p) * prod(den_i ** top_i)``, ``top_i`` being variable i's
-    largest exponent in p, so a term with exponents E of the substituted
-    variables is ``c * prod(den_i ** (top_i - E_i))`` times the
-    substitution's ``product(E)``.  Only output terms that D does not divide
-    become Fractions.  A source term lifts to total degree
-    ``sum(e_i * deg_i)`` (``deg_i`` 1 for a kept variable and the image's
-    top degree otherwise), which must fit the target's codec.
+    The expansion runs on integers, through ``_expand`` with the
+    substitution's ``product``: p is scaled by its common denominator, so the
+    whole sum lies over ``D = den(p) * prod(den_i ** top_i)``.  Only output
+    terms that D does not divide become Fractions.
     """
     if not isinstance(mapping, Substitution):
         mapping = Substitution(table, {nm: mapping[nm] for nm in p.table.names
@@ -688,54 +787,9 @@ def transplant(p: Poly, table: VarTable,
     elif mapping.table != table:
         raise TableMismatchError(
             f"substitution over {mapping.table!r}, target is {table!r}")
-    codec = table.codec
-    where = [p.table.index(nm) for nm in mapping.names]  # source index of each image
-    kept = []  # (source index, target offset) of each variable that keeps its name
-    missing = []
-    for i, nm in enumerate(p.table.names):
-        if i in where:
-            continue
-        if nm in table:
-            kept.append((i, codec.offsets[table.index(nm)]))
-        else:
-            missing.append(i)
-    source = p.exponents
     nums, D = common_denominator(p.terms.values())
-    lifted = []  # (position, denominator, top exponent in p) of each image with den != 1
-    for k, den in enumerate(mapping.dens):
-        if den != 1:
-            t = max((exps[where[k]] for exps in source), default=0)
-            lifted.append((k, den, t))
-            D *= den ** t
-    degrees = mapping.degrees
-    product = mapping.product
-    zero = codec.zero
-    out: dict = {}
-    for exps, c in zip(source, nums):
-        for i in missing:
-            if exps[i]:
-                raise KeyError(
-                    f"variable {p.table.names[i]!r} has no image in {table!r}")
-        mono = zero
-        degree = 0
-        for i, offset in kept:
-            e = exps[i]
-            if e:
-                mono += e * offset
-                degree += e
-        vec = tuple([exps[i] for i in where])
-        for e, d in zip(vec, degrees):
-            degree += e * d
-        codec.check_degree(degree)
-        for k, den, t in lifted:
-            if t != vec[k]:
-                c *= den ** (t - vec[k])
-        _add_multiple(out, c, mono - zero, product(vec))
-    if D != 1:
-        for m, v in out.items():
-            q, rem = divmod(v, D)
-            out[m] = Fraction(v, D) if rem else q
-    return Poly.from_packed(table, out)
+    out, lift = _expand(p, nums, table, mapping, mapping.product)
+    return Poly.from_packed(table, _divided(out, D * lift))
 
 
 # ---- parsing ---------------------------------------------------------

@@ -153,12 +153,18 @@ def telescoping_failures(chain: DifferenceChain,
     Each level's shift is built here from the chart's nu (``level_shift``),
     never taken from the map, so no expansion the chain was built with is
     reused.  ``shifts`` keeps them by (collection, table, level, alpha_j)
-    across the chains of one check.
+    across the chains of one check, and level 0, the map's fiber
+    coordinates on the chart, by (map, table).
     """
     chart = chain.chart
     shifts = {} if shifts is None else shifts
     out = []
-    levels = [[transplant(c, chart.table) for c in chain.f.fiber_coords], *chain.levels]
+    key = (chain.f, chart.table)
+    level_zero = shifts.get(key)
+    if level_zero is None:
+        level_zero = shifts[key] = [transplant(c, chart.table)
+                                    for c in chain.f.fiber_coords]
+    levels = [level_zero, *chain.levels]
     for j in range(1, chain.depth + 1):
         key = (chart.cc, chart.table, j, chart.alpha[j - 1])
         shift = shifts.get(key)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from multipoint import cli, ideals, verify
+from multipoint import cli, divdiff, ideals, verify
 from multipoint.atlas import chart_count, covering_collection
 from multipoint.cli import RunSpec, build_parser, main, run
 from multipoint.divdiff import PolyMap
@@ -23,6 +23,7 @@ from multipoint.polyring import Poly, VarTable, parse_poly
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 FAMILY = ["--vars", "t,x,y", "--map", "t;x2+ty;y2;xy-tx"]
+QUADRIC = ["--vars", "x,y,z", "--map", "x2+yz;y2-xz;z2+xy"]
 
 
 def capture(argv):
@@ -296,6 +297,35 @@ class TestCheck:
         assert code == 0
         # one chain per chart for the suites, five for corank1's own maps
         assert calls == {"ideals": 6, "verify": 5}
+
+    def test_level_zero_moved_once_per_order(self, monkeypatch):
+        """The chains and the telescoping check each move the map's
+        coordinates onto the order's chart table once, not once per chart
+        (105 charts, 315 moves each)."""
+        calls = {divdiff: 0, verify: 0}
+        for module in calls:
+            def counted(*args, _module=module, _real=module.transplant):
+                calls[_module] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(module, "transplant", counted)
+        code, out = capture(["check", *QUADRIC, "-r", "4", "--suite", "telescoping",
+                             "--trials", "2"])
+        assert code == 0 and out == "telescoping: pass (945 trials, 0 failures)\n"
+        assert calls == {divdiff: 3, verify: 3}
+
+    def test_no_fraction_level_for_eqs_or_dim(self, monkeypatch):
+        """eqs, in either format, and dim read the chains' integer levels
+        only; no chain builds its rational levels."""
+        def refused(*args):
+            raise AssertionError("a chain built its rational levels")
+
+        monkeypatch.setattr(divdiff, "_divided", refused)
+        for argv in (["eqs", *FAMILY, "-r", "3"],
+                     ["eqs", *FAMILY, "-r", "3", "--format", "json"],
+                     ["dim", *FAMILY, "-r", "2"]):
+            code, out = capture(argv)
+            assert code == 0 and out
 
     def test_no_symbolic_projection(self, monkeypatch):
         # the point suites project each draw numerically with Chart.project
@@ -571,6 +601,9 @@ class TestPinnedOutput:
           "--collection", "vandermonde", "--chart", "1,1,1", "--chart", "2,1,1",
           "--chart", "7,5,1", "--format", "json"],
          "a87f7895258b5771bdbd88ed416b3fedb3868ff852855096dd92d4a7ec3dd676"),
+        (["eqs", "--vars", "x,y,z", "--map", "x2+yz;y2-xz;z2+xy", "-r", "4",
+          "--collection", "vandermonde", "--chart", "1,1,1", "--chart", "7,5,1"],
+         "2a52933c3e1c3e08dadad7d6d50eb575588edf4946dd15b4db3c6e6a66263116"),
     ])
     def test_stdout_digest(self, argv, digest):
         code, text = capture(argv)

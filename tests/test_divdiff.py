@@ -1,8 +1,11 @@
 """Tests for difference chains and the corank-one oracle."""
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multipoint.atlas import (
     build_chart,
@@ -13,21 +16,28 @@ from multipoint.atlas import (
     standard_collection,
     vandermonde_collection,
 )
+from multipoint import divdiff
 from multipoint.divdiff import (
     MapFormError,
     PolyMap,
     classical_corank1,
     corank1_translate,
     difference_chain,
+    level_shift,
     _divide_by_binomial,
 )
+from multipoint.ideals import chart_equations
 from multipoint.polyring import (
+    DegreeBoundError,
+    NotDivisibleError,
     Poly,
     PolyError,
     VarTable,
+    divide_by_variable,
     normalize,
     parse_poly,
     substitute,
+    transplant,
 )
 
 TRIFOLD_VARS = ("t", "x", "y")
@@ -217,6 +227,92 @@ def test_shifts_kept_per_collection():
             chain = difference_chain(f, f.chart_for(cc, alpha, 3))
             assert chain.levels == _fresh_chain(trifold, cc, alpha, 3).levels
     assert len(f._chart_tables) == 1 and len(f._shifts) == 2 * (3 + 2)
+
+
+def _recursive_levels(f, chart):
+    """Levels 1..r-1 by the defining recursion, whole rational polynomials
+    at each step: divide_by_variable(substitute(g, level_shift) - g, lambda_j)."""
+    levels = [[transplant(c, chart.table) for c in f.fiber_coords]]
+    for j in range(1, chart.r):
+        shift = level_shift(chart, j)
+        lam = chart.lambda_names[j - 1]
+        levels.append([divide_by_variable(substitute(g, shift) - g, lam)
+                       for g in levels[-1]])
+    return tuple(tuple(level) for level in levels[1:])
+
+
+@st.composite
+def _chain_cases(draw):
+    """A map with rational coefficients, with or without a parameter, and one
+    chart of order 2..4 from the default, vandermonde or a rational
+    collection."""
+    kind = draw(st.sampled_from(["default", "vandermonde", "rational"]))
+    r = draw(st.integers(2, 4))
+    fiber = ("x", "y", "z") if kind == "vandermonde" else ("x", "y")
+    cc = {"default": lambda: covering_collection(2, r),
+          "vandermonde": lambda: vandermonde_collection(3, r),
+          "rational": lambda: collection_from_text(RATIONAL_FORMS)}[kind]()
+    s = draw(st.integers(0, 1))
+    table = VarTable(["t"][:s] + list(fiber))
+    mono = st.lists(st.sampled_from(table.names), max_size=3).map(
+        lambda names: tuple(names.count(nm) for nm in table.names))
+    coeffs = st.fractions(-3, 3, max_denominator=3).filter(bool)
+    coords = [Poly.variable(table, nm) for nm in table.names[:s]]
+    for _ in range(draw(st.integers(1, 3 if kind != "vandermonde" else 2))):
+        coords.append(Poly(table, draw(st.dictionaries(mono, coeffs, max_size=4))))
+    f = PolyMap(table, coords, s=s)
+    alpha = draw(st.sampled_from(list(multi_indices(cc.n, r, cc.ell))))
+    return f, cc, alpha, r
+
+
+@given(_chain_cases())
+@settings(max_examples=60, deadline=None)
+def test_integer_chain_is_the_recursion(case):
+    """The one-pass integer chain equals the level-by-level recursion in
+    rationals; each component is reduced over a positive denominator, and
+    the generators are the normalized levels."""
+    f, cc, alpha, r = case
+    chart = f.chart_for(cc, alpha, r)
+    want = _recursive_levels(f, chart)
+    chain = difference_chain(f, chart)
+    for level in chain.scaled:
+        for q, d in level:
+            assert d > 0 and all(type(c) is int for c in q.terms.values())
+            assert math.gcd(d, *q.terms.values()) == 1
+    assert chain.levels == want
+    eqs = chart_equations(f, r, cc, alpha)
+    assert eqs.generators == tuple(normalize(g) for level in want for g in level)
+
+
+def test_hand_built_chain_reads_either_form():
+    f = trifold()
+    chart = f.chart_for(standard_collection(2, 3), (2, 1), 3)
+    built = difference_chain(f, chart)
+    by_hand = divdiff.DifferenceChain(f=f, chart=chart, levels=built.levels)
+    assert by_hand.depth == built.depth == 2
+    assert by_hand.scaled == built.scaled
+    with pytest.raises(ValueError):
+        divdiff.DifferenceChain(f=f, chart=chart)
+
+
+def test_nu_without_lambda_factor_is_refused(monkeypatch):
+    """A level shift whose nu has a term without lambda_j leaves a
+    difference that lambda_j does not divide."""
+    real = divdiff.level_shift
+    monkeypatch.setattr(divdiff, "level_shift",
+                        lambda chart, j: {nm: img + 1 for nm, img in real(chart, j).items()})
+    f = trifold()
+    with pytest.raises(NotDivisibleError):
+        difference_chain(f, f.chart_for(covering_collection(2, 3), (1, 1), 3))
+
+
+def test_chain_degree_bound():
+    """On chart U(1) the image of y has degree 2, so y^16384 lifts to degree
+    32768, one above the bound, and the chain refuses it before expanding."""
+    f = PolyMap.from_strings(("x", "y"), ("y^16384", "x^2"))
+    chart = f.chart_for(covering_collection(2, 2), (1,), 2)
+    with pytest.raises(DegreeBoundError, match="32768"):
+        difference_chain(f, chart)
 
 
 def test_chain_chart_mismatch():

@@ -198,6 +198,32 @@ def test_pow_negative_rejected():
         P("x") ** -1
 
 
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_product_by_a_monomial_is_the_general_product(data):
+    """A product with a monomial of coefficient 1, on either side, shifts
+    every monomial; it equals the general term-by-term product."""
+    table = TXY
+    mono = st.tuples(*[st.integers(0, 3)] * len(table))
+    coeffs = st.fractions(-4, 4, max_denominator=4).filter(bool)
+    p = Poly(table, data.draw(st.dictionaries(mono, coeffs, max_size=5)))
+    m = Poly(table, {data.draw(mono): 1})
+    general = Poly.from_packed(table, polyring._ints_where_integral(
+        polyring._product(p.terms, m.terms, table.codec.zero)))
+    assert p * m == general and m * p == general
+
+
+def test_product_by_a_monomial_keeps_the_degree_bound():
+    x, y = P("x"), P("y")
+    top = P(f"x^{CAP - 1}+y")
+    assert by_exponents(top * x) == {(CAP, 0): 1, (1, 1): 1}
+    assert by_exponents(y * P(f"x^{CAP - 1}")) == {(CAP - 1, 1): 1}
+    with pytest.raises(DegreeBoundError, match=str(CAP)):
+        top * (x * y)
+    with pytest.raises(DegreeBoundError, match=str(CAP)):
+        x * P(f"x^{CAP}")
+
+
 def test_table_mismatch_raises():
     with pytest.raises(TableMismatchError):
         P("x") + P("x", TXY)

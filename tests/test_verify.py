@@ -109,19 +109,21 @@ class TestTelescoping:
         assert telescoping_failures(difference_chain(f, chart)) == []
 
     def test_corrupt_shift_memo_is_caught(self):
-        """A corrupted expansion in the map's kept level-1 shift corrupts
-        the next chart that picks the same form; telescoping builds its own
-        shifts from the chart's nu, so it reports the chart."""
+        """A corrupted difference quotient in the map's kept level-1 shift,
+        the memo the chain reads, corrupts the next chart that picks the
+        same form.  The product it came from is corrupted alike, so the
+        map's shift agrees with itself; telescoping builds its own shifts
+        from the chart's nu, so it still reports the chart."""
         f = family()
         cc = covering_collection(2, 3)
         chart_equations(f, 3, cc, (1, 1))
         shift = f._shifts[(cc, 3, 1, 1)]
-        codec = shift.table.codec
-        lam = shift.table.index("l1")
-        # a term with lambda_1 in it, so the chain still divides by lambda_1
-        terms, m = next((t, m) for e, t in shift._products.items() if any(e)
-                        for m in t if codec.unpack(m)[lam])
-        terms[m] += 1
+        lam = shift.table.codec.offsets[shift.table.index("l1")]
+        e, quotient = next((e, q) for e, q in shift._quotients.items() if q)
+        m = next(iter(quotient))
+        # the quotient's term at m is the product's term at m * lambda_1
+        quotient[m] *= 2
+        shift._products[e][m + lam] *= 2
         bad = chart_equations(f, 3, cc, (1, 2))
         fresh = family()
         want = difference_chain(fresh, fresh.chart_for(cc, (1, 2), 3))
