@@ -35,6 +35,7 @@ from typing import Sequence
 
 from .atlas import Chart, build_chart
 from .polyring import (
+    NotDivisibleError,
     Poly,
     PolyError,
     Scalar,
@@ -44,6 +45,7 @@ from .polyring import (
     _expand,
     divide_by_variable,
     parse_poly,
+    render,
     scale_poly,
     substitute,
     transplant,
@@ -178,25 +180,25 @@ class PolyMap:
 class DifferenceChain:
     """The generalized divided differences of one map on one chart.
 
-    A chain holds its levels in one of two forms and builds the other on its
-    first read: ``scaled``, each component an integer polynomial over one
-    positive denominator ``(q, d)``, which ``difference_chain`` computes,
-    and ``levels``, each component a ``Poly`` with rational coefficients,
-    which a chain built by hand (``DifferenceChain(f=..., chart=...,
-    levels=...)``) is given.
+    ``scaled`` holds levels 1..r-1, each component an integer polynomial q
+    over a positive denominator d, the pair ``(q, d)``; ``difference_chain``
+    computes it.  ``levels``, the same components as ``Poly``s with
+    rational coefficients, is built on its first read.  A chain built by
+    hand (``DifferenceChain(f=..., chart=..., levels=...)``) is given its
+    rational levels and scales them once.
     """
 
-    __slots__ = ("f", "chart", "_levels", "_scaled")
+    __slots__ = ("f", "chart", "scaled", "_levels")
 
     def __init__(self, f: PolyMap, chart: Chart,
                  levels: tuple[tuple[Poly, ...], ...] | None = None,
                  scaled: tuple[tuple[tuple[Poly, int], ...], ...] | None = None):
-        if (levels is None) == (scaled is None):
-            raise ValueError("a chain takes either levels or scaled levels")
+        if scaled is None:
+            scaled = tuple(tuple(map(scale_poly, level)) for level in levels)
         self.f = f
         self.chart = chart
+        self.scaled = scaled
         self._levels = levels
-        self._scaled = scaled
 
     @property
     def levels(self) -> tuple[tuple[Poly, ...], ...]:
@@ -205,21 +207,12 @@ class DifferenceChain:
             self._levels = tuple(
                 tuple(Poly.from_packed(q.table, _divided(dict(q.terms), d))
                       for q, d in level)
-                for level in self._scaled)
+                for level in self.scaled)
         return self._levels
 
     @property
-    def scaled(self) -> tuple[tuple[tuple[Poly, int], ...], ...]:
-        """Levels 1..r-1, each component an integer polynomial q over a
-        positive denominator d, the level being q / d."""
-        if self._scaled is None:
-            self._scaled = tuple(tuple(map(scale_poly, level))
-                                 for level in self._levels)
-        return self._scaled
-
-    @property
     def depth(self) -> int:
-        return len(self._scaled if self._levels is None else self._levels)
+        return len(self.scaled)
 
 
 def _check_compatible(f: PolyMap, chart: Chart):
@@ -247,7 +240,10 @@ class LevelShift(Substitution):
     Every entry of nu_j is a multiple of lambda_j, so the product for E less
     its pure term ``den^E * gamma^E``, the one term with no nu factor, is
     divisible by lambda_j; ``quotient(E)`` is that quotient, built once
-    through ``divide_by_variable`` and kept as long as the object.
+    through ``divide_by_variable`` and kept as long as the object.  A nu_j
+    with a term free of lambda_j raises ``NotDivisibleError``: there
+    ``divide_by_variable`` refuses a term off gamma^E, and ``quotient`` a
+    pure term other than ``den^E``.
     """
 
     __slots__ = ("lam", "_offsets", "_quotients")
@@ -264,7 +260,11 @@ class LevelShift(Substitution):
         got = self._quotients.get(e)
         if got is None:
             terms = dict(self.product(e))
-            del terms[self.table.codec.zero + sum(map(operator.mul, e, self._offsets))]
+            pure = self.table.codec.zero + sum(map(operator.mul, e, self._offsets))
+            left = terms.pop(pure, 0) - math.prod(map(pow, self.dens, e))
+            if left:  # a lambda-free term of nu_j landed on gamma^E
+                raise NotDivisibleError(
+                    self.lam, render(Poly.from_packed(self.table, {pure: left})))
             got = self._quotients[e] = divide_by_variable(
                 Poly.from_packed(self.table, terms), self.lam).terms
         return got

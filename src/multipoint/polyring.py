@@ -702,8 +702,8 @@ def _expand(p: Poly, nums: Iterable[int], table: VarTable, sub: Substitution,
     ``nums`` are p's coefficients as integers, in ``terms`` order, E is a
     term's exponent vector of the substituted variables (in ``sub.names``
     order) and x^rest its other variables, each moved onto ``table`` by
-    name.  Both are read from the packed monomial, one field per variable;
-    over p's own table x^rest is the monomial less E's fields.  The lift is
+    name.  Both are read from the packed monomial, one field per variable.
+    The lift is
     ``prod(den_i ** (top_i - E_i))``, ``top_i`` being variable i's largest
     exponent in p, so every term lies over the one denominator
     ``L = prod(den_i ** top_i)``.  A source term lifts to total degree
@@ -715,19 +715,15 @@ def _expand(p: Poly, nums: Iterable[int], table: VarTable, sub: Substitution,
     mask, cap, w = (1 << src.w) - 1, src.cap, src.w
     where = [p.table.index(nm) for nm in sub.names]  # source index of each image
     at = [w * i for i in where]  # their fields' bit positions
-    own = p.table == table
-    if own:
-        offsets = [codec.offsets[i] for i in where]
-    else:
-        kept = []  # (field position, target offset) of each variable that keeps its name
-        missing = []  # field positions of the variables that have no image
-        for i, nm in enumerate(p.table.names):
-            if i in where:
-                continue
-            if nm in table:
-                kept.append((w * i, codec.offsets[table.index(nm)]))
-            else:
-                missing.append(i)
+    kept = []  # (field position, target offset) of each variable that keeps its name
+    missing = []  # indices of the variables that have no image
+    for i, nm in enumerate(p.table.names):
+        if i in where:
+            continue
+        if nm in table:
+            kept.append((w * i, codec.offsets[table.index(nm)]))
+        else:
+            missing.append(i)
     vecs = [tuple([cap - ((m >> k) & mask) for k in at]) for m in p.terms]
     lift = 1
     lifted = []  # (position, denominator, top exponent in p) of each image with den != 1
@@ -740,18 +736,13 @@ def _expand(p: Poly, nums: Iterable[int], table: VarTable, sub: Substitution,
     shift, zero = src.shift, codec.zero
     out: dict = {}
     for m, vec, c in zip(p.terms, vecs, nums):
-        if own:
-            mono = m
-            for e, offset in zip(vec, offsets):
-                mono -= e * offset
-        else:
-            for i in missing:
-                if (m >> (w * i)) & mask != cap:
-                    raise KeyError(
-                        f"variable {p.table.names[i]!r} has no image in {table!r}")
-            mono = zero
-            for k, offset in kept:
-                mono += (cap - ((m >> k) & mask)) * offset
+        for i in missing:
+            if (m >> (w * i)) & mask != cap:
+                raise KeyError(
+                    f"variable {p.table.names[i]!r} has no image in {table!r}")
+        mono = zero
+        for k, offset in kept:
+            mono += (cap - ((m >> k) & mask)) * offset
         degree = m >> shift
         for e, d in zip(vec, extra):
             degree += e * d

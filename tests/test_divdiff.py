@@ -284,23 +284,28 @@ def test_integer_chain_is_the_recursion(case):
     assert eqs.generators == tuple(normalize(g) for level in want for g in level)
 
 
-def test_hand_built_chain_reads_either_form():
+def test_hand_built_chain_scales_its_levels():
     f = trifold()
     chart = f.chart_for(standard_collection(2, 3), (2, 1), 3)
     built = difference_chain(f, chart)
     by_hand = divdiff.DifferenceChain(f=f, chart=chart, levels=built.levels)
     assert by_hand.depth == built.depth == 2
+    assert by_hand.levels is built.levels
     assert by_hand.scaled == built.scaled
-    with pytest.raises(ValueError):
-        divdiff.DifferenceChain(f=f, chart=chart)
 
 
-def test_nu_without_lambda_factor_is_refused(monkeypatch):
+@pytest.mark.parametrize("extra", ["one", "gamma"])
+def test_nu_without_lambda_factor_is_refused(monkeypatch, extra):
     """A level shift whose nu has a term without lambda_j leaves a
-    difference that lambda_j does not divide."""
+    difference that lambda_j does not divide: nu + 1 puts that term off
+    gamma^E, nu + gamma puts it on gamma^E."""
     real = divdiff.level_shift
-    monkeypatch.setattr(divdiff, "level_shift",
-                        lambda chart, j: {nm: img + 1 for nm, img in real(chart, j).items()})
+
+    def bent(chart, j):
+        return {nm: img + (1 if extra == "one" else Poly.variable(chart.table, nm))
+                for nm, img in real(chart, j).items()}
+
+    monkeypatch.setattr(divdiff, "level_shift", bent)
     f = trifold()
     with pytest.raises(NotDivisibleError):
         difference_chain(f, f.chart_for(covering_collection(2, 3), (1, 1), 3))
