@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .polyring import Poly, PolyError, Scalar, VarTable, _integral, common_denominator
+from .polyring import Poly, PolyError, Scalar, VarTable, common_denominator
 
 
 class CollectionError(PolyError):
@@ -34,9 +34,9 @@ class CollectionError(PolyError):
 class LinearForm:
     """A linear form sum(c_j * x_j) on the source fiber.
 
-    A coefficient is an ``int`` when integral and a ``Fraction`` otherwise,
-    as in ``Poly``; ``numerators`` over ``denominator`` are the same
-    coefficients scaled to integers over one denominator.
+    ``coeffs`` are ``Fraction``s; ``numerators`` over ``denominator`` are
+    the same coefficients as integers over one positive denominator, the
+    layout of a ``Poly``.
     """
 
     coeffs: tuple[Scalar, ...]
@@ -44,7 +44,7 @@ class LinearForm:
     denominator: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        coeffs = tuple(_integral(Fraction(c)) for c in self.coeffs)
+        coeffs = tuple(map(Fraction, self.coeffs))
         if not any(coeffs):
             raise CollectionError("linear form must be nonzero")
         nums, q = common_denominator(coeffs)

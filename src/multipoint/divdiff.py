@@ -14,16 +14,16 @@ one shift.  The map keeps that shift as one ``LevelShift`` (a
 lives, and with it every expansion made through it.  It also keeps level 0,
 its fiber coordinates on the charts' table, once per table.
 
-The chain runs on integers: a component is an integer polynomial q over
-one positive denominator d.  Each level is one pass over the previous
-one's terms.  A term c * x^rest * gamma^E becomes, after the substitution,
-the subtraction and the division by lambda_j, c * x^rest * Q(E) over d,
-where Q(E) is the shift's product for E less its pure term gamma^E, divided
-by lambda_j: every entry of nu_j is a multiple of lambda_j, and so every
-other term of the product.  A term with E = 0 cancels.  The shift keeps
-each Q(E) it builds.  A component's denominator is reduced against its
-coefficients, and its primitive part, the chart generator, is that of q.
-``DifferenceChain.levels`` builds the rational levels only when read.
+The chain runs on integers: a component is a ``Poly``, an integer term map
+q over one positive denominator d.  Each level is one pass over the
+previous one's terms.  A term c * x^rest * gamma^E becomes, after the
+substitution, the subtraction and the division by lambda_j,
+c * x^rest * Q(E) over d, where Q(E) is the shift's product for E less its
+pure term gamma^E, divided by lambda_j: every entry of nu_j is a multiple
+of lambda_j, and so every other term of the product.  A term with E = 0
+cancels.  The shift keeps each Q(E) it builds.  ``Poly.reduced`` keeps a
+component's denominator in lowest terms, and its primitive part, the chart
+generator, is that of q.
 """
 
 from __future__ import annotations
@@ -41,12 +41,10 @@ from .polyring import (
     Scalar,
     Substitution,
     VarTable,
-    _divided,
     _expand,
     divide_by_variable,
     parse_poly,
     render,
-    scale_poly,
     substitute,
     transplant,
 )
@@ -94,8 +92,8 @@ class PolyMap:
         self.coords = coords
         self.s = s
         self._chart_tables: dict[int, VarTable] = {}  # order -> its charts' table
-        # chart table -> the fiber coordinates on it, over a denominator each
-        self._level_zero: dict[VarTable, tuple[tuple[Poly, int], ...]] = {}
+        # chart table -> the fiber coordinates on it
+        self._level_zero: dict[VarTable, tuple[Poly, ...]] = {}
         # (collection, order, level, form index at that level) -> level shift
         self._shifts: dict[tuple, LevelShift] = {}
 
@@ -141,14 +139,13 @@ class PolyMap:
         self._chart_tables.setdefault(r, chart.table)
         return chart
 
-    def level_zero(self, chart: Chart) -> tuple[tuple[Poly, int], ...]:
-        """The fiber coordinates on ``chart``'s table, each as an integer
-        polynomial over a positive denominator; built once per table, so
-        once per order for the charts of ``chart_for``."""
+    def level_zero(self, chart: Chart) -> tuple[Poly, ...]:
+        """The fiber coordinates on ``chart``'s table; built once per table,
+        so once per order for the charts of ``chart_for``."""
         level = self._level_zero.get(chart.table)
         if level is None:
             level = self._level_zero[chart.table] = tuple(
-                scale_poly(transplant(c, chart.table)) for c in self.fiber_coords)
+                transplant(c, chart.table) for c in self.fiber_coords)
         return level
 
     def shift_for(self, chart: Chart, j: int) -> LevelShift:
@@ -178,41 +175,19 @@ class PolyMap:
 
 
 class DifferenceChain:
-    """The generalized divided differences of one map on one chart.
+    """The generalized divided differences of one map on one chart:
+    ``levels`` holds levels 1..r-1, one ``Poly`` per fiber coordinate."""
 
-    ``scaled`` holds levels 1..r-1, each component an integer polynomial q
-    over a positive denominator d, the pair ``(q, d)``; ``difference_chain``
-    computes it.  ``levels``, the same components as ``Poly``s with
-    rational coefficients, is built on its first read.  A chain built by
-    hand (``DifferenceChain(f=..., chart=..., levels=...)``) is given its
-    rational levels and scales them once.
-    """
+    __slots__ = ("f", "chart", "levels")
 
-    __slots__ = ("f", "chart", "scaled", "_levels")
-
-    def __init__(self, f: PolyMap, chart: Chart,
-                 levels: tuple[tuple[Poly, ...], ...] | None = None,
-                 scaled: tuple[tuple[tuple[Poly, int], ...], ...] | None = None):
-        if scaled is None:
-            scaled = tuple(tuple(map(scale_poly, level)) for level in levels)
+    def __init__(self, f: PolyMap, chart: Chart, levels: tuple[tuple[Poly, ...], ...]):
         self.f = f
         self.chart = chart
-        self.scaled = scaled
-        self._levels = levels
-
-    @property
-    def levels(self) -> tuple[tuple[Poly, ...], ...]:
-        """Levels 1..r-1, rational coefficients; built once, on first read."""
-        if self._levels is None:
-            self._levels = tuple(
-                tuple(Poly.from_packed(q.table, _divided(dict(q.terms), d))
-                      for q, d in level)
-                for level in self.scaled)
-        return self._levels
+        self.levels = levels
 
     @property
     def depth(self) -> int:
-        return len(self.scaled)
+        return len(self.levels)
 
 
 def _check_compatible(f: PolyMap, chart: Chart):
@@ -270,19 +245,13 @@ class LevelShift(Substitution):
         return got
 
 
-def _next_level(g: Poly, d: int, shift: LevelShift) -> tuple[Poly, int]:
-    """(g(gamma + nu_j) - g(gamma)) / lambda_j for the level component g / d,
-    as an integer polynomial over a positive denominator, in one pass over
-    g's terms: a term with exponent vector E of gamma contributes through
-    ``shift.quotient(E)``, and one with E = 0 cancels.  The denominator is
-    reduced against the coefficients, so it does not grow level by level."""
-    out, lift = _expand(g, g.terms.values(), g.table, shift, shift.quotient)
-    d *= lift
-    k = math.gcd(d, *out.values())
-    if k != 1:
-        out = {m: v // k for m, v in out.items()}
-        d //= k
-    return Poly.from_packed(g.table, out), d
+def _next_level(g: Poly, shift: LevelShift) -> Poly:
+    """(g(gamma + nu_j) - g(gamma)) / lambda_j for the level component g, in
+    one pass over g's integer terms: a term with exponent vector E of gamma
+    contributes through ``shift.quotient(E)``, and one with E = 0 cancels.
+    The result is reduced, so the denominator does not grow level by level."""
+    out, lift = _expand(g, g.table, shift, shift.quotient)
+    return Poly.reduced(g.table, out, g.den * lift)
 
 
 def difference_chain(f: PolyMap, chart: Chart) -> DifferenceChain:
@@ -294,9 +263,9 @@ def difference_chain(f: PolyMap, chart: Chart) -> DifferenceChain:
     levels = []
     for j in range(1, chart.r):
         shift = f.shift_for(chart, j)
-        level = tuple(_next_level(g, d, shift) for g, d in level)
+        level = tuple(_next_level(g, shift) for g in level)
         levels.append(level)
-    return DifferenceChain(f=f, chart=chart, scaled=tuple(levels))
+    return DifferenceChain(f=f, chart=chart, levels=tuple(levels))
 
 
 # ---- classical corank-one divided differences ------------------------------
@@ -312,7 +281,7 @@ def _divide_by_binomial(p: Poly, u: str, v: str) -> Poly:
         d = exps[ui]
         by_degree.setdefault(d, {})[m - d * offset] = c
     top = max(by_degree, default=0)
-    coeffs = [Poly.from_packed(table, by_degree.get(d, {})) for d in range(top + 1)]
+    coeffs = [Poly.reduced(table, by_degree.get(d, {}), p.den) for d in range(top + 1)]
     vpoly = Poly.variable(table, v)
     upoly = Poly.variable(table, u)
     quotient = Poly.zero(table)

@@ -347,9 +347,9 @@ def chart_equations(f: PolyMap, r: int, cc: CoveringCollection,
         raise ValueError("order r must be >= 2")
     chart = f.chart_for(cc, alpha, r)
     chain = difference_chain(f, chart)
-    # the primitive part of q is that of q / d, i.e. normalize(q / d)
-    gens = tuple(Poly.from_packed(chart.table, primitive_terms(q.terms))
-                 for level in chain.scaled for q, _ in level)
+    # the primitive part of g is that of its numerators, i.e. normalize(g)
+    gens = tuple(Poly.from_packed(chart.table, primitive_terms(g.terms))
+                 for level in chain.levels for g in level)
     return ChartEquations(chart=chart, chain=chain, generators=gens)
 
 

@@ -2,8 +2,9 @@
 
 Polynomials live in a ring described by a VarTable (an ordered list of named
 variables; on a chart: parameters, base variables, then per-level lambda/a
-blocks).  Coefficients are exact rationals: an integral coefficient is a
-plain ``int`` and any other one a ``Fraction``.  The ambient term order is
+blocks).  Coefficients are exact rationals, held as in FLINT's
+``fmpq_mpoly``: a Poly is an integer term map over one positive
+denominator, ``terms / den``, in lowest terms.  The ambient term order is
 degree-reverse-lexicographic with earlier variables larger.
 
 One monomial layout serves the whole package, the Groebner engine
@@ -34,42 +35,42 @@ the text of each packed monomial once and keeps it as long as the table
 lives.  The charts of one map and order share one table, so one run builds
 each text once.
 
-``Poly(table, terms)`` reads exponent tuples and checks every term, for
-input at the edges such as ``verify.rand_poly`` and tests.  Everything
-else, the parser included (through ``Poly.variable``, ``Poly.constant``
-and the ring operators), builds through ``Poly.from_packed``, with no
-per-term checks.
+``Poly(table, terms)`` reads exponent tuples to ``int`` or ``Fraction``
+coefficients and checks every term, for input at the edges such as
+``verify.rand_poly`` and tests; ``common_denominator`` turns the values
+into numerators over their lcm, which is already in lowest terms.
+Everything else, the parser included (through ``Poly.variable``,
+``Poly.constant`` and the ring operators), builds through
+``Poly.from_packed``, with no per-term checks, or through ``Poly.reduced``
+when the result may share a factor with its denominator.
 
-The hot exact loops run on integers over one common denominator
-(``common_denominator``, the lcm-and-scale step ``normalize`` and
-``scale_poly`` also use) and build a ``Fraction`` only at the exit:
-``evaluate`` returns one per call, and ``transplant`` one per output term
-that its denominator does not divide.
-A caller that evaluates at one point many times scales it once
-(``scale_point``) and passes the ``ScaledPoint`` to each ``evaluate``.
-``evaluate`` reads a plan that each Poly builds from ``exponents`` on its
-first evaluation and keeps: its coefficients over one denominator and,
-per term, only the nonzero factors.
-Ring operators (``+``, ``-``, ``*`` and ``divide_by_variable``) still combine
-``Fraction`` coefficients directly.
+Every operation runs on the integer numerators.  ``+`` scales both maps
+to the lcm of the denominators and adds on the one term loop,
+``_add_multiple``; ``*`` multiplies numerators and denominators; both, and
+``differentiate`` and ``transplant``, reduce once at the end.
+``evaluate`` builds one ``Fraction`` per call, at the exit.  A caller that
+evaluates at one point many times scales it once (``scale_point``) and
+passes the ``ScaledPoint`` to each ``evaluate``.  ``evaluate`` reads a plan
+that each Poly builds from ``exponents`` on its first evaluation and
+keeps: per term, its lift and only the nonzero factors.
 
 Substitution has one expansion loop, ``_expand``: per source term it reads
 the exponent vector E of the substituted variables and the kept monomial
-from the packed int, lifts the coefficient to one common denominator,
-checks the lifted degree and adds the term times an expansion of E into
-one integer term map.  Two routines call it.  ``transplant`` (and
+from the packed int, lifts the integer numerator to one common
+denominator, checks the lifted degree and adds the term times an expansion
+of E into one integer term map.  Two routines call it.  ``transplant`` (and
 ``substitute``, which is ``transplant`` onto p's own table) expands E into
-``Substitution.product(E)`` and divides by the denominator at the end.
-``divdiff``'s difference chain expands E into a difference quotient built
-from that product, and keeps its levels as integer polynomials, each over
-one denominator.  A ``Substitution`` holds the images scaled to integers and
-a memo from E to the integer product ``prod(image_i ** E_i)``.  The memo
-does not depend on the polynomial substituted into, so a ``Substitution``
-used again expands each E once.  ``transplant`` builds one for a plain
-mapping and drops it with the call.  ``divdiff`` keeps one per level shift
-on the run's ``PolyMap``, keyed by (collection, order, level, alpha_j) and
-living as long as the map, so every component and every chart of a run
-that picks one form at one level shares its expansions.  The telescoping
+``Substitution.product(E)``; ``divdiff``'s difference chain expands E into
+a difference quotient built from that product.  Both put the sum over the
+lifted denominator through ``Poly.reduced``.  A ``Substitution`` holds the
+images' integer numerators and a memo from E to the integer product
+``prod(image_i ** E_i)``.  The memo does not depend on the polynomial
+substituted into, so a ``Substitution`` used again expands each E once.
+``transplant`` builds one for a plain mapping and drops it with the call.
+``divdiff`` keeps one per level shift on the run's ``PolyMap``, keyed by
+(collection, order, level, alpha_j) and living as long as the map, so every
+component and every chart of a run that picks one form at one level shares
+its expansions.  The telescoping
 check builds its own.
 """
 
@@ -290,34 +291,25 @@ def _product(t1: Mapping, t2: Mapping, zero: int) -> dict:
     return out
 
 
-def _integral(c: Scalar) -> Scalar:
-    """A scalar as an int when integral, else as itself."""
-    return c.numerator if c.denominator == 1 else c
-
-
-def _ints_where_integral(terms: dict) -> dict:
-    """Replace each integral ``Fraction`` value of a fresh term map by its int."""
-    for m, v in terms.items():
-        if type(v) is Fraction:
-            terms[m] = _integral(v)
-    return terms
-
-
 class Poly:
     """Immutable multivariate polynomial with exact rational coefficients.
 
-    ``terms`` maps packed monomials (of ``table.codec``) to nonzero
-    coefficients, each an ``int`` when integral and a ``Fraction`` otherwise;
-    the zero polynomial has an empty map.  ``exponents`` holds the terms'
-    exponent tuples in the same order.  Do not mutate ``terms`` after
-    construction: every operation returns a fresh Poly.
+    The polynomial is ``terms / den``: ``terms`` maps packed monomials (of
+    ``table.codec``) to nonzero ``int`` numerators and ``den`` is a positive
+    ``int``, the pair in lowest terms (``gcd(den, *terms.values()) == 1``),
+    so equal polynomials have equal fields.  The zero polynomial has an
+    empty map over 1.  ``exponents`` holds the terms' exponent tuples in
+    ``terms`` order.  Do not mutate ``terms`` after construction: every
+    operation returns a fresh Poly.
 
-    ``Poly(table, terms)`` reads exponent tuples and checks every term.  The
-    operations of this package build their results with ``from_packed``,
-    which trusts its input.
+    ``Poly(table, terms)`` reads exponent tuples to ``int`` or ``Fraction``
+    coefficients and checks every term; the lcm of their denominators is
+    already a lowest-terms ``den``.  The operations of this package build
+    their results with ``from_packed``, which trusts its input, or with
+    ``reduced``, which divides out the gcd of a result that may have one.
     """
 
-    __slots__ = ("table", "terms", "_exponents", "_plan")
+    __slots__ = ("table", "terms", "den", "_exponents", "_plan")
 
     def __init__(self, table: VarTable, terms: Mapping[tuple, Scalar]):
         pack = table.codec.pack
@@ -327,24 +319,38 @@ class Poly:
             if len(exps) != width or min(exps, default=0) < 0:
                 raise ValueError(f"exponent vector {exps} is not valid for {table!r}")
             if c:
-                clean[pack(exps)] = _integral(c)
+                clean[pack(exps)] = c
+        nums, den = common_denominator(clean.values())
         self.table = table
-        self.terms = clean
+        self.terms = dict(zip(clean, nums))
+        self.den = den
         self._exponents = None
         self._plan = None
 
     # ---- constructors -------------------------------------------------
 
     @classmethod
-    def from_packed(cls, table: VarTable, terms: dict) -> "Poly":
-        """The Poly that owns ``terms``, unchecked: packed monomials of
-        ``table.codec`` to nonzero coefficients, ints where integral."""
+    def from_packed(cls, table: VarTable, terms: dict, den: int = 1) -> "Poly":
+        """The Poly ``terms / den`` that owns ``terms``, unchecked: packed
+        monomials of ``table.codec`` to nonzero ints, in lowest terms."""
         p = object.__new__(cls)
         p.table = table
         p.terms = terms
+        p.den = den
         p._exponents = None
         p._plan = None
         return p
+
+    @classmethod
+    def reduced(cls, table: VarTable, terms: dict, den: int) -> "Poly":
+        """The Poly ``terms / den`` for an integer term map and a positive
+        ``den`` that may share a factor: the gcd is divided out."""
+        if den != 1:
+            g = math.gcd(den, *terms.values())
+            if g != 1:
+                terms = {m: v // g for m, v in terms.items()}
+                den //= g
+        return cls.from_packed(table, terms, den)
 
     @classmethod
     def zero(cls, table: VarTable) -> "Poly":
@@ -354,7 +360,7 @@ class Poly:
     def constant(cls, table: VarTable, c: Scalar) -> "Poly":
         if not c:
             return cls.zero(table)
-        return cls.from_packed(table, {table.codec.zero: _integral(c)})
+        return cls.from_packed(table, {table.codec.zero: c.numerator}, c.denominator)
 
     @classmethod
     def variable(cls, table: VarTable, name: str) -> "Poly":
@@ -391,7 +397,8 @@ class Poly:
     def leading_coefficient(self) -> Scalar:
         if self.is_zero():
             raise PolyError("zero polynomial has no leading coefficient")
-        return self.terms[max(self.terms)]
+        c = Fraction(self.terms[max(self.terms)], self.den)
+        return c.numerator if c.denominator == 1 else c
 
     def variables_used(self) -> list[str]:
         used = set()
@@ -412,19 +419,18 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             other = Poly.constant(self.table, other)
         self._check(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = terms.get(m, 0) + c
-            if s:
-                terms[m] = _integral(s)
-            else:
-                del terms[m]
-        return Poly.from_packed(self.table, terms)
+        a, b = self.den, other.den  # over lcm(a, b): self times u, other times v
+        g = math.gcd(a, b)
+        u, v = b // g, a // g
+        terms = dict(self.terms) if u == 1 else {m: c * u for m, c in self.terms.items()}
+        _add_multiple(terms, v, 0, other.terms)
+        return Poly.reduced(self.table, terms, a * u)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly.from_packed(self.table, {m: -c for m, c in self.terms.items()})
+        return Poly.from_packed(self.table, {m: -c for m, c in self.terms.items()},
+                                self.den)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -438,20 +444,21 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 return Poly.zero(self.table)
-            return Poly.from_packed(self.table, _ints_where_integral(
-                {m: other * v for m, v in self.terms.items()}))
+            c = other.numerator
+            return Poly.reduced(self.table, {m: c * v for m, v in self.terms.items()},
+                                self.den * other.denominator)
         self._check(other)
         codec = self.table.codec
         codec.check_degree(self.top_degree() + other.top_degree())
         for unit, p in ((other, self), (self, other)):
-            if len(unit.terms) == 1:
+            if len(unit.terms) == 1 and unit.den == 1:
                 (m, c), = unit.terms.items()
                 if c == 1:  # a monomial: shift every monomial of p
                     shift = m - codec.zero
                     return Poly.from_packed(
-                        self.table, {k + shift: v for k, v in p.terms.items()})
-        return Poly.from_packed(self.table, _ints_where_integral(
-            _product(self.terms, other.terms, codec.zero)))
+                        self.table, {k + shift: v for k, v in p.terms.items()}, p.den)
+        return Poly.reduced(self.table, _product(self.terms, other.terms, codec.zero),
+                            self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -470,7 +477,7 @@ class Poly:
 
     def __eq__(self, other):
         return (isinstance(other, Poly) and self.table == other.table
-                and self.terms == other.terms)
+                and self.den == other.den and self.terms == other.terms)
 
     __hash__ = None
 
@@ -509,24 +516,23 @@ def divide_by_variable(p: Poly, name: str) -> Poly:
     for m, c in p.terms.items():
         q = m - offset
         if q & guard:
-            raise NotDivisibleError(name, render(Poly.from_packed(p.table, {m: c})))
+            raise NotDivisibleError(name, render(Poly.reduced(p.table, {m: c}, p.den)))
         terms[q] = c
-    return Poly.from_packed(p.table, terms)
+    return Poly.from_packed(p.table, terms, p.den)
 
 
 def _evaluation_plan(p: Poly) -> tuple:
-    """``(den, top, steps)`` for ``evaluate``: the coefficients as integers
-    over ``den``, the top total degree, and per term its integer coefficient,
-    its power ``top - k`` of the point's denominator (k read from the packed
-    degree field) and its nonzero ``(index, exponent)`` factors."""
-    coeffs, den = common_denominator(p.terms.values())
+    """``(top, steps)`` for ``evaluate``: the top total degree and, per term,
+    its integer coefficient, its power ``top - k`` of the point's denominator
+    (k read from the packed degree field) and its nonzero ``(index,
+    exponent)`` factors."""
     shift = p.table.codec.shift
     top = p.top_degree()
     steps = tuple(
         (c, top - (m >> shift),
          tuple((i, e) for i, e in enumerate(exps) if e))
-        for c, m, exps in zip(coeffs, p.terms, p.exponents))
-    return den, top, steps
+        for (m, c), exps in zip(p.terms.items(), p.exponents))
+    return top, steps
 
 
 class ScaledPoint(NamedTuple):
@@ -550,8 +556,8 @@ def evaluate(p: Poly, point: Sequence[Scalar] | ScaledPoint) -> Fraction:
 
     The point is scaled to integers over one denominator d, unless it comes
     as a ``ScaledPoint``, so a term of total degree k sums as an int over
-    d^top once lifted by d^(top - k); one Fraction is built at the end.  The
-    plan of each Poly (its coefficients over one denominator and each term's
+    d^top once lifted by d^(top - k); one Fraction, over p's ``den`` times
+    d^top, is built at the end.  The plan of each Poly (each term's lift and
     nonzero factors) is built on the first evaluation and kept with it.
     """
     if not isinstance(point, ScaledPoint):
@@ -563,7 +569,7 @@ def evaluate(p: Poly, point: Sequence[Scalar] | ScaledPoint) -> Fraction:
     plan = p._plan
     if plan is None:
         plan = p._plan = _evaluation_plan(p)
-    den, top, steps = plan
+    top, steps = plan
     lift = [1] * (top + 1)  # lift[j] == d ** j
     if d != 1:
         for j in range(1, top + 1):
@@ -574,7 +580,7 @@ def evaluate(p: Poly, point: Sequence[Scalar] | ScaledPoint) -> Fraction:
         for i, e in factors:
             acc *= nums[i] ** e
         total += acc
-    return Fraction(total, den * lift[top])
+    return Fraction(total, p.den * lift[top])
 
 
 def differentiate(p: Poly, name: str) -> Poly:
@@ -586,7 +592,7 @@ def differentiate(p: Poly, name: str) -> Poly:
         e = exps[i]
         if e:
             terms[m - offset] = c * e
-    return Poly.from_packed(p.table, _ints_where_integral(terms))
+    return Poly.reduced(p.table, terms, p.den)
 
 
 def primitive_terms(terms: dict) -> dict:
@@ -618,40 +624,22 @@ def common_denominator(values: Iterable[Scalar]) -> tuple[list[int], int]:
     return [v.numerator * (d // v.denominator) for v in values], d
 
 
-def scale_poly(p: Poly) -> tuple[Poly, int]:
-    """p as an integer polynomial over one positive denominator: the pair
-    ``(q, d)`` with ``p == q / d``, d the lcm of p's denominators."""
-    nums, d = common_denominator(p.terms.values())
-    return (p if d == 1 else Poly.from_packed(p.table, dict(zip(p.terms, nums)))), d
-
-
-def _divided(terms: dict, d: int) -> dict:
-    """An integer term map divided by ``d > 0`` in place: a Fraction only
-    where d does not divide the coefficient."""
-    if d != 1:
-        for m, v in terms.items():
-            q, rem = divmod(v, d)
-            terms[m] = Fraction(v, d) if rem else q
-    return terms
-
-
 def normalize(p: Poly) -> Poly:
     """Scale by a rational unit: coprime integer coefficients, positive leading one."""
-    nums, _ = common_denominator(p.terms.values())
-    return Poly.from_packed(p.table, primitive_terms(dict(zip(p.terms, nums))))
+    return Poly.from_packed(p.table, primitive_terms(p.terms))
 
 
 class Substitution:
     """Named variables mapped, simultaneously, to polynomials over one
     target table, with every expansion made so far.
 
-    Each image is kept scaled to integers, with its denominator (``dens``)
-    and its top degree (``degrees``), in ``names`` order.  ``product(E)``, for
-    an exponent vector E of the substituted variables in that order, is the
-    integer product ``prod(image_i ** E_i)``, built once and kept as long as
-    the object.  It does not depend on the polynomial substituted into: each
-    term's lift ``prod(den_i ** (top_i - E_i))`` stays with the expansion
-    loop, ``_expand``.
+    Each image is kept as its integer numerator, with its denominator
+    (``dens``) and its top degree (``degrees``), in ``names`` order.
+    ``product(E)``, for an exponent vector E of the substituted variables in
+    that order, is the integer product ``prod(image_i ** E_i)``, built once
+    and kept as long as the object.  It does not depend on the polynomial
+    substituted into: each term's lift ``prod(den_i ** (top_i - E_i))``
+    stays with the expansion loop, ``_expand``.
     """
 
     __slots__ = ("table", "names", "images", "dens", "degrees", "_products")
@@ -663,9 +651,8 @@ class Substitution:
                 repl = Poly.constant(table, repl)
             if repl.table != table:
                 raise TableMismatchError(f"image of {nm!r} is over the wrong table")
-            repl, den = scale_poly(repl)
-            images.append(repl)
-            dens.append(den)
+            images.append(Poly.from_packed(table, repl.terms))
+            dens.append(repl.den)
         self.table = table
         self.names = tuple(mapping)
         self.images = tuple(images)
@@ -694,19 +681,18 @@ class Substitution:
         return got
 
 
-def _expand(p: Poly, nums: Iterable[int], table: VarTable, sub: Substitution,
+def _expand(p: Poly, table: VarTable, sub: Substitution,
             expansion: Callable[[tuple], Mapping]) -> tuple[dict, int]:
     """The one expansion loop: the integer term map of
     ``sum(c * lift * x^rest * expansion(E))`` over p's terms, and ``L``.
 
-    ``nums`` are p's coefficients as integers, in ``terms`` order, E is a
-    term's exponent vector of the substituted variables (in ``sub.names``
-    order) and x^rest its other variables, each moved onto ``table`` by
-    name.  Both are read from the packed monomial, one field per variable.
-    The lift is
+    c is a term's integer numerator (p is ``terms / den``), E its exponent
+    vector of the substituted variables (in ``sub.names`` order) and x^rest
+    its other variables, each moved onto ``table`` by name.  Both are read
+    from the packed monomial, one field per variable.  The lift is
     ``prod(den_i ** (top_i - E_i))``, ``top_i`` being variable i's largest
     exponent in p, so every term lies over the one denominator
-    ``L = prod(den_i ** top_i)``.  A source term lifts to total degree
+    ``p.den * L``, ``L = prod(den_i ** top_i)``.  A source term lifts to total degree
     ``sum(e_i * deg_i)`` (``deg_i`` 1 for a kept variable and the image's top
     degree otherwise), which must fit the target's codec; it is checked
     before ``expansion(E)`` is read.
@@ -735,7 +721,7 @@ def _expand(p: Poly, nums: Iterable[int], table: VarTable, sub: Substitution,
     extra = [d - 1 for d in sub.degrees]  # degree each unit of E_i adds
     shift, zero = src.shift, codec.zero
     out: dict = {}
-    for m, vec, c in zip(p.terms, vecs, nums):
+    for (m, c), vec in zip(p.terms.items(), vecs):
         for i in missing:
             if (m >> (w * i)) & mask != cap:
                 raise KeyError(
@@ -767,10 +753,9 @@ def transplant(p: Poly, table: VarTable,
     table has; a ``Substitution`` passed in (every name in p's table) keeps
     its expansions for later calls.
 
-    The expansion runs on integers, through ``_expand`` with the
-    substitution's ``product``: p is scaled by its common denominator, so the
-    whole sum lies over ``D = den(p) * prod(den_i ** top_i)``.  Only output
-    terms that D does not divide become Fractions.
+    The expansion runs on p's integer numerators, through ``_expand`` with
+    the substitution's ``product``, so the whole sum lies over
+    ``p.den * prod(den_i ** top_i)``, reduced once at the end.
     """
     if not isinstance(mapping, Substitution):
         mapping = Substitution(table, {nm: mapping[nm] for nm in p.table.names
@@ -778,9 +763,8 @@ def transplant(p: Poly, table: VarTable,
     elif mapping.table != table:
         raise TableMismatchError(
             f"substitution over {mapping.table!r}, target is {table!r}")
-    nums, D = common_denominator(p.terms.values())
-    out, lift = _expand(p, nums, table, mapping, mapping.product)
-    return Poly.from_packed(table, _divided(out, D * lift))
+    out, lift = _expand(p, table, mapping, mapping.product)
+    return Poly.reduced(table, out, p.den * lift)
 
 
 # ---- parsing ---------------------------------------------------------
@@ -983,10 +967,10 @@ def render(p: Poly) -> str:
         return "0"
     table = p.table
     texts = table._texts
-    terms = p.terms
+    terms, den = p.terms, p.den
     out = []
     for m in sorted(terms, reverse=True):
-        c = terms[m]
+        c = terms[m] if den == 1 else Fraction(terms[m], den)
         sign = "+"
         if c < 0:
             sign, c = "-", -c

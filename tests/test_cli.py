@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
 import resource
 import subprocess
@@ -315,17 +316,21 @@ class TestCheck:
         assert calls == {divdiff: 3, verify: 3}
 
     def test_no_fraction_level_for_eqs_or_dim(self, monkeypatch):
-        """eqs, in either format, and dim read the chains' integer levels
-        only; no chain builds its rational levels."""
-        def refused(*args):
-            raise AssertionError("a chain built its rational levels")
-
-        monkeypatch.setattr(divdiff, "_divided", refused)
+        """eqs, in either format, and dim build every chain component as
+        int terms over a positive denominator in lowest terms."""
+        chains = []
+        real = ideals.difference_chain
+        monkeypatch.setattr(ideals, "difference_chain",
+                            lambda *args: chains.append(real(*args)) or chains[-1])
         for argv in (["eqs", *FAMILY, "-r", "3"],
                      ["eqs", *FAMILY, "-r", "3", "--format", "json"],
                      ["dim", *FAMILY, "-r", "2"]):
+            del chains[:]
             code, out = capture(argv)
-            assert code == 0 and out
+            assert code == 0 and out and chains
+            for g in (g for chain in chains for level in chain.levels for g in level):
+                assert g.den > 0 and all(type(c) is int for c in g.terms.values())
+                assert math.gcd(g.den, *g.terms.values()) == 1
 
     def test_no_symbolic_projection(self, monkeypatch):
         # the point suites project each draw numerically with Chart.project

@@ -109,7 +109,7 @@ def test_charts_of_one_map_share_one_table():
     # rendering over the shared table fills one memo, which an equal table
     # reproduces from scratch
     texts = [str(g) for chart in r3 for g in difference_chain(f, chart).levels[-1]]
-    fresh = [str(Poly.from_packed(VarTable(r3[0].table.names), g.terms))
+    fresh = [str(Poly.from_packed(VarTable(r3[0].table.names), g.terms, g.den))
              for chart in r3 for g in difference_chain(f, chart).levels[-1]]
     assert texts == fresh
 
@@ -275,10 +275,10 @@ def test_integer_chain_is_the_recursion(case):
     chart = f.chart_for(cc, alpha, r)
     want = _recursive_levels(f, chart)
     chain = difference_chain(f, chart)
-    for level in chain.scaled:
-        for q, d in level:
-            assert d > 0 and all(type(c) is int for c in q.terms.values())
-            assert math.gcd(d, *q.terms.values()) == 1
+    for level in chain.levels:
+        for g in level:
+            assert g.den > 0 and all(type(c) is int for c in g.terms.values())
+            assert math.gcd(g.den, *g.terms.values()) == 1
     assert chain.levels == want
     eqs = chart_equations(f, r, cc, alpha)
     assert eqs.generators == tuple(normalize(g) for level in want for g in level)
@@ -291,7 +291,6 @@ def test_hand_built_chain_scales_its_levels():
     by_hand = divdiff.DifferenceChain(f=f, chart=chart, levels=built.levels)
     assert by_hand.depth == built.depth == 2
     assert by_hand.levels is built.levels
-    assert by_hand.scaled == built.scaled
 
 
 @pytest.mark.parametrize("extra", ["one", "gamma"])

@@ -48,8 +48,9 @@ def P(src, table=XY):
 
 
 def by_exponents(p):
-    """The term map of p keyed by exponent tuples, read through ``exponents``."""
-    return dict(zip(p.exponents, p.terms.values()))
+    """The term map of p keyed by exponent tuples, read through ``exponents``,
+    each coefficient ``Fraction(c, p.den)`` (equal to its int when integral)."""
+    return {e: Fraction(c, p.den) for e, c in zip(p.exponents, p.terms.values())}
 
 
 def handle(*srcs, table=XY):

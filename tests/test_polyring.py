@@ -1,5 +1,6 @@
 """Tests for the polynomial core: parsing, arithmetic, order, operations."""
 
+import math
 import re
 from fractions import Fraction
 
@@ -8,6 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multipoint import polyring
+from multipoint.atlas import standard_collection
+from multipoint.divdiff import PolyMap, difference_chain
 from multipoint.polyring import (
     Codec,
     DegreeBoundError,
@@ -39,8 +42,9 @@ def P(src, table=XY):
 
 
 def by_exponents(p):
-    """The term map of p keyed by exponent tuples, read through ``exponents``."""
-    return dict(zip(p.exponents, p.terms.values()))
+    """The term map of p keyed by exponent tuples, read through ``exponents``,
+    each coefficient ``Fraction(c, p.den)`` (equal to its int when integral)."""
+    return {e: Fraction(c, p.den) for e, c in zip(p.exponents, p.terms.values())}
 
 
 # ---- table ----------------------------------------------------------------
@@ -208,8 +212,8 @@ def test_product_by_a_monomial_is_the_general_product(data):
     coeffs = st.fractions(-4, 4, max_denominator=4).filter(bool)
     p = Poly(table, data.draw(st.dictionaries(mono, coeffs, max_size=5)))
     m = Poly(table, {data.draw(mono): 1})
-    general = Poly.from_packed(table, polyring._ints_where_integral(
-        polyring._product(p.terms, m.terms, table.codec.zero)))
+    general = Poly.reduced(table, polyring._product(p.terms, m.terms, table.codec.zero),
+                           p.den * m.den)
     assert p * m == general and m * p == general
 
 
@@ -421,7 +425,7 @@ def _term_sum(p, point):
     """p at point as a plain Fraction sum over its terms."""
     total = Fraction(0)
     for exps, c in zip(p.exponents, p.terms.values()):
-        term = Fraction(c)
+        term = Fraction(c, p.den)
         for v, e in zip(point, exps):
             term *= Fraction(v) ** e
         total += term
@@ -583,19 +587,102 @@ def rational_polys(draw):
 @given(rational_polys(), rational_polys(), rational_coeffs)
 @settings(max_examples=60, deadline=None)
 def test_integral_coefficients_are_int(p, q, c):
-    # p + p doubles halves into integers; Fraction(k, 1) inputs must come out int
+    # p + p doubles halves into integers; Fraction(k, 1) inputs must come out
+    # over the denominator 1
     results = [p, p + q, p + p, p - q, p * q, c * p, p * c, normalize(p),
                substitute(p, {"x": q, "y": c})]
     for r in results:
-        for v in r.terms.values():
-            assert type(v) is (int if v.denominator == 1 else Fraction)
+        assert all(type(v) is int for v in r.terms.values())
+        integral = all(Fraction(v, r.den).denominator == 1 for v in r.terms.values())
+        assert (r.den == 1) is integral
 
 
 def test_halves_summing_to_one_give_int():
     half = Poly.constant(XY, Fraction(1, 2))
+    assert (half + half).terms == {XY.codec.zero: 1} and (half + half).den == 1
     assert by_exponents(half + half) == {(0, 0): 1}
-    assert type(by_exponents(half + half)[(0, 0)]) is int
     assert type((half * 2).leading_coefficient()) is int
+
+
+def _reference_render(p):
+    """The text of p from its coefficients ``Fraction(c, p.den)`` and its
+    exponent tuples, in the style of ``render``."""
+    if p.is_zero():
+        return "0"
+    out = []
+    for exps, c in sorted(by_exponents(p).items(),
+                          key=lambda t: degrevlex_key(t[0]), reverse=True):
+        sign = "-" if c < 0 else "+"
+        c = abs(c)
+        mono = "*".join(nm if e == 1 else f"{nm}^{e}"
+                        for nm, e in zip(p.table.names, exps) if e)
+        coeff = str(c.numerator) if c.denominator == 1 else f"({c.numerator}/{c.denominator})"
+        out.append(sign + (coeff if not mono else mono if c == 1 else f"{coeff}*{mono}"))
+    text = "".join(out)
+    return text[1:] if text[0] == "+" else text
+
+
+def _fraction_product(p, q):
+    """p * q summed term by term in ``Fraction``s, built through ``Poly``."""
+    out = {}
+    for e1, c1 in by_exponents(p).items():
+        for e2, c2 in by_exponents(q).items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return Poly(p.table, out)
+
+
+def _fraction_power(p, k):
+    out = Poly.constant(p.table, 1)
+    for _ in range(k):
+        out = _fraction_product(out, p)
+    return out
+
+
+def _assert_canonical(p):
+    assert p.den > 0 and all(type(c) is int and c for c in p.terms.values())
+    assert math.gcd(p.den, *p.terms.values()) == 1
+    assert render(p) == _reference_render(p)
+
+
+@given(rational_polys(), rational_polys(), rational_coeffs.filter(bool),
+       st.integers(0, 3))
+@settings(max_examples=80, deadline=None)
+def test_every_result_is_in_lowest_terms(p, q, c, k):
+    """Each operation, and each level of a difference chain, gives int
+    numerators over a positive denominator with no common factor, equal to
+    the same polynomial built in ``Fraction``s through ``Poly(table,
+    terms)``, and rendered as the coefficients ``Fraction(c, den)`` render."""
+    fp, fq = by_exponents(p), by_exponents(q)
+    x = Poly.variable(XY, "x")
+    xyt = VarTable(["x", "y", "t"])
+    subst = {}  # x -> q, y -> c
+    for (e0, e1), v in fp.items():
+        for e, w in by_exponents(_fraction_power(q, e0)).items():
+            subst[e] = subst.get(e, 0) + v * c ** e1 * w
+    moved = {(e0, 0, e1): v * c ** e1 for (e0, e1), v in fp.items()}  # y -> c*t
+    routes = [
+        (p + q, Poly(XY, {e: fp.get(e, 0) + fq.get(e, 0) for e in {*fp, *fq}})),
+        (p - q, Poly(XY, {e: fp.get(e, 0) - fq.get(e, 0) for e in {*fp, *fq}})),
+        (p * q, _fraction_product(p, q)),
+        (p ** k, _fraction_power(p, k)),
+        (c * p, Poly(XY, {e: c * v for e, v in fp.items()})),
+        (p * c, Poly(XY, {e: v * c for e, v in fp.items()})),
+        (differentiate(p, "x"),
+         Poly(XY, {(e0 - 1, e1): v * e0 for (e0, e1), v in fp.items() if e0})),
+        (divide_by_variable(x * p, "x"), p),
+        (substitute(p, {"x": q, "y": c}), Poly(XY, subst)),
+        (transplant(p, xyt, {"y": c * Poly.variable(xyt, "t")}), Poly(xyt, moved)),
+    ]
+    for got, want in routes:
+        _assert_canonical(got)
+        _assert_canonical(want)
+        assert got == want
+    assert (p - p).is_zero() and (p - p).den == 1 and p - p == Poly.zero(XY)
+    f = PolyMap(XY, [p + x ** 2, q], s=0)
+    for level in difference_chain(f, f.chart_for(standard_collection(2, 3), (2, 1), 3)).levels:
+        for g in level:
+            _assert_canonical(g)
 
 
 # ---- substitution against sympy ---------------------------------------------
@@ -808,4 +895,5 @@ def test_equal_tables_pack_alike(case):
     # render over the shared table, whose memo q and earlier examples filled,
     # gives the text of a fresh equal table, whose memo is empty
     render(q)
-    assert render(Poly.from_packed(VarTable(list(p.table.names)), p.terms)) == render(p)
+    assert (render(Poly.from_packed(VarTable(list(p.table.names)), p.terms, p.den))
+            == render(p))
