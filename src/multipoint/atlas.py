@@ -441,7 +441,7 @@ def build_chart(cc: CoveringCollection, alpha: Sequence[int], n: int, r: int,
             f"multi-index {alpha} has length {len(alpha)}, expected r-1={r - 1}")
     for i, ai in enumerate(alpha, start=1):
         bound = index_bound(n, cc.ell, i)
-        if not 1 <= ai <= min(bound, len(cc.forms)):
+        if not 1 <= ai <= bound:
             raise CollectionError(
                 f"multi-index entry {ai} at level {i} is out of range 1..{bound}")
     if param_names is None:

@@ -165,6 +165,19 @@ def _map_header(f: PolyMap, spec: RunSpec) -> str:
             f"parameters {f.s}, order {spec.order}")
 
 
+def _chart_header(chart, paint, out) -> None:
+    """The chart's name, its variables and its exceptional divisor."""
+    out.write(paint(f"chart {chart.name()}", "1") +
+              f"  [{', '.join(chart.table.names)}]\n")
+    out.write(f"  away from {chart.exceptional} = 0\n")
+
+
+def _dump(payload: dict, out) -> int:
+    json.dump(payload, out, indent=2)
+    out.write("\n")
+    return 0
+
+
 # ---- eqs -------------------------------------------------------------------
 
 
@@ -189,23 +202,17 @@ def _eqs_payload(f: PolyMap, spec: RunSpec, eqs_list) -> dict:
     }
 
 
-def cmd_eqs(spec: RunSpec, out) -> int:
-    f = _build_map(spec)
-    cc = _build_collection(spec, f)
+def cmd_eqs(spec: RunSpec, f: PolyMap, cc: CoveringCollection, out) -> int:
     eqs_list = [chart_equations(f, spec.order, cc, alpha)
                 for alpha in _alphas(spec, f, cc)]
     if spec.fmt == "json":
-        json.dump(_eqs_payload(f, spec, eqs_list), out, indent=2)
-        out.write("\n")
-        return 0
+        return _dump(_eqs_payload(f, spec, eqs_list), out)
     paint = _styler(out)
     out.write(_map_header(f, spec) + "\n")
     width = len(f.fiber_coords)  # every level: one component per coordinate
     for eqs in eqs_list:
         chart = eqs.chart
-        out.write(paint(f"chart {chart.name()}", "1") +
-                  f"  [{', '.join(chart.table.names)}]\n")
-        out.write(f"  away from {chart.exceptional} = 0\n")
+        _chart_header(chart, paint, out)
         for level in range(1, chart.r):
             out.write(f"  level {level}:\n")
             for g in eqs.generators[(level - 1) * width:level * width]:
@@ -218,9 +225,7 @@ def cmd_eqs(spec: RunSpec, out) -> int:
 # ---- dim -------------------------------------------------------------------
 
 
-def cmd_dim(spec: RunSpec, out) -> int:
-    f = _build_map(spec)
-    cc = _build_collection(spec, f)
+def cmd_dim(spec: RunSpec, f: PolyMap, cc: CoveringCollection, out) -> int:
     expected = expected_dimension(f, spec.order)
 
     def one(alpha):
@@ -232,7 +237,7 @@ def cmd_dim(spec: RunSpec, out) -> int:
 
     rows = [one(alpha) for alpha in _alphas(spec, f, cc)]
     if spec.fmt == "json":
-        payload = {
+        return _dump({
             "schema": "kr-dim/1",
             "n": f.n,
             "p": f.p,
@@ -243,10 +248,7 @@ def cmd_dim(spec: RunSpec, out) -> int:
                         "empty": empty,
                         "correct": None if empty else dim == expected}
                        for chart, dim, empty in rows],
-        }
-        json.dump(payload, out, indent=2)
-        out.write("\n")
-        return 0
+        }, out)
     paint = _styler(out)
     out.write(_map_header(f, spec) + "\n")
     for chart, dim, empty in rows:
@@ -263,10 +265,7 @@ def cmd_dim(spec: RunSpec, out) -> int:
 # ---- charts ----------------------------------------------------------------
 
 
-def cmd_charts(spec: RunSpec, out) -> int:
-    f = _build_map(spec)
-    cc = _build_collection(spec, f)
-
+def cmd_charts(spec: RunSpec, f: PolyMap, cc: CoveringCollection, out) -> int:
     def describe(alpha):
         chart = f.chart_for(cc, alpha, spec.order)
         base = chart.level_tuple(0)
@@ -284,7 +283,7 @@ def cmd_charts(spec: RunSpec, out) -> int:
 
     rows = [describe(alpha) for alpha in _alphas(spec, f, cc)]
     if spec.fmt == "json":
-        payload = {
+        return _dump({
             "schema": "kr-charts/1",
             "n": f.fiber_dim,
             "r": spec.order,
@@ -295,17 +294,12 @@ def cmd_charts(spec: RunSpec, out) -> int:
                         "projections": proj,
                         "exceptional": str(chart.exceptional)}
                        for chart, levels, proj in rows],
-        }
-        json.dump(payload, out, indent=2)
-        out.write("\n")
-        return 0
+        }, out)
     paint = _styler(out)
     out.write(f"{len(rows)} charts at order {spec.order} "
               f"over fiber dimension {f.fiber_dim}\n")
     for chart, levels, proj in rows:
-        out.write(paint(f"chart {chart.name()}", "1") +
-                  f"  [{', '.join(chart.table.names)}]\n")
-        out.write(f"  away from {chart.exceptional} = 0\n")
+        _chart_header(chart, paint, out)
         for i, lv in enumerate(levels, start=1):
             comps = ", ".join(lv["companions"])
             nu = ", ".join(lv["nu"])
@@ -319,9 +313,7 @@ def cmd_charts(spec: RunSpec, out) -> int:
 # ---- check -----------------------------------------------------------------
 
 
-def cmd_check(spec: RunSpec, out) -> int:
-    f = _build_map(spec)
-    cc = _build_collection(spec, f)
+def cmd_check(spec: RunSpec, f: PolyMap, cc: CoveringCollection, out) -> int:
     if spec.trials > MAX_TRIALS:
         raise CliError(f"--trials: {spec.trials} is more than {MAX_TRIALS}")
     try:
@@ -403,8 +395,12 @@ COMMANDS = {"eqs": cmd_eqs, "dim": cmd_dim, "charts": cmd_charts,
 
 
 def run(spec: RunSpec, out=None) -> int:
+    """Build the map, then the collection, then run the command; bad input
+    in either is reported before the command checks its own flags."""
     out = out if out is not None else sys.stdout
-    return COMMANDS[spec.command](spec, out)
+    f = _build_map(spec)
+    cc = _build_collection(spec, f)
+    return COMMANDS[spec.command](spec, f, cc, out)
 
 
 def _glue_map_value(parser: argparse.ArgumentParser, argv: list) -> list:

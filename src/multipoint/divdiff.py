@@ -12,7 +12,10 @@ every component of a level, and every chart with the same alpha_j, applies
 one shift.  The map keeps that shift as one ``LevelShift`` (a
 ``Substitution``) per (collection, order, level, alpha_j) for as long as it
 lives, and with it every expansion made through it.  It also keeps level 0,
-its fiber coordinates on the charts' table, once per table.
+its fiber coordinates on the charts' table, once per table.  ``verify``'s
+telescoping check reads ``level_zero`` and ``shift_for`` of a second
+``PolyMap`` built from the map's table, coordinates and parameters: the
+same rules, on separate objects, so it reads no expansion of the chain's.
 
 The chain runs on integers: a component is a ``Poly``, an integer term map
 q over one positive denominator d.  Each level is one pass over the
@@ -185,10 +188,6 @@ class DifferenceChain:
         self.chart = chart
         self.levels = levels
 
-    @property
-    def depth(self) -> int:
-        return len(self.levels)
-
 
 def _check_compatible(f: PolyMap, chart: Chart):
     if chart.n != f.fiber_dim:
@@ -274,11 +273,12 @@ def difference_chain(f: PolyMap, chart: Chart) -> DifferenceChain:
 def _divide_by_binomial(p: Poly, u: str, v: str) -> Poly:
     """Exact quotient p / (u - v) by synthetic division in the variable u."""
     table = p.table
+    codec = table.codec
     ui = table.index(u)
-    offset = table.codec.offsets[ui]
+    offset = codec.offsets[ui]
     by_degree: dict[int, dict] = {}  # degree in u -> packed terms with u removed
-    for (m, c), exps in zip(p.terms.items(), p.exponents):
-        d = exps[ui]
+    for m, c in p.terms.items():
+        d = codec.exponent(m, ui)
         by_degree.setdefault(d, {})[m - d * offset] = c
     top = max(by_degree, default=0)
     coeffs = [Poly.reduced(table, by_degree.get(d, {}), p.den) for d in range(top + 1)]
@@ -297,6 +297,17 @@ def _divide_by_binomial(p: Poly, u: str, v: str) -> Poly:
     return quotient
 
 
+def _node_table(head: Sequence[str], y: str, r: int) -> tuple[VarTable, list[str]]:
+    """The table ``head, y, y1, ..., y_{r-1}`` of the classical recursion
+    and its nodes ``y, y1, ..., y_{r-1}``; ``classical_corank1`` and
+    ``corank1_translate`` compare equal only over one such table."""
+    nodes = [y] + [f"{y}{j}" for j in range(1, r)]
+    for nm in nodes[1:]:
+        if nm in head:
+            raise MapFormError(f"variable {nm!r} collides with generated node names")
+    return VarTable([*head, *nodes]), nodes
+
+
 def classical_corank1(f: PolyMap, r: int) -> list[list[Poly]]:
     """Divided differences of a corank-one normal form (x, y) -> (x, f_n..f_p).
 
@@ -311,15 +322,8 @@ def classical_corank1(f: PolyMap, r: int) -> list[list[Poly]]:
             raise MapFormError(
                 f"coordinate {i + 1} must be the variable {f.table.names[i]!r} "
                 "(corank-one normal form)")
-    y = f.table.names[-1]
-    node_names = [f"{y}{j}" for j in range(1, r)]
-    for nm in node_names:
-        if nm in f.table:
-            raise MapFormError(f"variable {nm!r} collides with generated node names")
-    table = VarTable(list(f.table.names) + node_names)
-
+    table, nodes = _node_table(f.table.names[:-1], f.table.names[-1], r)
     current = [transplant(c, table) for c in f.coords[n - 1:]]
-    nodes = [y] + node_names
     levels = []
     for j in range(1, r):
         u, v = nodes[j], nodes[j - 1]
@@ -340,13 +344,7 @@ def corank1_translate(chain: DifferenceChain) -> list[list[Poly]]:
     if chart.n != 1:
         raise MapFormError(
             f"translation needs fiber dimension 1, chart has {chart.n}")
-    y = chart.base_names[0]
-    node_names = [f"{y}{j}" for j in range(1, chart.r)]
-    for nm in node_names:
-        if nm in chart.param_names or nm == y:
-            raise MapFormError(f"variable {nm!r} collides with generated node names")
-    table = VarTable(list(chart.param_names) + [y] + node_names)
-    nodes = [y] + node_names
+    table, nodes = _node_table(chart.param_names, chart.base_names[0], chart.r)
     mapping = {}
     for j, lam in enumerate(chart.lambda_names, start=1):
         mapping[lam] = (Poly.variable(table, nodes[j])

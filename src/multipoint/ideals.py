@@ -347,9 +347,7 @@ def chart_equations(f: PolyMap, r: int, cc: CoveringCollection,
         raise ValueError("order r must be >= 2")
     chart = f.chart_for(cc, alpha, r)
     chain = difference_chain(f, chart)
-    # the primitive part of g is that of its numerators, i.e. normalize(g)
-    gens = tuple(Poly.from_packed(chart.table, primitive_terms(g.terms))
-                 for level in chain.levels for g in level)
+    gens = tuple(normalize(g) for level in chain.levels for g in level)
     return ChartEquations(chart=chart, chain=chain, generators=gens)
 
 

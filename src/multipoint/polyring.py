@@ -24,12 +24,11 @@ the operands' top degrees) and the lifted terms of the expansion loop.
 A product with a monomial of coefficient 1 shifts every monomial of the
 other factor and multiplies no coefficient.
 
-Code that needs every exponent of a Poly (``evaluate``, ``differentiate``,
-``variables_used`` and ``divdiff``'s synthetic division) reads
-``Poly.exponents``: the terms' exponent tuples,
-in ``terms`` order, which each Poly unpacks at most once.  A tuple rather
-than a second map keeps the memory of a Poly close to what an
-exponent-tuple map alone took.  ``render`` reads no exponents: it takes a
+A Poly keeps no exponent tuples.  Code that needs one variable's exponent
+(``differentiate`` and ``divdiff``'s synthetic division) reads that field
+alone with ``Codec.exponent``; code that needs every exponent calls
+``Codec.unpack``: ``variables_used`` on each call, and ``evaluate`` once
+per Poly, to build the plan it keeps.  ``render`` takes a
 monomial's text from its table (``VarTable.monomial_text``), which builds
 the text of each packed monomial once and keeps it as long as the table
 lives.  The charts of one map and order share one table, so one run builds
@@ -51,8 +50,8 @@ to the lcm of the denominators and adds on the one term loop,
 ``evaluate`` builds one ``Fraction`` per call, at the exit.  A caller that
 evaluates at one point many times scales it once (``scale_point``) and
 passes the ``ScaledPoint`` to each ``evaluate``.  ``evaluate`` reads a plan
-that each Poly builds from ``exponents`` on its first evaluation and
-keeps: per term, its lift and only the nonzero factors.
+that each Poly builds on its first evaluation and keeps: per term, its
+lift and only the nonzero factors.
 
 Substitution has one expansion loop, ``_expand``: per source term it reads
 the exponent vector E of the substituted variables and the kept monomial
@@ -70,8 +69,8 @@ substituted into, so a ``Substitution`` used again expands each E once.
 ``divdiff`` keeps one per level shift on the run's ``PolyMap``, keyed by
 (collection, order, level, alpha_j) and living as long as the map, so every
 component and every chart of a run that picks one form at one level shares
-its expansions.  The telescoping
-check builds its own.
+its expansions.  The telescoping check reads the shifts of its own copy of
+the map.
 """
 
 from __future__ import annotations
@@ -179,6 +178,10 @@ class Codec:
             e.append(x & mask)
             x >>= self.w
         return tuple(e)
+
+    def exponent(self, x: int, i: int) -> int:
+        """``unpack(x)[i]``, read from field i alone."""
+        return self.cap - ((x >> (self.w * i)) & ((1 << self.w) - 1))
 
     def divides(self, a: int, b: int) -> bool:
         return not (b - a + self.zero) & self.guards
@@ -298,8 +301,7 @@ class Poly:
     ``table.codec``) to nonzero ``int`` numerators and ``den`` is a positive
     ``int``, the pair in lowest terms (``gcd(den, *terms.values()) == 1``),
     so equal polynomials have equal fields.  The zero polynomial has an
-    empty map over 1.  ``exponents`` holds the terms' exponent tuples in
-    ``terms`` order.  Do not mutate ``terms`` after construction: every
+    empty map over 1.  Do not mutate ``terms`` after construction: every
     operation returns a fresh Poly.
 
     ``Poly(table, terms)`` reads exponent tuples to ``int`` or ``Fraction``
@@ -309,7 +311,7 @@ class Poly:
     ``reduced``, which divides out the gcd of a result that may have one.
     """
 
-    __slots__ = ("table", "terms", "den", "_exponents", "_plan")
+    __slots__ = ("table", "terms", "den", "_plan")
 
     def __init__(self, table: VarTable, terms: Mapping[tuple, Scalar]):
         pack = table.codec.pack
@@ -324,7 +326,6 @@ class Poly:
         self.table = table
         self.terms = dict(zip(clean, nums))
         self.den = den
-        self._exponents = None
         self._plan = None
 
     # ---- constructors -------------------------------------------------
@@ -337,7 +338,6 @@ class Poly:
         p.table = table
         p.terms = terms
         p.den = den
-        p._exponents = None
         p._plan = None
         return p
 
@@ -367,16 +367,7 @@ class Poly:
         codec = table.codec
         return cls.from_packed(table, {codec.zero + codec.offsets[table.index(name)]: 1})
 
-    # ---- predicates and views -----------------------------------------
-
-    @property
-    def exponents(self) -> tuple:
-        """The exponent tuple of each term, in ``terms`` order; each Poly
-        unpacks its monomials once, on the first read."""
-        view = self._exponents
-        if view is None:
-            view = self._exponents = tuple(map(self.table.codec.unpack, self.terms))
-        return view
+    # ---- predicates -----------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -402,7 +393,7 @@ class Poly:
 
     def variables_used(self) -> list[str]:
         used = set()
-        for exps in self.exponents:
+        for exps in map(self.table.codec.unpack, self.terms):
             for i, e in enumerate(exps):
                 if e:
                     used.add(i)
@@ -526,12 +517,13 @@ def _evaluation_plan(p: Poly) -> tuple:
     its integer coefficient, its power ``top - k`` of the point's denominator
     (k read from the packed degree field) and its nonzero ``(index,
     exponent)`` factors."""
-    shift = p.table.codec.shift
+    codec = p.table.codec
+    shift = codec.shift
     top = p.top_degree()
     steps = tuple(
         (c, top - (m >> shift),
-         tuple((i, e) for i, e in enumerate(exps) if e))
-        for (m, c), exps in zip(p.terms.items(), p.exponents))
+         tuple((i, e) for i, e in enumerate(codec.unpack(m)) if e))
+        for m, c in p.terms.items())
     return top, steps
 
 
@@ -585,11 +577,12 @@ def evaluate(p: Poly, point: Sequence[Scalar] | ScaledPoint) -> Fraction:
 
 def differentiate(p: Poly, name: str) -> Poly:
     """Formal partial derivative with respect to one variable."""
+    codec = p.table.codec
     i = p.table.index(name)
-    offset = p.table.codec.offsets[i]
+    offset = codec.offsets[i]
     terms = {}
-    for (m, c), exps in zip(p.terms.items(), p.exponents):
-        e = exps[i]
+    for m, c in p.terms.items():
+        e = codec.exponent(m, i)
         if e:
             terms[m - offset] = c * e
     return Poly.reduced(p.table, terms, p.den)
@@ -961,7 +954,8 @@ def render(p: Poly) -> str:
     """Canonical text form; terms sorted descending in the ambient order.
 
     The form is unambiguous and always re-parses to the same polynomial.
-    Monomial texts come from the table's memo, not from ``Poly.exponents``.
+    Monomial texts come from the table's memo, which unpacks each packed
+    monomial once.
     """
     if p.is_zero():
         return "0"

@@ -7,6 +7,11 @@ Every suite takes one ``CheckRun``: the chart equations of one run, built
 once, on first read, and shared by all suites, its sampling parameters and
 any supplied witnesses.
 
+Telescoping checks each chain level against the one before through the
+defining recursion, with ``substitute``.  It takes level 0 and the level
+shifts from a copy of the chain's map, one per map and run, and never from
+the map itself, so no memo the chain filled can hide a wrong level.
+
 The two point suites judge against one truth, the images of a strict tuple:
 on any chart that represents the tuple, the generators vanish exactly when
 its source points share one image.  strict-points tests this on the chart
@@ -35,12 +40,10 @@ from .divdiff import (
     classical_corank1,
     corank1_translate,
     difference_chain,
-    level_shift,
 )
 from .ideals import ChartEquations
 from .polyring import (
     Poly,
-    Substitution,
     VarTable,
     differentiate,
     divide_by_variable,
@@ -147,29 +150,22 @@ def _rand_chart_point(rng: random.Random, chart: Chart, cfg: SampleConfig) -> li
 
 
 def telescoping_failures(chain: DifferenceChain,
-                         shifts: dict | None = None) -> list[tuple[str, str, str]]:
+                         own: PolyMap | None = None) -> list[tuple[str, str, str]]:
     """Violations of the defining recursion of the chain, as report rows.
 
-    Each level's shift is built here from the chart's nu (``level_shift``),
-    never taken from the map, so no expansion the chain was built with is
-    reused.  ``shifts`` keeps them by (collection, table, level, alpha_j)
-    across the chains of one check, and level 0, the map's fiber
-    coordinates on the chart, by (map, table).
+    Level 0 and each level's shift come from ``own``, a second map with the
+    table, coordinates and parameters of ``chain.f`` (built here when not
+    given), never from ``chain.f`` itself: its shifts are separate objects,
+    so no expansion the chain was built with is reused.
     """
     chart = chain.chart
-    shifts = {} if shifts is None else shifts
+    f = chain.f
+    if own is None:
+        own = PolyMap(f.table, f.coords, f.s)
     out = []
-    key = (chain.f, chart.table)
-    level_zero = shifts.get(key)
-    if level_zero is None:
-        level_zero = shifts[key] = [transplant(c, chart.table)
-                                    for c in chain.f.fiber_coords]
-    levels = [level_zero, *chain.levels]
-    for j in range(1, chain.depth + 1):
-        key = (chart.cc, chart.table, j, chart.alpha[j - 1])
-        shift = shifts.get(key)
-        if shift is None:
-            shift = shifts[key] = Substitution(chart.table, level_shift(chart, j))
+    levels = [own.level_zero(chart), *chain.levels]
+    for j in range(1, len(chain.levels) + 1):
+        shift = own.shift_for(chart, j)
         lam = Poly.variable(chart.table, chart.lambda_names[j - 1])
         for idx, (prev, cur) in enumerate(zip(levels[j - 1], levels[j])):
             lhs = lam * cur
@@ -183,20 +179,25 @@ def telescoping_failures(chain: DifferenceChain,
 def check_telescoping(run: CheckRun, _corrupt: bool = False) -> VerifyReport:
     """Exact symbolic telescoping on every chart and level; deterministic.
 
-    The check builds its own level shifts, once per run.  ``_corrupt``
-    checks a broken copy of the first chain (negative control).
+    The check keeps one copy of each map per run, whose level 0 and shifts
+    it reads.  ``_corrupt`` checks a broken copy of the first chain
+    (negative control).
     """
     report = VerifyReport(suite="telescoping")
-    shifts: dict = {}
+    copies: dict[PolyMap, PolyMap] = {}
     for k, ce in enumerate(run.eqs):
         chain = ce.chain
+        f = chain.f
         if _corrupt and k == 0:
             broken = list(list(level) for level in chain.levels)
             broken[0][0] = broken[0][0] + 1
-            chain = DifferenceChain(f=chain.f, chart=chain.chart,
+            chain = DifferenceChain(f=f, chart=chain.chart,
                                     levels=tuple(tuple(lv) for lv in broken))
-        report.trials += chain.depth * len(chain.levels[0])
-        report.failures.extend(telescoping_failures(chain, shifts))
+        own = copies.get(f)
+        if own is None:
+            own = copies[f] = PolyMap(f.table, f.coords, f.s)
+        report.trials += len(chain.levels) * len(chain.levels[0])
+        report.failures.extend(telescoping_failures(chain, own))
     return report
 
 

@@ -186,7 +186,7 @@ def test_criterion_07_telescoping_corpus(corpus, report):
     for f, r, eqs_list in corpus:
         for eqs in eqs_list:
             rows = telescoping_failures(eqs.chain)
-            checked += eqs.chain.depth * len(eqs.chain.levels[0])
+            checked += len(eqs.chain.levels) * len(eqs.chain.levels[0])
             bad.extend(rows)
     ok = not bad
     report(7, ok, f"telescoping identity, {checked} chart/level/component "

@@ -144,7 +144,7 @@ def test_trifold_level2_chart11():
     cc = standard_collection(2, 3)
     chart = f.chart_for(cc, (1, 1), 3)
     chain = difference_chain(f, chart)
-    assert chain.depth == 2
+    assert len(chain.levels) == 2
     assert chain.levels[1][0] == cp(chart, "a2*t+1")
     assert chain.levels[1][1] == cp(
         chart, "a1^2+2*a1*a2*l1+2*a1*a2*l2+a2^2*l1*l2+a2^2*l2^2+2*a2*y")
@@ -289,7 +289,7 @@ def test_hand_built_chain_scales_its_levels():
     chart = f.chart_for(standard_collection(2, 3), (2, 1), 3)
     built = difference_chain(f, chart)
     by_hand = divdiff.DifferenceChain(f=f, chart=chart, levels=built.levels)
-    assert by_hand.depth == built.depth == 2
+    assert len(by_hand.levels) == len(built.levels) == 2
     assert by_hand.levels is built.levels
 
 

@@ -48,9 +48,10 @@ def P(src, table=XY):
 
 
 def by_exponents(p):
-    """The term map of p keyed by exponent tuples, read through ``exponents``,
+    """The term map of p keyed by exponent tuples, read through ``unpack``,
     each coefficient ``Fraction(c, p.den)`` (equal to its int when integral)."""
-    return {e: Fraction(c, p.den) for e, c in zip(p.exponents, p.terms.values())}
+    unpack = p.table.codec.unpack
+    return {unpack(m): Fraction(c, p.den) for m, c in p.terms.items()}
 
 
 def handle(*srcs, table=XY):
@@ -613,6 +614,26 @@ def test_codec_matches_tuple_monomials(case):
     else:
         with pytest.raises(DegreeBoundError):
             codec.lcm(pa, pb)
+
+
+@st.composite
+def _exponent_cases(draw):
+    """A codec, or its ``widened()`` copy, and a vector up to its cap."""
+    codec = Codec(draw(st.integers(1, 12)), draw(st.sampled_from([2, 3, 5, 8, 16])))
+    if draw(st.booleans()):
+        codec = codec.widened()
+    return codec, draw(_exponents(codec.n, codec.cap))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exponent_cases())
+@example((Codec(2, 16), (32767, 0)))  # total degree cap in the first field
+@example((Codec(3, 16), (0, 0, 32767)))  # and in the last
+@example((Codec(3, 3).widened(), (0, 31, 0)))
+def test_exponent_reads_one_field(case):
+    codec, e = case
+    m = codec.pack(e)
+    assert [codec.exponent(m, i) for i in range(codec.n)] == list(e)
 
 
 @pytest.mark.parametrize("w", [2, 3, 16])

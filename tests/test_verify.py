@@ -112,8 +112,8 @@ class TestTelescoping:
         """A corrupted difference quotient in the map's kept level-1 shift,
         the memo the chain reads, corrupts the next chart that picks the
         same form.  The product it came from is corrupted alike, so the
-        map's shift agrees with itself; telescoping builds its own shifts
-        from the chart's nu, so it still reports the chart."""
+        map's shift agrees with itself; telescoping reads the shifts of its
+        own copy of the map, so it still reports the chart."""
         f = family()
         cc = covering_collection(2, 3)
         chart_equations(f, 3, cc, (1, 1))
