@@ -4,11 +4,13 @@ A covering collection is a family of linear forms on the source fiber C^n in
 general position, each with n-1 companion forms.  Every multi-index alpha
 picks one form per level and determines an affine chart with coordinates
 (params | base | lambda/a blocks); the nu maps translate level coordinates
-into source-space increments.  Each form's inverse matrix is kept once, as
-integer rows over one denominator, and one routine applies it to a vector of
-polynomials or integers over a denominator: ``Chart.nu`` and
-``Chart.project``, which recovers the r source points from chart
-coordinates, polynomial or rational, both run through it.
+into source-space increments.  Forms and inverse matrices are kept in one
+layout, integers over one positive denominator; one fraction-free
+elimination, ``_adjugate``, checks general position and builds the
+inverses, so no ``Fraction`` enters the linear algebra.  One routine applies
+an inverse to a vector of polynomials or integers over a denominator:
+``Chart.nu`` and ``Chart.project``, which recovers the r source points from
+chart coordinates, polynomial or rational, both run through it.
 ``TupleEncoding`` inverts ``Chart.project`` on a rational tuple, once per
 alpha prefix.
 """
@@ -18,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
@@ -30,58 +32,59 @@ class CollectionError(PolyError):
     """Invalid covering collection data."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LinearForm:
     """A linear form sum(c_j * x_j) on the source fiber.
 
-    ``coeffs`` are ``Fraction``s; ``numerators`` over ``denominator`` are
-    the same coefficients as integers over one positive denominator, the
-    layout of a ``Poly``.
+    The coefficients are kept as integer ``numerators`` over one positive
+    ``denominator``, in lowest terms, the layout of a ``Poly``; ``coeffs``
+    reads them back as ``Fraction``s.
     """
 
-    coeffs: tuple[Scalar, ...]
-    numerators: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    denominator: int = field(init=False, repr=False, compare=False)
+    numerators: tuple[int, ...]
+    denominator: int
 
-    def __post_init__(self):
-        coeffs = tuple(map(Fraction, self.coeffs))
-        if not any(coeffs):
+    def __init__(self, coeffs: Sequence[Scalar]):
+        nums, q = common_denominator(map(Fraction, coeffs))
+        if not any(nums):
             raise CollectionError("linear form must be nonzero")
-        nums, q = common_denominator(coeffs)
-        object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "numerators", tuple(nums))
         object.__setattr__(self, "denominator", q)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.denominator) for c in self.numerators)
 
     def scaled_at(self, nums: Sequence[int]) -> int:
         """``denominator`` times the form's value at an integer vector."""
         return sum(map(operator.mul, self.numerators, nums))
 
 
-def _invert(rows: list[list[Fraction]]) -> list[list[Fraction]] | None:
-    """Exact inverse of a square matrix over Q; None if it is singular."""
+def _adjugate(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int] | None:
+    """Integer ``adj`` and ``d`` with ``adj / d`` the inverse of a square
+    integer matrix; None if it is singular.
+
+    Fraction-free Gauss-Jordan (Bareiss): each step scales the other rows
+    by the pivot and divides by the previous pivot, exactly.  At the end
+    the left block is ``d`` times the identity, with ``d`` the determinant
+    up to sign, and the right block is ``adj``.
+    """
     n = len(rows)
-    m = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(rows)]
+    m = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(rows)]
+    prev = 1
     for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        pivot = next((r for r in range(col, n) if m[r][col]), None)
         if pivot is None:
             return None
         m[col], m[pivot] = m[pivot], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [v * inv for v in m[col]]
+        top = m[col]
+        p = top[col]
         for r in range(n):
-            if r != col and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return [row[n:] for row in m]
-
-
-def _integer_rows(rows: list[list[Fraction]]) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """A rational matrix as integer rows over one denominator q."""
-    nums, q = common_denominator(v for row in rows for v in row)
-    width = len(rows[0])
-    return tuple(tuple(nums[k:k + width])
-                 for k in range(0, len(nums), width)), q
+            if r != col:
+                c = m[r][col]
+                m[r] = [(p * a - c * b) // prev for a, b in zip(m[r], top)]
+        prev = p
+    return [row[n:] for row in m], prev
 
 
 def _add_scaled(a: tuple[list, int], b: tuple[list, int]) -> tuple[list, int]:
@@ -103,10 +106,12 @@ class CoveringCollection:
     """Linear forms in general position with per-form companion choices.
 
     ``companions[i]`` lists, 0-based, the indices of the n-1 forms paired
-    with form i; the stacked matrix [L_i; companions] must be invertible,
-    and ``inverses[i]`` holds its inverse as integer rows over one
-    denominator, ``(rows, q)``, the way ``LinearForm`` keeps ``numerators``
-    over ``denominator``.
+    with form i.  Every n of the forms must be independent, so each
+    stacked matrix [L_i; companions] is invertible, and ``inverses[i]``
+    holds its inverse as integer rows over one positive denominator in
+    lowest terms, ``(rows, q)``, the way ``LinearForm`` keeps
+    ``numerators`` over ``denominator``.  Both come from ``_adjugate`` on
+    the forms' integer numerators.
     """
 
     def __init__(self, n: int, ell: int,
@@ -123,8 +128,9 @@ class CoveringCollection:
             raise CollectionError(
                 f"need {m} forms for n={n}, ell={ell}, got {len(forms)}")
         for i, f in enumerate(forms):
-            if len(f.coeffs) != n:
-                raise CollectionError(f"form {i + 1} has arity {len(f.coeffs)}, expected {n}")
+            if len(f.numerators) != n:
+                raise CollectionError(
+                    f"form {i + 1} has arity {len(f.numerators)}, expected {n}")
         if len(companions) != len(forms):
             raise CollectionError("one companion list per form is required")
         for i, comp in enumerate(companions):
@@ -143,21 +149,30 @@ class CoveringCollection:
         self.ell = ell
         self.forms = forms
         self.companions = companions
-        self._check_general_position()
-        inverses = [_invert(self.matrix(i)) for i in range(m)]
-        for i, inv in enumerate(inverses):
-            if inv is None:
-                raise CollectionError(
-                    f"form {i + 1} with its companions gives a singular matrix")
-        self.inverses = tuple(map(_integer_rows, inverses))
-
-    def _check_general_position(self):
-        # m = (ell-1)(n-1)+1 >= n, so every n-subset gives a square matrix
-        for subset in itertools.combinations(range(len(self.forms)), self.n):
-            rows = [list(self.forms[i].coeffs) for i in subset]
-            if _invert(rows) is None:
+        # m = (ell-1)(n-1)+1 >= n, so every n-subset gives a square matrix;
+        # scaling a row by its form's denominator keeps its rank
+        for subset in itertools.combinations(range(m), n):
+            if _adjugate([forms[i].numerators for i in subset]) is None:
                 labels = ", ".join(str(i + 1) for i in subset)
                 raise CollectionError(f"forms {labels} are linearly dependent")
+        # each stacked matrix is one of those subsets, so it is invertible
+        self.inverses = tuple(self._inverse(i) for i in range(m))
+
+    def _inverse(self, i: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """The inverse of ``matrix(i)`` as integer rows over one positive
+        denominator, in lowest terms.
+
+        The stacked numerator rows are ``diag(q) * matrix(i)``, so their
+        inverse ``adj / d`` times ``diag(q)`` is the inverse sought: column
+        k of ``adj`` scaled by form k's denominator.
+        """
+        stacked = [self.forms[j] for j in (i, *self.companions[i])]
+        adj, d = _adjugate([form.numerators for form in stacked])
+        rows = [[a * form.denominator for a, form in zip(row, stacked)] for row in adj]
+        g = math.gcd(d, *itertools.chain(*rows))
+        if d < 0:
+            g = -g
+        return tuple(tuple(a // g for a in row) for row in rows), d // g
 
     def matrix(self, i: int) -> list[list[Fraction]]:
         """Rows [L_i; companion forms], the change of coordinates for form i."""
@@ -194,16 +209,19 @@ def vandermonde_collection(n: int, ell: int) -> CoveringCollection:
     return CoveringCollection(n, ell, forms, companions)
 
 
+STRATEGIES = ("default", "vandermonde")
+
+
 def covering_collection(n: int, ell: int, strategy: str = "default") -> CoveringCollection:
     """Build a collection; 'default' prefers the worked-example forms when defined."""
-    if strategy == "vandermonde":
-        return vandermonde_collection(n, ell)
+    if strategy not in STRATEGIES:
+        raise CollectionError(f"unknown collection strategy {strategy!r}")
     if strategy == "default":
         try:
             return standard_collection(n, ell)
         except CollectionError:
-            return vandermonde_collection(n, ell)
-    raise CollectionError(f"unknown collection strategy {strategy!r}")
+            pass
+    return vandermonde_collection(n, ell)
 
 
 def collection_from_text(text: str, source: str = "<collection>") -> CoveringCollection:
@@ -418,7 +436,7 @@ class Chart:
 
 def _over(nums: list[Poly], d: int) -> list[Poly]:
     """The polynomials ``nums`` divided by the integer d."""
-    return nums if d == 1 else [v * Fraction(1, d) for v in nums]
+    return nums if d == 1 else [Poly.reduced(v.table, v.terms, v.den * d) for v in nums]
 
 
 def build_chart(cc: CoveringCollection, alpha: Sequence[int], n: int, r: int,

@@ -23,6 +23,7 @@ import sys
 from dataclasses import dataclass
 
 from .atlas import (
+    STRATEGIES,
     CoveringCollection,
     chart_count,
     collection_from_file,
@@ -36,7 +37,6 @@ from .ideals import chart_equations, dimension, expected_dimension, is_unit_idea
 from .polyring import PolyError, VarTable
 from .verify import SUITES, CheckRun, SampleConfig, judged_points
 
-STRATEGIES = ("default", "vandermonde")
 MAX_CHARTS = 1000  # atlas size a run without --chart may build
 MAX_TRIALS = 1000  # --trials a check run may ask for: strict points per chart, corank-one maps
 MAX_POINTS = 500_000  # chart points the point suites of a check run may judge

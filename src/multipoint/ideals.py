@@ -353,8 +353,6 @@ def chart_equations(f: PolyMap, r: int, cc: CoveringCollection,
 
 def kr_equations(f: PolyMap, r: int, cc: CoveringCollection) -> list[ChartEquations]:
     """Equations of the order-r multiple-point space, one entry per chart."""
-    if r < 2:
-        raise ValueError("order r must be >= 2")
     return [chart_equations(f, r, cc, alpha)
             for alpha in multi_indices(f.fiber_dim, r, cc.ell)]
 

@@ -1,8 +1,11 @@
 """Tests for covering collections, multi-indices, charts and projections."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multipoint.atlas import (
     CollectionError,
@@ -19,9 +22,15 @@ from multipoint.atlas import (
     standard_collection,
     projection_to_Xr,
     vandermonde_collection,
-    _invert,
+    _adjugate,
 )
-from multipoint.polyring import Poly, divide_by_variable, parse_poly, substitute
+from multipoint.polyring import (
+    Poly,
+    common_denominator,
+    divide_by_variable,
+    parse_poly,
+    substitute,
+)
 
 
 def chart_poly(chart, src):
@@ -45,21 +54,107 @@ def test_linear_form_numeric():
     # 6 * (-1/2 * 4 + 2/3 * 3) = 6 * 0, and 6 * (-1/2 * 2 + 2/3 * 1) = -2
     assert g.scaled_at([4, 3]) == 0
     assert g.scaled_at([2, 1]) == -2
+    # one lowest-terms layout, so forms compare by value
+    assert g.coeffs == (Fraction(-1, 2), Fraction(2, 3))
+    assert LinearForm((Fraction(2, 2), 2)) == f != LinearForm((2, 4))
+
+
+def rational_inverse(rows):
+    """Exact inverse over Q by Gauss-Jordan on Fractions; None if singular.
+
+    The reference for ``_adjugate`` and the collections' inverses.
+    """
+    n = len(rows)
+    m = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(rows)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            return None
+        m[col], m[pivot] = m[pivot], m[col]
+        inv = 1 / m[col][col]
+        m[col] = [v * inv for v in m[col]]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                factor = m[r][col]
+                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
+    return [row[n:] for row in m]
+
+
+def lowest_terms_rows(rows):
+    """A rational matrix as integer rows over the lcm of its denominators."""
+    nums, q = common_denominator(v for row in rows for v in row)
+    width = len(rows[0])
+    return tuple(tuple(nums[k:k + width]) for k in range(0, len(nums), width)), q
 
 
 def test_invert_oracle():
-    assert _invert([[1, 1], [2, 2]]) is None
+    assert _adjugate([[1, 1], [2, 2]]) is None
+    # the second needs a row swap at the first column
     for rows in ([[1, 2], [3, 4]], [[2]], [[0, 1, 2], [1, 0, 3], [4, -3, 8]]):
-        inv = _invert(rows)
+        adj, d = _adjugate(rows)
         n = len(rows)
-        product = [[sum(inv[i][k] * rows[k][j] for k in range(n)) for j in range(n)]
+        product = [[sum(adj[i][k] * rows[k][j] for k in range(n)) for j in range(n)]
                    for i in range(n)]
-        assert product == [[int(i == j) for j in range(n)] for i in range(n)]
+        assert product == [[d * int(i == j) for j in range(n)] for i in range(n)]
+
+
+@st.composite
+def small_matrices(draw):
+    n = draw(st.integers(1, 5))
+    entry = st.integers(-3, 3)
+    return [[draw(entry) for _ in range(n)] for _ in range(n)]
+
+
+@given(small_matrices())
+@settings(max_examples=300, deadline=None)
+def test_adjugate_matches_rational_inverse(rows):
+    # entries in -3..3 make singular matrices and zero pivots common
+    want = rational_inverse(rows)
+    got = _adjugate(rows)
+    if want is None:
+        assert got is None
+    else:
+        adj, d = got
+        assert [[Fraction(a, d) for a in row] for row in adj] == want
+
+
+@st.composite
+def rational_collections(draw):
+    n = draw(st.sampled_from([2, 3]))
+    ell = draw(st.integers(2, 3))
+    m = expected_form_count(n, ell)
+    coeff = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6))
+    forms = [LinearForm(draw(st.lists(coeff, min_size=n, max_size=n)
+                             .filter(any)))
+             for _ in range(m)]
+    companions = [draw(st.permutations([j for j in range(m) if j != i]))[:n - 1]
+                  for i in range(m)]
+    return n, ell, forms, companions
+
+
+@given(rational_collections())
+@settings(max_examples=150, deadline=None)
+def test_inverses_match_rational_inverse(case):
+    n, ell, forms, companions = case
+    independent = all(
+        rational_inverse([forms[i].coeffs for i in subset]) is not None
+        for subset in itertools.combinations(range(len(forms)), n))
+    if not independent:
+        with pytest.raises(CollectionError, match="linearly dependent"):
+            CoveringCollection(n, ell, forms, companions)
+        return
+    cc = CoveringCollection(n, ell, forms, companions)
+    for i in range(len(forms)):
+        assert cc.inverses[i] == lowest_terms_rows(rational_inverse(cc.matrix(i)))
 
 
 @pytest.mark.parametrize("cc", [
     vandermonde_collection(3, 4),
     collection_from_text("1,0\n2\n-1/2,1\n1\n"),
+    # forms over denominators 1, 1, 1, 6 and 12
+    collection_from_text("1,0,0\n2,3\n0,1,0\n3,4\n0,0,1\n4,5\n"
+                         "1,1/2,1/3\n5,1\n1,-1/3,1/4\n1,2\n"),
 ])
 def test_inverses_are_integer_rows_over_q(cc):
     # rows / q times the stacked matrix is the identity, for every form
@@ -106,10 +201,8 @@ def test_form_count_formula():
 def test_vandermonde_n3_ell3_all_triples_independent():
     cc = vandermonde_collection(3, 3)
     assert len(cc.forms) == 5
-    import itertools
     for subset in itertools.combinations(range(5), 3):
-        rows = [list(cc.forms[i].coeffs) for i in subset]
-        assert _invert(rows) is not None
+        assert _adjugate([cc.forms[i].numerators for i in subset]) is not None
 
 
 def test_vandermonde_companions_cyclic():

@@ -540,6 +540,15 @@ class TestCollectionFile:
         assert main(["eqs", *FAMILY, "-r", "2",
                      "--collection", "/nonexistent/forms.txt"]) == 2
 
+    def test_dependent_forms_outside_every_stacked_matrix(self, tmp_path, capsys):
+        # forms 1, 2 and 4 span a plane; no form's stacked matrix holds all three
+        path = tmp_path / "forms.txt"
+        path.write_text("1,0,0\n2,3\n0,1,0\n3,4\n0,0,1\n4,5\n"
+                        "1,1,0\n5,1\n1,2,3\n1,2\n")
+        assert main(["charts", "--vars", "x,y,z", "--map", "x2;y2;z2", "-r", "2",
+                     "--collection", str(path)]) == 2
+        assert "forms 1, 2, 4 are linearly dependent" in capsys.readouterr().err
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("argv", [
@@ -619,6 +628,30 @@ class TestPinnedOutput:
     ])
     def test_stdout_digest(self, argv, digest):
         code, text = capture(argv)
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    # 3x3 inverses of forms over denominators 1, 1, 1, 6 and 12; the
+    # inverses are over 1, 6, 60, 17 and 3
+    RATIONAL_FIBER3 = ("1,0,0\n2,3\n0,1,0\n3,4\n0,0,1\n4,5\n"
+                       "1,1/2,1/3\n5,1\n1,-1/3,1/4\n1,2\n")
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["charts", "--format", "json"],
+         "45789a58f770903cdf77fa1fbb5799a5799d21a7973c674ed2ec30675e000e91"),
+        (["charts"],
+         "33947a6f02a3f458ab96184fb5a876a095730d51b8d4a9c2245db25c6682746e"),
+        (["eqs", "--format", "json"],
+         "db2b386d6ab121d990196ab541608817a618df4c6d18af4c0e7635e454d67350"),
+        (["check", "--trials", "2"],
+         "39490617037a7f5a4d4283f84bc382b44ca950e8f577489fbaa94535ad2ec1fe"),
+    ])
+    def test_rational_fiber3_collection_digest(self, tmp_path, argv, digest):
+        path = tmp_path / "forms.txt"
+        path.write_text(self.RATIONAL_FIBER3)
+        command, *flags = argv
+        code, text = capture([command, *QUADRIC, "-r", "3",
+                              "--collection", str(path), *flags])
         assert code == 0
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 

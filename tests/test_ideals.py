@@ -724,6 +724,15 @@ def test_diagonal_fiber_corank1():
     assert diagonal_fiber_dimension(f, 2, (0, 0), cc) == 0
 
 
+def test_order_below_two_is_rejected():
+    f = PolyMap.from_strings(("x", "y"), ("x^2", "y^2", "x*y"))
+    cc = covering_collection(2, 2, "default")
+    with pytest.raises(ValueError, match="order r must be >= 2"):
+        chart_equations(f, 1, cc, ())
+    with pytest.raises(ValueError, match="order r must be >= 2"):
+        kr_equations(f, 1, cc)
+
+
 def test_diagonal_fiber_point_arity():
     f = PolyMap.from_strings(("x", "y"), ("x^2", "y^2", "x*y"))
     cc = covering_collection(2, 2, "default")
