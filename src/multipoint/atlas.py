@@ -12,7 +12,9 @@ an inverse to a vector of polynomials or integers over a denominator:
 ``Chart.nu`` and ``Chart.project``, which recovers the r source points from
 chart coordinates, polynomial or rational, both run through it.
 ``TupleEncoding`` inverts ``Chart.project`` on a rational tuple, once per
-alpha prefix.
+alpha prefix and in the same layout: its difference vectors and levels are
+integers over one positive denominator, and a chart point leaves it as a
+``ScaledPoint``, ready for ``evaluate``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,14 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .polyring import Poly, PolyError, Scalar, VarTable, common_denominator
+from .polyring import (
+    Poly,
+    PolyError,
+    Scalar,
+    ScaledPoint,
+    VarTable,
+    common_denominator,
+)
 
 
 class CollectionError(PolyError):
@@ -98,6 +107,14 @@ def _add_scaled(a: tuple[list, int], b: tuple[list, int]) -> tuple[list, int]:
     return [x * u + y * v for x, y in zip(xs, ys)], p * u
 
 
+def _lowest(nums: list[int], d: int) -> tuple[list[int], int]:
+    """``nums / d`` in lowest terms, over a positive denominator."""
+    g = math.gcd(d, *nums)
+    if d < 0:
+        g = -g
+    return ([v // g for v in nums], d // g) if g != 1 else (nums, d)
+
+
 def expected_form_count(n: int, ell: int) -> int:
     return (ell - 1) * (n - 1) + 1
 
@@ -168,11 +185,10 @@ class CoveringCollection:
         """
         stacked = [self.forms[j] for j in (i, *self.companions[i])]
         adj, d = _adjugate([form.numerators for form in stacked])
-        rows = [[a * form.denominator for a, form in zip(row, stacked)] for row in adj]
-        g = math.gcd(d, *itertools.chain(*rows))
-        if d < 0:
-            g = -g
-        return tuple(tuple(a // g for a in row) for row in rows), d // g
+        n = len(stacked)
+        flat, q = _lowest([a * form.denominator
+                           for row in adj for a, form in zip(row, stacked)], d)
+        return tuple(tuple(flat[k:k + n]) for k in range(0, n * n, n)), q
 
     def matrix(self, i: int) -> list[list[Fraction]]:
         """Rows [L_i; companion forms], the change of coordinates for form i."""
@@ -527,24 +543,38 @@ class TupleEncoding:
     Level j reads only alpha[:j], so each alpha prefix is encoded once, on
     first use, and shared by every chart that extends it; a prefix whose
     form vanishes on a difference leaves all those charts without
-    coordinates.  The encoding lives as long as the object.
+    coordinates.  The last level has one difference: ``represents`` tests
+    its form there, and its coordinates are built only when read.  The
+    encoding lives as long as the object.
 
-    Each difference vector is scaled to integers N / d and each form F is
-    applied as ``F.scaled_at(N) / F.denominator``, so lambda is
-    ``F_a(N) / (q_a * d)`` and a companion ``F_k(N) * q_a / (q_k * F_a(N))``:
-    d cancels, and a coordinate's one Fraction is built from two integers.
+    Every vector is kept the way ``LinearForm`` keeps its coefficients:
+    integers N over one positive denominator d, in lowest terms.  A form F
+    is applied as ``F.scaled_at(N) / (F.denominator * d)``, so with
+    ``L = F_a.scaled_at(N)`` lambda is ``L / (q_a d)`` and a companion
+    ``F_k.scaled_at(N) q_a / (q_k L)``: the level is one integer vector over
+    ``q_a d L`` times the lcm of the companions' q_k, divided by one gcd.
+    Vectors in lowest terms have the lcm of their entries' denominators as
+    their denominator, so a chart point, the head and its levels over the
+    lcm of theirs, is ``scale_point`` of its ``Fraction`` coordinates.
     """
 
     def __init__(self, cc: CoveringCollection,
                  fiber_points: Sequence[Sequence[Fraction]],
                  params: Sequence[Fraction] = ()):
-        base = fiber_points[0]
         self.cc = cc
-        self._head = (*params, *base)
-        # alpha prefix -> (its level coordinates, the next level's
-        # difference vectors), or None when the prefix misses the tuple
-        self._prefixes: dict[tuple, tuple | None] = {
-            (): ((), [[q - b for q, b in zip(pt, base)] for pt in fiber_points[1:]])}
+        head = common_denominator([*params, *fiber_points[0]])
+        nums, d = head
+        base = ([-v for v in nums[len(params):]], d)
+        diffs = [_lowest(*_add_scaled(common_denominator(pt), base))
+                 for pt in fiber_points[1:]]
+        # alpha prefix -> (its chart coordinates over one denominator, the
+        # next level's difference vectors), or None when it misses the tuple
+        self._prefixes: dict[tuple, tuple | None] = {(): (head, diffs)}
+
+    def _alpha(self, chart: Chart) -> tuple:
+        if chart.cc is not self.cc:
+            raise ValueError(f"{chart.name()} is over another collection")
+        return chart.alpha
 
     def _prefix(self, alpha: tuple) -> tuple | None:
         if alpha in self._prefixes:
@@ -555,29 +585,49 @@ class TupleEncoding:
         self._prefixes[alpha] = state
         return state
 
-    def _level(self, a: int, coords: tuple, prev: list) -> tuple | None:
+    def _level(self, a: int, point: tuple, diffs: list) -> tuple | None:
         cc = self.cc
         form = cc.forms[a - 1]
         qa = form.denominator
         companions = [cc.forms[k] for k in cc.companions[a - 1]]
+        q = math.lcm(*(g.denominator for g in companions))
         encoded = []
-        for delta in prev:
-            nums, d = common_denominator(delta)
+        for nums, d in diffs:
             lam = form.scaled_at(nums)
             if not lam:
                 return None
-            encoded.append([Fraction(lam, qa * d),
-                            *(Fraction(g.scaled_at(nums) * qa, g.denominator * lam)
-                              for g in companions)])
-        first = encoded[0]
-        return ((*coords, *first),
-                [[q - b for q, b in zip(later, first)] for later in encoded[1:]])
+            scale = qa * qa * d
+            encoded.append(_lowest(
+                [lam * lam * q,
+                 *(g.scaled_at(nums) * scale * (q // g.denominator) for g in companions)],
+                qa * d * lam * q))
+        # the first difference's level is the prefix's; the others,
+        # less it, are the next level's differences
+        (coords, d), (level, e) = point, encoded[0]
+        m = math.lcm(d, e)
+        first = ([-v for v in level], e)
+        return (([v * (m // d) for v in coords] + [v * (m // e) for v in level], m),
+                [_lowest(*_add_scaled(later, first)) for later in encoded[1:]])
+
+    def represents(self, chart: Chart) -> bool:
+        """Whether ``chart`` has coordinates for the tuple; the last level's
+        form is tested on its difference without building the level."""
+        alpha = self._alpha(chart)
+        if alpha in self._prefixes:
+            return self._prefixes[alpha] is not None
+        state = self._prefix(alpha[:-1])
+        form = self.cc.forms[alpha[-1] - 1]
+        return state is not None and all(form.scaled_at(nums) for nums, _ in state[1])
+
+    def scaled(self, chart: Chart) -> ScaledPoint | None:
+        """The tuple's point on ``chart`` as integers over one denominator,
+        one value per table variable, or None when the chart does not
+        represent it; equal to ``scale_point(self.coords(chart))``."""
+        state = self._prefix(self._alpha(chart))
+        return None if state is None else ScaledPoint(*state[0])
 
     def coords(self, chart: Chart) -> list | None:
-        """The tuple's coordinates on ``chart``, one value per table
+        """The tuple's coordinates on ``chart``, one ``Fraction`` per table
         variable, or None when the chart does not represent it."""
-        if chart.cc is not self.cc:
-            raise ValueError(f"{chart.name()} is over another collection")
-        state = self._prefix(chart.alpha)
-        return None if state is None else [*self._head, *state[0]]
-
+        point = self.scaled(chart)
+        return None if point is None else [Fraction(v, point.d) for v in point.nums]

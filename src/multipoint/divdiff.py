@@ -12,10 +12,17 @@ every component of a level, and every chart with the same alpha_j, applies
 one shift.  The map keeps that shift as one ``LevelShift`` (a
 ``Substitution``) per (collection, order, level, alpha_j) for as long as it
 lives, and with it every expansion made through it.  It also keeps level 0,
-its fiber coordinates on the charts' table, once per table.  ``verify``'s
-telescoping check reads ``level_zero`` and ``shift_for`` of a second
-``PolyMap`` built from the map's table, coordinates and parameters: the
-same rules, on separate objects, so it reads no expansion of the chain's.
+its fiber coordinates on the charts' table, once per table.
+
+The spaces are iterated: level j reads only the first j chart indices, so
+the charts of one order form a tree of alpha prefixes.  The map keeps each
+level below the last per (collection, order, alpha[:j]), and every chart
+under that prefix reads the same ``Poly`` objects, and through
+``PolyMap.generators`` the same normalized generators; only the last level
+is built per chart.  ``verify``'s telescoping check reads ``level_zero`` and
+``shift_for`` of a second ``PolyMap`` built from the map's table,
+coordinates and parameters: the same rules, on separate objects, so it
+reads no expansion or level of the chain's.
 
 The chain runs on integers: a component is a ``Poly``, an integer term map
 q over one positive denominator d.  Each level is one pass over the
@@ -46,6 +53,7 @@ from .polyring import (
     VarTable,
     _expand,
     divide_by_variable,
+    normalize,
     parse_poly,
     render,
     substitute,
@@ -99,6 +107,11 @@ class PolyMap:
         self._level_zero: dict[VarTable, tuple[Poly, ...]] = {}
         # (collection, order, level, form index at that level) -> level shift
         self._shifts: dict[tuple, LevelShift] = {}
+        # (collection, order, alpha[:j]) -> level j of the charts under that
+        # prefix, for every j below the last level
+        self._levels: dict[tuple, tuple[Poly, ...]] = {}
+        # the same keys -> the kept level's generators, once read
+        self._generators: dict[tuple, tuple[Poly, ...]] = {}
 
     @classmethod
     def from_strings(cls, var_names: Sequence[str], coord_srcs: Sequence[str],
@@ -161,6 +174,20 @@ class PolyMap:
         if shift is None:
             shift = self._shifts[key] = LevelShift(chart, j)
         return shift
+
+    def generators(self, chart: Chart, j: int,
+                   level: tuple[Poly, ...]) -> tuple[Poly, ...]:
+        """The chart generators of ``chart``'s level j, ``normalize`` of each
+        component.  For the level the map keeps for ``chart.alpha[:j]`` they
+        are built once and kept with it, so every chart under the prefix
+        holds the same generator objects."""
+        key = (chart.cc, chart.r, chart.alpha[:j])
+        if self._levels.get(key) is not level:
+            return tuple(normalize(g) for g in level)
+        got = self._generators.get(key)
+        if got is None:
+            got = self._generators[key] = tuple(normalize(g) for g in level)
+        return got
 
     def specialize(self, values: Sequence[Scalar]) -> "PolyMap":
         """Fix the parameters to rational values, yielding a member of the family."""
@@ -256,13 +283,22 @@ def _next_level(g: Poly, shift: LevelShift) -> Poly:
 def difference_chain(f: PolyMap, chart: Chart) -> DifferenceChain:
     """Compute difference levels 1..r-1 of f on the chart, on integers: level
     0 from ``f.level_zero``, each level j in one pass through the shift
-    ``f.shift_for(chart, j)``."""
+    ``f.shift_for(chart, j)``.  A level below the last is read from the
+    map's levels of ``chart.alpha[:j]`` and, when it is not there yet, built
+    and kept there."""
     _check_compatible(f, chart)
     level = f.level_zero(chart)
     levels = []
     for j in range(1, chart.r):
-        shift = f.shift_for(chart, j)
-        level = tuple(_next_level(g, shift) for g in level)
+        key = (chart.cc, chart.r, chart.alpha[:j])
+        kept = f._levels.get(key)
+        if kept is not None:
+            level = kept
+        else:
+            shift = f.shift_for(chart, j)
+            level = tuple(_next_level(g, shift) for g in level)
+            if j < chart.r - 1:
+                f._levels[key] = level
         levels.append(level)
     return DifferenceChain(f=f, chart=chart, levels=tuple(levels))
 

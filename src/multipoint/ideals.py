@@ -347,7 +347,8 @@ def chart_equations(f: PolyMap, r: int, cc: CoveringCollection,
         raise ValueError("order r must be >= 2")
     chart = f.chart_for(cc, alpha, r)
     chain = difference_chain(f, chart)
-    gens = tuple(normalize(g) for level in chain.levels for g in level)
+    gens = tuple(g for j, level in enumerate(chain.levels, 1)
+                 for g in f.generators(chart, j, level))
     return ChartEquations(chart=chart, chain=chain, generators=gens)
 
 

@@ -16,7 +16,10 @@ The two point suites judge against one truth, the images of a strict tuple:
 on any chart that represents the tuple, the generators vanish exactly when
 its source points share one image.  strict-points tests this on the chart
 the tuple was drawn on, overlap on every other chart.  Both judge the
-run's one strict sample, drawn by the first of them to read it.
+run's one strict sample, drawn by the first of them to read it, and each
+configuration of it keeps which generators, by identity, vanish at its
+tuple, so a level that charts share through an alpha prefix is evaluated
+there once.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from .divdiff import (
 from .ideals import ChartEquations
 from .polyring import (
     Poly,
+    ScaledPoint,
     VarTable,
     differentiate,
     divide_by_variable,
@@ -276,7 +280,9 @@ class Configuration(NamedTuple):
 
     ``equal`` says whether the source points of ``tup`` share one image
     under f.  A supplied witness whose chart is missing from the run has
-    ``ce`` None and its description as ``label``.
+    ``ce`` None and its description as ``label``.  ``vanishes`` maps the
+    ``id`` of each generator judged at the tuple so far to whether it
+    vanishes there (see ``_judge``).
     """
 
     ce: ChartEquations | None
@@ -284,6 +290,7 @@ class Configuration(NamedTuple):
     tup: list
     label: str
     equal: bool
+    vanishes: dict
 
 
 def _all_equal(values: list) -> bool:
@@ -326,7 +333,7 @@ def _strict_configurations(eqs: Sequence[ChartEquations], cfg: SampleConfig,
         sources = [scale_point([*params, *fib]) for fib in tup]
         equal = all(_all_equal([evaluate(c, x) for x in sources])
                     for c in ce.chain.f.fiber_coords)
-        cases.append(Configuration(ce, point, tup, label, equal))
+        cases.append(Configuration(ce, point, tup, label, equal, {}))
         return True
 
     def strict_witnesses(ce, points):
@@ -346,7 +353,7 @@ def _strict_configurations(eqs: Sequence[ChartEquations], cfg: SampleConfig,
         ce = by_alpha.get(tuple(alpha))
         if ce is None:
             cases.append(Configuration(None, list(point), [],
-                                       f"witness chart U{tuple(alpha)}", False))
+                                       f"witness chart U{tuple(alpha)}", False, {}))
         else:
             strict_witnesses(ce, [point])
     return cases, skipped
@@ -394,11 +401,32 @@ class CheckRun:
 # ---- strict points ---------------------------------------------------------
 
 
-def _judge(report: VerifyReport, generators: Sequence[Poly], point: Sequence,
-           equal: bool, where: Callable[[], str]):
-    """Record a row unless the generators all vanish at ``point`` exactly when ``equal``."""
-    scaled = scale_point(point)
-    vanish = all(evaluate(g, scaled) == 0 for g in generators)
+def _judge(report: VerifyReport, generators: Sequence[Poly],
+           point: Callable[[], ScaledPoint], equal: bool, where: Callable[[], str],
+           vanishes: dict):
+    """Record a row unless the generators all vanish at the chart point
+    exactly when ``equal``.
+
+    The generators are judged in order, up to the first that does not
+    vanish.  ``vanishes`` is the configuration's memo, by ``id``, of the
+    generators judged at its tuple: a chain level kept per alpha prefix is
+    one object on every chart under the prefix, and the tuple has one
+    point on its levels, so it is evaluated once per tuple.  The key is the
+    object, never the prefix or the value, so a chart whose generators are
+    not the kept ones is judged on its own.  ``point()`` gives the chart
+    point, scaled; it is called only when a generator is not in the memo.
+    """
+    scaled = None
+    vanish = True
+    for g in generators:
+        zero = vanishes.get(id(g))
+        if zero is None:
+            if scaled is None:
+                scaled = point()
+            zero = vanishes[id(g)] = evaluate(g, scaled) == 0
+        if not zero:
+            vanish = False
+            break
     if vanish != equal:
         report.record(where(), f"generators vanish: {equal}",
                       f"generators vanish: {vanish}")
@@ -412,9 +440,9 @@ def check_strict_points(run: CheckRun) -> VerifyReport:
     points exercise the vanishing case.
     """
     report = VerifyReport(suite="strict-points")
-    for ce, point, _, label, equal in run.configurations(report):
-        _judge(report, ce.generators, point, equal,
-               lambda: f"{ce.chart.name()} {label} point {point}")
+    for ce, point, _, label, equal, vanishes in run.configurations(report):
+        _judge(report, ce.generators, lambda: scale_point(point), equal,
+               lambda: f"{ce.chart.name()} {label} point {point}", vanishes)
     return report
 
 
@@ -460,21 +488,25 @@ def check_overlap(run: CheckRun) -> VerifyReport:
     """Vanishing <=> equal images on every other chart that represents a tuple.
 
     Each strict configuration is encoded in every chart but its own (which
-    strict-points covers), each alpha prefix once; a chart that does not
-    represent the tuple counts as skipped.
+    strict-points covers), each alpha prefix once and on integers
+    (``TupleEncoding``); a chart that does not represent the tuple counts
+    as skipped.  A generator that charts share through a kept alpha prefix
+    is evaluated once per tuple, and a chart point is built and scaled
+    only when a generator of its chart has not been judged yet.
     """
     report = VerifyReport(suite="overlap")
-    for ce, point, tup, _, equal in run.configurations(report):
+    for ce, point, tup, _, equal, vanishes in run.configurations(report):
         encoding = TupleEncoding(ce.chart.cc, tup, point[:ce.chart.s])
         for other in run.eqs:
             if other is ce:
                 continue
-            seen = encoding.coords(other.chart)
-            if seen is None:
+            if not encoding.represents(other.chart):
                 report.skipped += 1
                 continue
-            _judge(report, other.generators, seen, equal,
-                   lambda: f"tuple from {ce.chart.name()} seen in {other.chart.name()}")
+            _judge(report, other.generators, lambda: encoding.scaled(other.chart),
+                   equal,
+                   lambda: f"tuple from {ce.chart.name()} seen in {other.chart.name()}",
+                   vanishes)
     return report
 
 

@@ -608,6 +608,10 @@ class TestPinnedOutput:
          "e2f8e0677ff201d8a51096d9a2cdfa6f8318125eced29ed4fe78859fcec36376"),
         (["check", *FIBER3, "--trials", "3"],
          "33af15001274c0e516dc3f16aa9d59c3a3be07c50c410e2887c53aa748fc386d"),
+        # three encoded levels, two of them kept per alpha prefix
+        (["check", "--vars", "t,x,y", "--map", "t;x2+ty;y2-tx;x3+y3+xy", "-r", "4",
+          "--suite", "overlap", "--suite", "strict", "--trials", "2"],
+         "68d1865e86562ea51b802487c5ec3c14d55f9e6d31c362af6c0886de0301cb9d"),
         # depth-3 recursion of the projections, the second over inverses
         # with denominators 30, 2 and 2
         (["charts", "--vars", "t,x,y", "--map", "t;x2+ty;y2-tx;x3+y3+xy", "-r", "4",

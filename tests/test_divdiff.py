@@ -1,6 +1,8 @@
 """Tests for difference chains and the corank-one oracle."""
 
+import itertools
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -215,6 +217,33 @@ def test_shared_shifts_give_the_fresh_chains(kind, r):
         chain = difference_chain(shared, shared.chart_for(cc, alpha, r))
         assert chain.levels == _fresh_chain(make, cc, alpha, r).levels
     assert len(shared._shifts) == sum(index_bound(cc.n, cc.ell, j) for j in range(1, r))
+
+
+@pytest.mark.parametrize("r", [3, 4])
+@pytest.mark.parametrize("kind", ["default", "vandermonde", "rational"])
+def test_charts_of_one_prefix_share_their_levels(kind, r):
+    """Charts that agree on alpha[:j] hold one level-j object, in their
+    chains and, normalized, in their generators, for every j below the last
+    level; it equals the level of a fresh map's chain.  The last level is
+    each chart's own, and the map keeps one level per prefix."""
+    make, cc = _map_and_collection(kind, r)
+    shared = make()
+    alphas = multi_indices(cc.n, r, cc.ell)
+    eqs = {alpha: chart_equations(shared, r, cc, alpha) for alpha in alphas}
+    width = len(shared.fiber_coords)
+    for (a, ea), (b, eb) in itertools.combinations(eqs.items(), 2):
+        common = next((j for j in range(r - 1) if a[j] != b[j]), r - 1)
+        for j in range(r - 1):
+            same = ea.chain.levels[j] is eb.chain.levels[j]
+            assert same == (j < common), (a, b, j)
+            gens = slice(j * width, (j + 1) * width)
+            assert all(map(operator.is_, ea.generators[gens], eb.generators[gens])) == same
+    for alpha, e in eqs.items():
+        fresh = _fresh_chain(make, cc, alpha, r)
+        assert e.chain.levels == fresh.levels
+        for j in range(1, r - 1):
+            assert e.chain.levels[j - 1] is shared._levels[(cc, r, alpha[:j])]
+    assert len(shared._levels) == len({alpha[:j] for alpha in alphas for j in range(1, r - 1)})
 
 
 def test_shifts_kept_per_collection():

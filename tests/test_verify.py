@@ -7,6 +7,7 @@ sure the corruption is reported, not silently absorbed.
 
 import dataclasses
 import itertools
+import math
 import operator
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ from multipoint.atlas import (
 from multipoint.divdiff import DifferenceChain, PolyMap, difference_chain
 from multipoint import verify
 from multipoint.ideals import chart_equations, kr_equations
-from multipoint.polyring import Poly, evaluate
+from multipoint.polyring import Poly, evaluate, normalize, scale_point
 from multipoint.verify import (
     CheckRun,
     SampleConfig,
@@ -109,28 +110,48 @@ class TestTelescoping:
         assert telescoping_failures(difference_chain(f, chart)) == []
 
     def test_corrupt_shift_memo_is_caught(self):
-        """A corrupted difference quotient in the map's kept level-1 shift,
+        """A corrupted difference quotient in the map's kept level-2 shift,
         the memo the chain reads, corrupts the next chart that picks the
-        same form.  The product it came from is corrupted alike, so the
-        map's shift agrees with itself; telescoping reads the shifts of its
-        own copy of the map, so it still reports the chart."""
+        same form at level 2 and has a new level-1 prefix.  The product it
+        came from is corrupted alike, so the map's shift agrees with itself;
+        telescoping reads the shifts of its own copy of the map, so it still
+        reports the chart."""
         f = family()
         cc = covering_collection(2, 3)
         chart_equations(f, 3, cc, (1, 1))
-        shift = f._shifts[(cc, 3, 1, 1)]
-        lam = shift.table.codec.offsets[shift.table.index("l1")]
+        shift = f._shifts[(cc, 3, 2, 1)]
+        lam = shift.table.codec.offsets[shift.table.index("l2")]
         e, quotient = next((e, q) for e, q in shift._quotients.items() if q)
         m = next(iter(quotient))
-        # the quotient's term at m is the product's term at m * lambda_1
+        # the quotient's term at m is the product's term at m * lambda_2
         quotient[m] *= 2
         shift._products[e][m + lam] *= 2
-        bad = chart_equations(f, 3, cc, (1, 2))
+        bad = chart_equations(f, 3, cc, (2, 1))
         fresh = family()
-        want = difference_chain(fresh, fresh.chart_for(cc, (1, 2), 3))
-        assert bad.chain.levels[0] != want.levels[0]
+        want = difference_chain(fresh, fresh.chart_for(cc, (2, 1), 3))
+        assert bad.chain.levels[0] == want.levels[0]
+        assert bad.chain.levels[1] != want.levels[1]
         rep = check_telescoping(CheckRun([bad], CFG))
         assert rep.failures
-        assert all(d.startswith("U(1,2) level 1 ") for d, _, _ in rep.failures)
+        assert all(d.startswith("U(2,1) level 2 ") for d, _, _ in rep.failures)
+
+    def test_corrupt_kept_level_is_caught(self):
+        """A corrupted level in the map's kept levels of prefix (1,) is level
+        1 of every later chart under it, and its generators.  Level 2 is
+        built from the corrupt level, and a constant cancels in its
+        difference, so telescoping, which rebuilds nothing from the map,
+        reports level 1 only."""
+        f = family()
+        cc = covering_collection(2, 3)
+        difference_chain(f, f.chart_for(cc, (1, 1), 3))
+        key = (cc, 3, (1,))
+        first, *rest = f._levels[key]
+        f._levels[key] = (first + 1, *rest)
+        bad = chart_equations(f, 3, cc, (1, 2))
+        assert bad.chain.levels[0] is f._levels[key]
+        assert bad.generators[:3] == tuple(map(normalize, f._levels[key]))
+        rep = check_telescoping(CheckRun([bad], CFG))
+        assert [d for d, _, _ in rep.failures] == ["U(1,2) level 1 component 1"]
 
 
 class TestDiagonalKernel:
@@ -214,6 +235,17 @@ class TestStrictPoints:
         assert (a.trials, a.skipped, a.failures) == (b.trials, b.skipped, b.failures)
 
 
+ATLASES = [
+    *[(covering_collection(n, r, strategy), r)
+      for n, r, strategy in itertools.product(
+          (1, 2, 3), (2, 3, 4), ("default", "vandermonde"))],
+    (collection_from_text("1,0\n2\n0,1\n1\n1/2,1\n1\n"), 2),
+    (collection_from_text("1,0\n2\n0,1\n1\n1/2,1\n1\n"), 3),
+    (collection_from_text(
+        "1,1,1\n2,3\n1/2,1,2\n3,4\n1/3,1,3\n4,5\n1/4,1,4\n5,1\n1/5,1,5\n1,2\n"), 3),
+]
+
+
 class TestChartCoordsFromTuple:
     """``TupleEncoding`` against ``Chart.project``, the map it inverts."""
 
@@ -270,15 +302,7 @@ class TestChartCoordsFromTuple:
                 assert tup == [[evaluate(c, coords) for c in proj] for proj in symbolic]
             assert encoded >= 4, chart.name()
 
-    @pytest.mark.parametrize("cc, r", [
-        *[(covering_collection(n, r, strategy), r)
-          for n, r, strategy in itertools.product(
-              (1, 2, 3), (2, 3, 4), ("default", "vandermonde"))],
-        (collection_from_text("1,0\n2\n0,1\n1\n1/2,1\n1\n"), 2),
-        (collection_from_text("1,0\n2\n0,1\n1\n1/2,1\n1\n"), 3),
-        (collection_from_text(
-            "1,1,1\n2,3\n1/2,1,2\n3,4\n1/3,1,3\n4,5\n1/4,1,4\n5,1\n1/5,1,5\n1,2\n"), 3),
-    ])
+    @pytest.mark.parametrize("cc, r", ATLASES)
     def test_prefix_shared_encoding_is_the_one_chart_encoding(self, cc, r):
         """One TupleEncoding over the whole atlas, read in a shuffled chart
         order, gives on every chart what a one-chart encoding gives, None
@@ -310,6 +334,43 @@ class TestChartCoordsFromTuple:
         on_form_1 = [shared.coords(chart) for chart in charts if chart.alpha[0] == 1]
         assert on_form_1 and all(coords is None for coords in on_form_1)
         assert seen > 0
+
+    @pytest.mark.parametrize("cc, r", ATLASES)
+    def test_scaled_point_is_the_scaled_coordinates(self, cc, r):
+        """``scaled`` is ``scale_point`` of ``coords``, None on both sides
+        together: every level is an integer vector in lowest terms, so the
+        point's denominator is the lcm of its coordinates' denominators.
+        ``represents``, asked first of a fresh encoding, before any last
+        level is built, agrees with both."""
+        rng = random.Random(r * 10 + cc.n + 1)
+        charts = build_atlas(cc, cc.n, r, params=1)
+        rng.shuffle(charts)
+
+        def draw():
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+
+        tuples = [[[draw() for _ in range(cc.n)] for _ in range(r)] for _ in range(4)]
+        # x^(1) - x^(0) in the kernel of form 1: missed by alpha[0] = 1
+        c = cc.forms[0].coeffs
+        kernel = [-c[1], c[0], *[0] * (cc.n - 2)] if cc.n > 1 else [0]
+        tuples.append([tuples[0][0], [b + k for b, k in zip(tuples[0][0], kernel)],
+                       *tuples[0][2:]])
+        seen = missed = 0
+        for tup in tuples:
+            params = [draw()]
+            asked = TupleEncoding(cc, tup, params)
+            represented = [asked.represents(chart) for chart in charts]
+            shared = TupleEncoding(cc, tup, params)
+            for chart, represents in zip(charts, represented):
+                point, coords = shared.scaled(chart), shared.coords(chart)
+                assert (point is None) == (coords is None) == (not represents)
+                if point is None:
+                    missed += 1
+                    continue
+                seen += 1
+                assert point == scale_point(coords)
+                assert math.gcd(point.d, *point.nums) == 1 and point.d > 0
+        assert seen > 0 and missed > 0
 
     def test_encoding_refuses_another_collection(self):
         cc = covering_collection(2, 3)
@@ -401,6 +462,26 @@ class TestOverlap:
             alone.trials, alone.skipped, alone.failures)
 
 
+    @pytest.mark.parametrize("k, failures", enumerate([13, 10, 12, 11, 14, 11]))
+    def test_one_zeroed_chart_is_judged_on_its_own(self, k, failures):
+        """Negative control for the memo of judged generators.  Chart k's
+        generators are replaced by fresh zero polynomials; its siblings
+        still share their level-1 generators through the kept alpha
+        prefix.  A memo keyed by the prefix would judge the zeroed chart by
+        a sibling's generators and report fewer rows; the memo is keyed by
+        the object, so every row the zeroed chart earns is reported, and
+        only there."""
+        eqs = kr_equations(family(), 3, covering_collection(2, 3))
+        zeroed = eqs[k]
+        eqs[k] = dataclasses.replace(zeroed, generators=tuple(
+            Poly.zero(zeroed.chart.table) for _ in zeroed.generators))
+        rep = check_overlap(CheckRun(eqs, SampleConfig(seed=4, trials=3)))
+        assert (rep.trials, rep.skipped) == (18, 19)
+        assert len(rep.failures) == failures
+        assert all(d.endswith(f" seen in {zeroed.chart.name()}")
+                   for d, _, _ in rep.failures)
+
+
 @pytest.mark.parametrize("make, r, n, cfg", [
     (family, 2, 2, CFG),
     (family, 3, 2, SampleConfig(seed=2, trials=3)),
@@ -417,26 +498,42 @@ def test_point_suites_draw_the_same_configurations(make, r, n, cfg):
 @pytest.mark.parametrize("make, r, n", [(family, 3, 2), (fold, 2, 1)])
 def test_point_suites_scale_each_point_once(make, r, n, monkeypatch):
     """Every evaluation in the point suites gets a point scaled before it:
-    one per judged chart point and one per source point of a draw."""
-    scaled, evaluated = [], []
+    by ``scale_point``, one per drawn chart point and one per source point
+    of a draw, or by ``TupleEncoding.scaled``, one per encoded chart point.
+    Overlap evaluates a generator that charts share through a kept alpha
+    prefix once per tuple, so on order-3 charts it evaluates fewer times
+    than it judges chart points; the fold has one chart, so none."""
+    scaled, encoded, evaluated, judged = [], [], [], []
     real_scale, real_evaluate = verify.scale_point, verify.evaluate
+    real_encoded, real_judge = TupleEncoding.scaled, verify._judge
 
     def scale(point):
         scaled.append(real_scale(point))
         return scaled[-1]
 
+    def encode(self, chart):
+        encoded.append(real_encoded(self, chart))
+        return encoded[-1]
+
     def evaluate_scaled(p, point):
-        assert any(point is s for s in scaled)
+        assert any(point is s for s in [*scaled, *encoded])
         evaluated.append(p)
         return real_evaluate(p, point)
 
     monkeypatch.setattr(verify, "scale_point", scale)
+    monkeypatch.setattr(TupleEncoding, "scaled", encode)
     monkeypatch.setattr(verify, "evaluate", evaluate_scaled)
+    monkeypatch.setattr(verify, "_judge", lambda *a: judged.append(a) or real_judge(*a))
     eqs = kr_equations(make(), r, covering_collection(n, r))
     run = CheckRun(eqs, CFG)
     assert check_strict_points(run).passed
-    assert check_overlap(run).passed
     assert 0 < len(scaled) <= len(evaluated)
+    del evaluated[:], judged[:]
+    assert check_overlap(run).passed
+    if r > 2:
+        assert 0 < len(evaluated) < len(judged)
+    else:
+        assert evaluated == judged == []
 
 
 class TestCorank1Suite:
