@@ -7,13 +7,15 @@ picks one form per level and determines an affine chart with coordinates
 into source-space increments.  Forms and inverse matrices are kept in one
 layout, integers over one positive denominator; one fraction-free
 elimination, ``_adjugate``, checks general position and builds the
-inverses, so no ``Fraction`` enters the linear algebra.  One routine applies
-an inverse to a vector of polynomials or integers over a denominator:
-``Chart.nu`` and ``Chart.project``, which recovers the r source points from
-chart coordinates, polynomial or rational, both run through it.
-``TupleEncoding`` inverts ``Chart.project`` on a rational tuple, once per
-alpha prefix and in the same layout: its difference vectors and levels are
-integers over one positive denominator, and a chart point leaves it as a
+inverses, so no ``Fraction`` enters the linear algebra.  A chart point
+and a source point are kept in the same layout: a vector of integers, or
+of polynomials, over one denominator.  One routine applies an inverse to
+such a vector: ``Chart.nu`` and ``Chart.project``, which recovers the r
+source points from a chart point, polynomial or rational, on one path,
+both run through it.  ``TupleEncoding`` inverts ``Chart.project`` on a
+rational tuple given in that layout, once per alpha prefix: its
+difference vectors and levels are integers over one positive
+denominator, in lowest terms, and a chart point leaves it as a
 ``ScaledPoint``, ready for ``evaluate``.
 """
 
@@ -105,6 +107,16 @@ def _add_scaled(a: tuple[list, int], b: tuple[list, int]) -> tuple[list, int]:
     g = math.gcd(p, q)
     u, v = q // g, p // g
     return [x * u + y * v for x, y in zip(xs, ys)], p * u
+
+
+def _join(a: tuple[Sequence[int], int], b: tuple[Sequence[int], int]
+          ) -> tuple[list[int], int]:
+    """Two integer vectors over their denominators as one vector, ``a``'s
+    entries then ``b``'s, over the lcm; two vectors in lowest terms join
+    in lowest terms."""
+    (xs, p), (ys, q) = a, b
+    m = math.lcm(p, q)
+    return [x * (m // p) for x in xs] + [y * (m // q) for y in ys], m
 
 
 def _lowest(nums: list[int], d: int) -> tuple[list[int], int]:
@@ -424,29 +436,26 @@ class Chart:
         return ([sum(map(operator.mul, row, unprojectivized)) for row in rows],
                 q * d * d)
 
-    def project(self, coords: Sequence) -> list[list]:
-        """Source points x^(0..r-1) at ``coords``, one value per table variable.
+    def project(self, nums: Sequence, d: int = 1) -> list[tuple[list, int]]:
+        """Source points x^(0..r-1) at the chart point ``nums / d``, one
+        numerator per table variable.
 
-        The values may be polynomials or rationals.  x^(0) is the base point
-        itself; x^(j) accumulates the level increments by the descending
-        recursion through intermediate gamma vectors.  Each level and gamma
-        vector is a vector over one integer denominator: a level of
-        polynomials over 1, a rational level scaled to integers.  Only the
-        output divides by the denominator, once per coordinate.
+        The numerators may be polynomials or integers.  x^(0) is the base
+        point itself; x^(j) accumulates the level increments by the
+        descending recursion through intermediate gamma vectors.  Every
+        level, gamma vector and source point is a vector over one integer
+        denominator, not reduced; ``projection_to_Xr`` divides the
+        polynomial ones through.
         """
         index = self.table.index
-        levels = [[coords[index(nm)] for nm in self.level_names(j)]
+        levels = [([nums[index(nm)] for nm in self.level_names(j)], d)
                   for j in range(self.r)]
-        out = [list(levels[0])]
-        symbolic = any(isinstance(v, Poly) for v in coords)
-        levels = [(level, 1) if symbolic else common_denominator(level)
-                  for level in levels]
+        out = [levels[0]]
         for j in range(1, self.r):
             gamma = levels[j]
-            for i in range(j - 1, 0, -1):
+            for i in range(j - 1, -1, -1):
                 gamma = _add_scaled(levels[i], self._nu(i + 1, gamma))
-            nums, d = _add_scaled(levels[0], self._nu(1, gamma))
-            out.append(_over(nums, d) if symbolic else [Fraction(v, d) for v in nums])
+            out.append(gamma)
         return out
 
 
@@ -529,7 +538,8 @@ def build_atlas(cc: CoveringCollection, n: int, r: int, params: int = 0,
 
 def projection_to_Xr(chart: Chart) -> list[list[Poly]]:
     """Source points x^(0..r-1) as polynomials in the chart coordinates."""
-    return chart.project([Poly.variable(chart.table, nm) for nm in chart.table.names])
+    variables = [Poly.variable(chart.table, nm) for nm in chart.table.names]
+    return [_over(*point) for point in chart.project(variables)]
 
 
 class TupleEncoding:
@@ -547,26 +557,25 @@ class TupleEncoding:
     its form there, and its coordinates are built only when read.  The
     encoding lives as long as the object.
 
-    Every vector is kept the way ``LinearForm`` keeps its coefficients:
-    integers N over one positive denominator d, in lowest terms.  A form F
-    is applied as ``F.scaled_at(N) / (F.denominator * d)``, so with
+    The source points and the parameters come as integer vectors over a
+    denominator, in any terms.  Every vector the encoding keeps is held the
+    way ``LinearForm`` keeps its coefficients: integers N over one positive
+    denominator d, in lowest terms.  A form F is applied as ``F.scaled_at(N) / (F.denominator * d)``, so with
     ``L = F_a.scaled_at(N)`` lambda is ``L / (q_a d)`` and a companion
     ``F_k.scaled_at(N) q_a / (q_k L)``: the level is one integer vector over
     ``q_a d L`` times the lcm of the companions' q_k, divided by one gcd.
-    Vectors in lowest terms have the lcm of their entries' denominators as
-    their denominator, so a chart point, the head and its levels over the
-    lcm of theirs, is ``scale_point`` of its ``Fraction`` coordinates.
+    A chart point is the head and its levels joined over the lcm of their
+    denominators, so it is in lowest terms too.
     """
 
     def __init__(self, cc: CoveringCollection,
-                 fiber_points: Sequence[Sequence[Fraction]],
-                 params: Sequence[Fraction] = ()):
+                 fiber_points: Sequence[tuple[Sequence[int], int]],
+                 params: tuple[Sequence[int], int] = ((), 1)):
         self.cc = cc
-        head = common_denominator([*params, *fiber_points[0]])
-        nums, d = head
-        base = ([-v for v in nums[len(params):]], d)
-        diffs = [_lowest(*_add_scaled(common_denominator(pt), base))
-                 for pt in fiber_points[1:]]
+        head = _lowest(*_join(params, fiber_points[0]))
+        nums, d = fiber_points[0]
+        base = ([-v for v in nums], d)
+        diffs = [_lowest(*_add_scaled(pt, base)) for pt in fiber_points[1:]]
         # alpha prefix -> (its chart coordinates over one denominator, the
         # next level's difference vectors), or None when it misses the tuple
         self._prefixes: dict[tuple, tuple | None] = {(): (head, diffs)}
@@ -603,10 +612,9 @@ class TupleEncoding:
                 qa * d * lam * q))
         # the first difference's level is the prefix's; the others,
         # less it, are the next level's differences
-        (coords, d), (level, e) = point, encoded[0]
-        m = math.lcm(d, e)
+        level, e = encoded[0]
         first = ([-v for v in level], e)
-        return (([v * (m // d) for v in coords] + [v * (m // e) for v in level], m),
+        return (_join(point, encoded[0]),
                 [_lowest(*_add_scaled(later, first)) for later in encoded[1:]])
 
     def represents(self, chart: Chart) -> bool:
@@ -621,13 +629,7 @@ class TupleEncoding:
 
     def scaled(self, chart: Chart) -> ScaledPoint | None:
         """The tuple's point on ``chart`` as integers over one denominator,
-        one value per table variable, or None when the chart does not
-        represent it; equal to ``scale_point(self.coords(chart))``."""
+        in lowest terms, one value per table variable, or None when the
+        chart does not represent it."""
         state = self._prefix(self._alpha(chart))
         return None if state is None else ScaledPoint(*state[0])
-
-    def coords(self, chart: Chart) -> list | None:
-        """The tuple's coordinates on ``chart``, one ``Fraction`` per table
-        variable, or None when the chart does not represent it."""
-        point = self.scaled(chart)
-        return None if point is None else [Fraction(v, point.d) for v in point.nums]

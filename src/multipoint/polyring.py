@@ -767,6 +767,7 @@ _TOK_INT = "int"
 _TOK_OP = "op"
 _TOK_END = "end"
 _DIGITS = frozenset("0123456789")
+MAX_NESTING = 100  # parentheses a source may nest; deeper ones fail to parse
 
 
 class _Lexer:
@@ -868,39 +869,39 @@ class _Parser:
             raise ParseError(f"unexpected {text!r}", self.src, at)
         return p
 
-    def expr(self) -> Poly:
+    def expr(self, depth: int = 0) -> Poly:
         negate = False
         kind, text, _ = self.peek()
         if kind == _TOK_OP and text == "-":
             self.next()
             negate = True
-        p = self.term()
+        p = self.term(depth)
         if negate:
             p = -p
         while True:
             kind, text, _ = self.peek()
             if kind == _TOK_OP and text in "+-":
                 self.next()
-                q = self.term()
+                q = self.term(depth)
                 p = p + q if text == "+" else p - q
             else:
                 return p
 
-    def term(self) -> Poly:
-        p = self.factor()
+    def term(self, depth: int) -> Poly:
+        p = self.factor(depth)
         while True:
             kind, text, _ = self.peek()
             if kind == _TOK_OP and text == "*":
                 self.next()
-                p = p * self.factor()
+                p = p * self.factor(depth)
             elif (kind == _TOK_IDENT or kind == _TOK_INT
                   or (kind == _TOK_OP and text == "(")):
-                p = p * self.factor()
+                p = p * self.factor(depth)
             else:
                 return p
 
-    def factor(self) -> Poly:
-        p = self.atom()
+    def factor(self, depth: int) -> Poly:
+        p = self.atom(depth)
         kind, text, _ = self.peek()
         if kind == _TOK_OP and text == "^":
             self.next()
@@ -910,7 +911,7 @@ class _Parser:
             p = p ** int(t)
         return p
 
-    def atom(self) -> Poly:
+    def atom(self, depth: int) -> Poly:
         kind, text, at = self.next()
         if kind == _TOK_IDENT:
             return Poly.variable(self.table, text)
@@ -930,7 +931,9 @@ class _Parser:
                     raise ParseError("zero denominator", self.src, den_tok[2])
                 self.next()
                 return Poly.constant(self.table, Fraction(num, den))
-            p = self.expr()
+            if depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", self.src, at)
+            p = self.expr(depth + 1)
             self.expect_op(")")
             return p
         raise ParseError(f"unexpected {text or 'end of input'!r}", self.src, at)
@@ -940,9 +943,10 @@ def parse_poly(src: str, table: VarTable) -> Poly:
     """Parse a polynomial source string over the given variable table.
 
     Sums and differences of products, with ``^`` and a non-negative integer
-    exponent, parentheses, and rational literals written ``(p/q)``.  A digit
-    run right after a variable name is an exponent and juxtaposition is a
-    product, so ``2x2y`` means ``2*x^2*y``.
+    exponent, parentheses nested at most ``MAX_NESTING`` deep, and rational
+    literals written ``(p/q)``.  A digit run right after a variable name is
+    an exponent and juxtaposition is a product, so ``2x2y`` means
+    ``2*x^2*y``.
     """
     return _Parser(src, table).parse()
 

@@ -19,7 +19,10 @@ the tuple was drawn on, overlap on every other chart.  Both judge the
 run's one strict sample, drawn by the first of them to read it, and each
 configuration of it keeps which generators, by identity, vanish at its
 tuple, so a level that charts share through an alpha prefix is evaluated
-there once.
+there once.  Every chart and source point they handle, from the draw to
+the judge, is integers over one denominator (``ScaledPoint``, the layout
+of ``Chart.project`` and ``TupleEncoding``); ``Fraction``s are left in the
+random draws, in ``evaluate``'s values and in the text of failure rows.
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ from .atlas import (
     Chart,
     TupleEncoding,
     _default_param_names,
+    _join,
+    _lowest,
     standard_collection,
 )
 from .divdiff import (
@@ -142,12 +147,10 @@ def rand_polymap(rng: random.Random, n: int, p: int, s: int,
     return PolyMap(table, coords, s=s)
 
 
-def _rand_chart_point(rng: random.Random, chart: Chart, cfg: SampleConfig) -> list:
-    point = []
+def _rand_chart_point(rng: random.Random, chart: Chart, cfg: SampleConfig) -> ScaledPoint:
     lambdas = set(chart.lambda_names)
-    for nm in chart.table.names:
-        point.append(rand_fraction(rng, cfg.coeff_bound, nonzero=nm in lambdas))
-    return point
+    return scale_point([rand_fraction(rng, cfg.coeff_bound, nonzero=nm in lambdas)
+                        for nm in chart.table.names])
 
 
 # ---- telescoping -----------------------------------------------------------
@@ -248,7 +251,7 @@ def judged_points(f: PolyMap, r: int, charts: int, cfg: SampleConfig,
 
 
 def _antipodal_witnesses(f: PolyMap, k: int | None, chart: Chart, rng: random.Random,
-                         cfg: SampleConfig) -> list[list[Fraction]]:
+                         cfg: SampleConfig) -> list[ScaledPoint]:
     """Chart points of double pairs (v, -v) for maps even in one fiber variable.
 
     Takes the index k of the fiber variable v that ``_witness_variable``
@@ -263,13 +266,13 @@ def _antipodal_witnesses(f: PolyMap, k: int | None, chart: Chart, rng: random.Ra
     for _ in range(count * 4):
         if len(out) >= count:
             break
-        params = [rand_fraction(rng, cfg.coeff_bound) for _ in range(f.s)]
-        fiber = [rand_fraction(rng, cfg.coeff_bound) for _ in f.fiber_names]
-        v = rand_fraction(rng, cfg.coeff_bound, nonzero=True)
-        fiber[k] = v
-        mirror = list(fiber)
-        mirror[k] = -v
-        point = TupleEncoding(chart.cc, [fiber, mirror], params).coords(chart)
+        drawn = [rand_fraction(rng, cfg.coeff_bound) for _ in range(f.n)]
+        drawn[f.s + k] = rand_fraction(rng, cfg.coeff_bound, nonzero=True)
+        nums, d = scale_point(drawn)
+        mirror = nums[f.s:]
+        mirror[k] = -mirror[k]
+        point = TupleEncoding(chart.cc, [(nums[f.s:], d), (mirror, d)],
+                              (nums[:f.s], d)).scaled(chart)
         if point is not None:
             out.append(point)
     return out
@@ -278,15 +281,17 @@ def _antipodal_witnesses(f: PolyMap, k: int | None, chart: Chart, rng: random.Ra
 class Configuration(NamedTuple):
     """One entry of a strict sample.
 
-    ``equal`` says whether the source points of ``tup`` share one image
-    under f.  A supplied witness whose chart is missing from the run has
-    ``ce`` None and its description as ``label``.  ``vanishes`` maps the
-    ``id`` of each generator judged at the tuple so far to whether it
-    vanishes there (see ``_judge``).
+    ``point`` is the chart point and ``tup`` its source points, each as
+    integers over one denominator in lowest terms; ``equal`` says whether
+    the source points share one image under f.  A supplied witness whose
+    chart is missing from the run has ``ce`` and ``point`` None and its
+    description as ``label``.  ``vanishes`` maps the ``id`` of each
+    generator judged at the tuple so far to whether it vanishes there (see
+    ``_judge``).
     """
 
     ce: ChartEquations | None
-    point: list
+    point: ScaledPoint | None
     tup: list
     label: str
     equal: bool
@@ -312,8 +317,10 @@ def _strict_configurations(eqs: Sequence[ChartEquations], cfg: SampleConfig,
     (at most ``cfg.trials * 20`` draws), then the chart's antipodal
     witnesses; last the supplied ``witnesses``, (alpha, chart point vector)
     pairs.  A point is strict when every lambda is nonzero and its source
-    points, projected numerically by ``Chart.project``, are pairwise
-    distinct.
+    points, projected by ``Chart.project`` and put in lowest terms, are
+    pairwise distinct.  Each point is scaled once, when drawn or supplied:
+    from there on every chart and source point is a vector of integers
+    over one denominator.
     """
     rng = random.Random(cfg.seed)
     cases: list[Configuration] = []
@@ -321,41 +328,35 @@ def _strict_configurations(eqs: Sequence[ChartEquations], cfg: SampleConfig,
     # one run has one map and one order: decide its antipodal variable once
     k = _witness_variable(eqs[0].chain.f, eqs[0].chart.r) if eqs else None
 
-    def strict(ce, point, label) -> bool:
+    def strict(ce, point: ScaledPoint, label) -> bool:
         chart = ce.chart
-        if any(point[chart.table.index(nm)] == 0 for nm in chart.lambda_names):
+        if any(point.nums[chart.table.index(nm)] == 0 for nm in chart.lambda_names):
             return False
-        tup = [tuple(x) for x in chart.project(point)]
-        # equality tests, not sets: hashing a Fraction costs a modular inverse
+        tup = [_lowest(*x) for x in chart.project(*point)]
         if any(a == b for a, b in itertools.combinations(tup, 2)):
             return False
-        params = point[:chart.s]
-        sources = [scale_point([*params, *fib]) for fib in tup]
+        params = (point.nums[:chart.s], point.d)
+        sources = [ScaledPoint(*_join(params, x)) for x in tup]
         equal = all(_all_equal([evaluate(c, x) for x in sources])
                     for c in ce.chain.f.fiber_coords)
         cases.append(Configuration(ce, point, tup, label, equal, {}))
         return True
-
-    def strict_witnesses(ce, points):
-        nonlocal skipped
-        for point in points:
-            if not strict(ce, list(point), "witness"):
-                skipped += 1
 
     for ce in eqs:
         used = attempts = 0
         while used < cfg.trials and attempts < cfg.trials * 20:
             attempts += 1
             used += strict(ce, _rand_chart_point(rng, ce.chart, cfg), "random")
-        strict_witnesses(ce, _antipodal_witnesses(ce.chain.f, k, ce.chart, rng, cfg))
+        points = _antipodal_witnesses(ce.chain.f, k, ce.chart, rng, cfg)
+        skipped += sum(not strict(ce, point, "witness") for point in points)
     by_alpha = {ce.chart.alpha: ce for ce in eqs}
     for alpha, point in witnesses:
         ce = by_alpha.get(tuple(alpha))
         if ce is None:
-            cases.append(Configuration(None, list(point), [],
+            cases.append(Configuration(None, None, [],
                                        f"witness chart U{tuple(alpha)}", False, {}))
         else:
-            strict_witnesses(ce, [point])
+            skipped += not strict(ce, scale_point(point), "witness")
     return cases, skipped
 
 
@@ -441,8 +442,9 @@ def check_strict_points(run: CheckRun) -> VerifyReport:
     """
     report = VerifyReport(suite="strict-points")
     for ce, point, _, label, equal, vanishes in run.configurations(report):
-        _judge(report, ce.generators, lambda: scale_point(point), equal,
-               lambda: f"{ce.chart.name()} {label} point {point}", vanishes)
+        _judge(report, ce.generators, lambda: point, equal, lambda: (
+            f"{ce.chart.name()} {label} point {[Fraction(v, point.d) for v in point.nums]}"),
+            vanishes)
     return report
 
 
@@ -496,7 +498,7 @@ def check_overlap(run: CheckRun) -> VerifyReport:
     """
     report = VerifyReport(suite="overlap")
     for ce, point, tup, _, equal, vanishes in run.configurations(report):
-        encoding = TupleEncoding(ce.chart.cc, tup, point[:ce.chart.s])
+        encoding = TupleEncoding(ce.chart.cc, tup, (point.nums[:ce.chart.s], point.d))
         for other in run.eqs:
             if other is ce:
                 continue

@@ -736,6 +736,12 @@ class TestFlagNamedErrors:
     def test_map_flag(self, capsys):
         self.check(["eqs", "--vars", "x,y", "--map", "x;y("], "--map", capsys)
 
+    def test_map_nested_too_deep(self, capsys):
+        # well-formed, but deeper than the parser's bound of 100
+        src = "(" * 300 + "x" + ")" * 300
+        self.check(["eqs", "--vars", "x", "--map", src, "-r", "2"],
+                   "error: --map: parentheses nested deeper than 100", capsys)
+
     @pytest.mark.parametrize("src", ["x\u00b2", "x^\u00b2"])
     def test_map_with_a_non_ascii_digit(self, src, capsys):
         self.check(["eqs", "--vars", "x", "--map", src, "-r", "2"], "--map", capsys)

@@ -133,6 +133,27 @@ def test_parse_zero_denominator():
         P("(1/0)*x")
 
 
+def nested(src, depth):
+    return "(" * depth + src + ")" * depth
+
+
+def test_parse_nesting_at_the_bound():
+    # a rational literal is not a nesting level
+    assert polyring.MAX_NESTING == 100
+    assert P(nested("x", 100)) == P("x")
+    assert P(nested("(1/2)*x", 100)) == P("(1/2)*x")
+
+
+def test_parse_nesting_past_the_bound_is_an_error():
+    # each open parenthesis is four frames of the recursive descent, so
+    # without the bound some 250 of them overflow the default stack limit
+    for depth in (101, 300):
+        with pytest.raises(ParseError) as ei:
+            P(nested("x", depth))
+        assert ei.value.pos == 100
+        assert str(ei.value).startswith("parentheses nested deeper than 100 at position 100")
+
+
 @pytest.mark.parametrize("src, pos", [("x\u00b2", 1), ("x^\u00b2", 2), ("\u00b2", 0),
                                       ("x+y\u00b2", 3), ("\u0663*x", 0)])
 def test_parse_non_ascii_digit_is_an_error_at_its_position(src, pos):

@@ -6,6 +6,7 @@ sure the corruption is reported, not silently absorbed.
 """
 
 import dataclasses
+import hashlib
 import itertools
 import math
 import operator
@@ -23,7 +24,14 @@ from multipoint.atlas import (
 from multipoint.divdiff import DifferenceChain, PolyMap, difference_chain
 from multipoint import verify
 from multipoint.ideals import chart_equations, kr_equations
-from multipoint.polyring import Poly, evaluate, normalize, scale_point
+from multipoint.polyring import (
+    Poly,
+    ScaledPoint,
+    common_denominator,
+    evaluate,
+    normalize,
+    scale_point,
+)
 from multipoint.verify import (
     CheckRun,
     SampleConfig,
@@ -246,8 +254,28 @@ ATLASES = [
 ]
 
 
+def encode(cc, tup, params=()):
+    """``TupleEncoding`` of a tuple of ``Fraction`` points."""
+    return TupleEncoding(cc, [common_denominator(pt) for pt in tup],
+                         common_denominator(params))
+
+
+def coords(encoding, chart):
+    """The encoded point on ``chart`` as ``Fraction``s, or None."""
+    point = encoding.scaled(chart)
+    return None if point is None else [Fraction(v, point.d) for v in point.nums]
+
+
+def project(chart, point):
+    """``chart.project`` at a ``Fraction`` point, as ``Fraction`` points."""
+    return [[Fraction(v, d) for v in nums]
+            for nums, d in chart.project(*common_denominator(point))]
+
+
 class TestChartCoordsFromTuple:
-    """``TupleEncoding`` against ``Chart.project``, the map it inverts."""
+    """``TupleEncoding`` against ``Chart.project``, the map it inverts; both
+    take and give points as integers over one denominator, read here
+    through ``Fraction`` views."""
 
     def test_roundtrip_through_projection(self):
         """project agrees with the symbolic projection, and the inverse
@@ -261,12 +289,16 @@ class TestChartCoordsFromTuple:
             for chart in build_atlas(cc, n, r, params=1):
                 point = [Fraction(rng.randint(1, 9), rng.randint(1, 5))
                          for _ in chart.table.names]
-                tup = chart.project(point)
+                tup = project(chart, point)
                 assert tup == [[evaluate(c, point) for c in proj]
                                for proj in projection_to_Xr(chart)]
                 strict = len(set(map(tuple, tup))) == len(tup)
-                assert (TupleEncoding(cc, tup, point[:1]).coords(chart)
+                assert (coords(encode(cc, tup, point[:1]), chart)
                         == (point if strict else None))
+                # the integer layout end to end, source points not reduced
+                scaled = scale_point(point)
+                again = TupleEncoding(cc, chart.project(*scaled), (scaled.nums[:1], scaled.d))
+                assert again.scaled(chart) == (scaled if strict else None)
 
     @pytest.mark.parametrize("text, r", [
         ("1,0\n2\n0,1\n1\n1/2,1\n1\n", 2),
@@ -293,13 +325,13 @@ class TestChartCoordsFromTuple:
             for _ in range(6):
                 params = [draw()]
                 tup = [[draw() for _ in range(cc.n)] for _ in range(r)]
-                coords = TupleEncoding(cc, tup, params).coords(chart)
-                if coords is None:  # a chosen form vanishes on a difference
+                point = coords(encode(cc, tup, params), chart)
+                if point is None:  # a chosen form vanishes on a difference
                     continue
                 encoded += 1
-                assert coords[:1] == params
-                assert chart.project(coords) == tup
-                assert tup == [[evaluate(c, coords) for c in proj] for proj in symbolic]
+                assert point[:1] == params
+                assert project(chart, point) == tup
+                assert tup == [[evaluate(c, point) for c in proj] for proj in symbolic]
             assert encoded >= 4, chart.name()
 
     @pytest.mark.parametrize("cc, r", ATLASES)
@@ -324,24 +356,24 @@ class TestChartCoordsFromTuple:
         seen = 0
         for tup in [*tuples, vanishing]:
             params = [draw()]
-            shared = TupleEncoding(cc, tup, params)
+            shared = encode(cc, tup, params)
             for chart in charts:
-                coords = shared.coords(chart)
-                assert coords == TupleEncoding(cc, tup, params).coords(chart)
-                if coords is not None:
+                point = coords(shared, chart)
+                assert point == coords(encode(cc, tup, params), chart)
+                if point is not None:
                     seen += 1
-                    assert chart.project(coords) == tup
-        on_form_1 = [shared.coords(chart) for chart in charts if chart.alpha[0] == 1]
-        assert on_form_1 and all(coords is None for coords in on_form_1)
+                    assert project(chart, point) == tup
+        on_form_1 = [coords(shared, chart) for chart in charts if chart.alpha[0] == 1]
+        assert on_form_1 and all(point is None for point in on_form_1)
         assert seen > 0
 
     @pytest.mark.parametrize("cc, r", ATLASES)
     def test_scaled_point_is_the_scaled_coordinates(self, cc, r):
-        """``scaled`` is ``scale_point`` of ``coords``, None on both sides
-        together: every level is an integer vector in lowest terms, so the
-        point's denominator is the lcm of its coordinates' denominators.
-        ``represents``, asked first of a fresh encoding, before any last
-        level is built, agrees with both."""
+        """``scaled`` is ``scale_point`` of its coordinates: every level is
+        an integer vector in lowest terms, so the point's denominator is the
+        lcm of its coordinates' denominators.  ``represents``, asked first
+        of a fresh encoding, before any last level is built, agrees with
+        ``scaled`` on which charts miss the tuple."""
         rng = random.Random(r * 10 + cc.n + 1)
         charts = build_atlas(cc, cc.n, r, params=1)
         rng.shuffle(charts)
@@ -358,17 +390,17 @@ class TestChartCoordsFromTuple:
         seen = missed = 0
         for tup in tuples:
             params = [draw()]
-            asked = TupleEncoding(cc, tup, params)
+            asked = encode(cc, tup, params)
             represented = [asked.represents(chart) for chart in charts]
-            shared = TupleEncoding(cc, tup, params)
+            shared = encode(cc, tup, params)
             for chart, represents in zip(charts, represented):
-                point, coords = shared.scaled(chart), shared.coords(chart)
-                assert (point is None) == (coords is None) == (not represents)
+                point = shared.scaled(chart)
+                assert (point is None) == (not represents)
                 if point is None:
                     missed += 1
                     continue
                 seen += 1
-                assert point == scale_point(coords)
+                assert point == scale_point(coords(shared, chart))
                 assert math.gcd(point.d, *point.nums) == 1 and point.d > 0
         assert seen > 0 and missed > 0
 
@@ -376,7 +408,7 @@ class TestChartCoordsFromTuple:
         cc = covering_collection(2, 3)
         chart = build_atlas(covering_collection(2, 3, "vandermonde"), 2, 3)[0]
         with pytest.raises(ValueError):
-            TupleEncoding(cc, [[Fraction(0)] * 2, [Fraction(1)] * 2]).coords(chart)
+            encode(cc, [[Fraction(0)] * 2, [Fraction(1)] * 2]).scaled(chart)
 
     def test_unrepresentable_tuple(self):
         f = family()
@@ -384,7 +416,7 @@ class TestChartCoordsFromTuple:
         chart = f.chart_for(cc, (2,), 2)
         # second form is y; a tuple moving only in x is invisible to it
         tup = [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))]
-        assert TupleEncoding(cc, tup, [Fraction(0)]).coords(chart) is None
+        assert encode(cc, tup, [Fraction(0)]).scaled(chart) is None
 
 
 class TestOverlap:
@@ -497,43 +529,95 @@ def test_point_suites_draw_the_same_configurations(make, r, n, cfg):
 
 @pytest.mark.parametrize("make, r, n", [(family, 3, 2), (fold, 2, 1)])
 def test_point_suites_scale_each_point_once(make, r, n, monkeypatch):
-    """Every evaluation in the point suites gets a point scaled before it:
-    by ``scale_point``, one per drawn chart point and one per source point
-    of a draw, or by ``TupleEncoding.scaled``, one per encoded chart point.
-    Overlap evaluates a generator that charts share through a kept alpha
-    prefix once per tuple, so on order-3 charts it evaluates fewer times
-    than it judges chart points; the fold has one chart, so none."""
-    scaled, encoded, evaluated, judged = [], [], [], []
+    """``scale_point`` is called once per drawn point: a random chart point
+    or an antipodal witness, each scaled when it is drawn.  No projected
+    source point is scaled, every evaluation gets a ``ScaledPoint``, and
+    strict-points judges the drawn points as they are.  Overlap scales
+    nothing: it judges the points ``TupleEncoding.scaled`` builds, and
+    evaluates a generator that charts share through a kept alpha prefix
+    once per tuple, so on order-3 charts it evaluates fewer times than it
+    judges chart points; the fold has one chart, so none."""
+    scaled, encoded, evaluated, judged, draws, encodings = [], [], [], [], [], []
     real_scale, real_evaluate = verify.scale_point, verify.evaluate
     real_encoded, real_judge = TupleEncoding.scaled, verify._judge
+    real_draw = verify._rand_chart_point
 
     def scale(point):
         scaled.append(real_scale(point))
         return scaled[-1]
 
-    def encode(self, chart):
+    def encoded_point(self, chart):
         encoded.append(real_encoded(self, chart))
         return encoded[-1]
 
     def evaluate_scaled(p, point):
-        assert any(point is s for s in [*scaled, *encoded])
+        assert isinstance(point, ScaledPoint)
         evaluated.append(p)
         return real_evaluate(p, point)
 
     monkeypatch.setattr(verify, "scale_point", scale)
-    monkeypatch.setattr(TupleEncoding, "scaled", encode)
+    monkeypatch.setattr(TupleEncoding, "scaled", encoded_point)
     monkeypatch.setattr(verify, "evaluate", evaluate_scaled)
     monkeypatch.setattr(verify, "_judge", lambda *a: judged.append(a) or real_judge(*a))
+    monkeypatch.setattr(verify, "_rand_chart_point",
+                        lambda *a: draws.append(a) or real_draw(*a))
+    # each antipodal witness drawn is encoded once, on its chart
+    monkeypatch.setattr(verify, "TupleEncoding",
+                        lambda *a: encodings.append(a) or TupleEncoding(*a))
     eqs = kr_equations(make(), r, covering_collection(n, r))
     run = CheckRun(eqs, CFG)
     assert check_strict_points(run).passed
+    assert len(scaled) == len(draws) + len(encodings)
+    assert (len(encodings) > 0) == (make is fold)
     assert 0 < len(scaled) <= len(evaluated)
-    del evaluated[:], judged[:]
+    assert judged and all(any(a[2]() is s for s in [*scaled, *encoded]) for a in judged)
+    del evaluated[:], judged[:], scaled[:]
     assert check_overlap(run).passed
+    assert scaled == []
     if r > 2:
         assert 0 < len(evaluated) < len(judged)
     else:
         assert evaluated == judged == []
+
+
+TRIFOLD = (["t", "x", "y"], ["t", "x^2+t*y", "y^2-t*x", "x^3+y^3+x*y"], 3)
+
+
+@pytest.mark.parametrize("names, components, r, constant, digests", [
+    # random points only
+    (*TRIFOLD, 0, ("12708ed3a8f1328b6623c87912b6e512d450d92991f22d1fb95433a03da7fa23",
+                   "e5218489dddc48422a4c30742fd27d4e736918cae35cdd900888ef3e1c740e13")),
+    (*TRIFOLD, 1, ("e00e87ca834fdcbe5fd13315acf20900de03a4b56a9b194104f5c00ab35d9461",
+                   "41f535d81c3533d2d505a92310e006c04ef289964d06afeef93d3bb894f87839")),
+    # with antipodal witnesses
+    (["x"], ["x^2"], 2, 0,
+     ("65d1213f3b75a798d679dab48b8b7d6469a6645c5bb72bfa4b9d3efff9c258e6",
+      "4fa1610ed00e765b7af70c3f9a44df37fbe5f9fc63e4cc2eec3cec2c6fab8441")),
+    (["x"], ["x^2"], 2, 1,
+     ("474f26e75c786752d23ee6cc5efaa49597520c7ab9f58becb832b3f184d51ca8",
+      "4fa1610ed00e765b7af70c3f9a44df37fbe5f9fc63e4cc2eec3cec2c6fab8441")),
+    (["x", "y"], ["x^2", "y^2"], 2, 0,
+     ("4da5c62e5e8c41a948daf54190802ffa5ecb4e6474730dc67cc9bfeabe45f490",
+      "a40e57c63e7e439bc651e19fa6e28f462f42a7be39b9f8ee244c55c63c3d4192")),
+    (["x", "y"], ["x^2", "y^2"], 2, 1,
+     ("c4b270e846bf6bb598abc4faab1fb4a59424e2efb2e005ae248f3b6e21a8a057",
+      "51f329da72b35496aa0d8d5599fb0e8d239f833f00ab11f0f55e21cec07575d1")),
+])
+def test_failure_rows_are_pinned(names, components, r, constant, digests):
+    """Digests of the point suites' summaries and failure rows, which no
+    passing run prints, on charts whose generators are replaced by one
+    constant: 0 fails every random point whose images differ, 1 every
+    antipodal witness and every point whose images agree.  A row names
+    the chart point as ``Fraction``s."""
+    f = PolyMap.from_strings(names, components, s="auto")
+    eqs = [dataclasses.replace(ce, generators=(Poly.constant(ce.chart.table, constant),))
+           for ce in kr_equations(f, r, covering_collection(f.fiber_dim, r))]
+    run = CheckRun(eqs, SampleConfig(seed=4, trials=3))
+    got = []
+    for rep in (check_strict_points(run), check_overlap(run)):
+        text = "\n".join([rep.summary(), *("\t".join(row) for row in rep.failures)])
+        got.append(hashlib.sha256(text.encode()).hexdigest())
+    assert tuple(got) == digests
 
 
 class TestCorank1Suite:
