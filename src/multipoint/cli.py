@@ -6,17 +6,20 @@ Subcommands:
   charts  list the chart atlas: forms, companions, substitutions, projections
   check   run the property suites against a map
 
-Charts run one after another in atlas order; a map that starts with '-' may
-follow ``--map`` split or joined (``--map=...``).  All output is a pure
-function of the parsed invocation: identical arguments produce byte-identical
-output, so runs can be diffed or cached.  Exit codes: 0 success, 1
-verification failure, 2 bad input, 3 internal error, 141 stdout closed by
-its reader.
+Charts run one after another in atlas order.  ``eqs`` holds one chart's
+equations at a time, rendered and dropped before the next is built, and
+writes stdout once, after the last chart, so a failure leaves it empty.  A
+map that starts with '-' may follow ``--map`` split or joined (``--map=...``).
+All output is a pure function of the parsed invocation, byte for byte, so
+runs can be diffed or cached.  Exit codes: 0 success, 1 verification failure,
+2 bad input (an integer literal past Python's 4300 digits included), 3
+internal error, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -181,44 +184,41 @@ def _dump(payload: dict, out) -> int:
 # ---- eqs -------------------------------------------------------------------
 
 
-def _eqs_payload(f: PolyMap, spec: RunSpec, eqs_list) -> dict:
-    charts = []
-    for eqs in eqs_list:
-        chart = eqs.chart
-        charts.append({
-            "alpha": list(chart.alpha),
-            "vars": list(chart.table.names),
-            "generators": [str(g) for g in eqs.generators],
-            "projections": [[str(c) for c in proj] for proj in eqs.projections],
-            "exceptional": str(chart.exceptional),
-        })
+def _eqs_chart(eqs) -> dict:
+    chart = eqs.chart
     return {
-        "schema": "kr-eqs/1",
-        "n": f.n,
-        "p": f.p,
-        "params": f.s,
-        "r": spec.order,
-        "charts": charts,
+        "alpha": list(chart.alpha),
+        "vars": list(chart.table.names),
+        "generators": [str(g) for g in eqs.generators],
+        "projections": [[str(c) for c in proj] for proj in eqs.projections],
+        "exceptional": str(chart.exceptional),
     }
 
 
+def _eqs_text(eqs, paint, buf) -> None:
+    chart = eqs.chart
+    width = len(eqs.generators) // (chart.r - 1)  # one per fiber coordinate
+    _chart_header(chart, paint, buf)
+    for level in range(1, chart.r):
+        buf.write(f"  level {level}:\n")
+        for g in eqs.generators[(level - 1) * width:level * width]:
+            buf.write(f"    {g} = 0\n")
+    if any(g.is_constant() and not g.is_zero() for g in eqs.generators):
+        buf.write("  unit ideal: no multiple points meet this chart\n")
+
+
 def cmd_eqs(spec: RunSpec, f: PolyMap, cc: CoveringCollection, out) -> int:
-    eqs_list = [chart_equations(f, spec.order, cc, alpha)
-                for alpha in _alphas(spec, f, cc)]
+    alphas = _alphas(spec, f, cc)
     if spec.fmt == "json":
-        return _dump(_eqs_payload(f, spec, eqs_list), out)
-    paint = _styler(out)
-    out.write(_map_header(f, spec) + "\n")
-    width = len(f.fiber_coords)  # every level: one component per coordinate
-    for eqs in eqs_list:
-        chart = eqs.chart
-        _chart_header(chart, paint, out)
-        for level in range(1, chart.r):
-            out.write(f"  level {level}:\n")
-            for g in eqs.generators[(level - 1) * width:level * width]:
-                out.write(f"    {g} = 0\n")
-        if any(g.is_constant() and not g.is_zero() for g in eqs.generators):
-            out.write("  unit ideal: no multiple points meet this chart\n")
+        charts = [_eqs_chart(chart_equations(f, spec.order, cc, alpha))
+                  for alpha in alphas]
+        return _dump({"schema": "kr-eqs/1", "n": f.n, "p": f.p, "params": f.s,
+                      "r": spec.order, "charts": charts}, out)
+    paint, buf = _styler(out), io.StringIO()  # colors follow out, not buf
+    buf.write(_map_header(f, spec) + "\n")
+    for alpha in alphas:
+        _eqs_text(chart_equations(f, spec.order, cc, alpha), paint, buf)
+    out.write(buf.getvalue())
     return 0
 
 

@@ -76,6 +76,7 @@ the map.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
@@ -857,6 +858,15 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def integer(self, tok) -> int:
+        """The value of an integer token.  ``int`` refuses a digit run longer
+        than Python's limit (4300 by default): bad input, not a bug."""
+        try:
+            return int(tok[1])
+        except ValueError:
+            raise ParseError(f"integer literal of {len(tok[1])} digits, more than "
+                             f"{sys.get_int_max_str_digits()}", self.src, tok[2]) from None
+
     def expect_op(self, text: str):
         kind, got, at = self.next()
         if kind != _TOK_OP or got != text:
@@ -905,28 +915,28 @@ class _Parser:
         kind, text, _ = self.peek()
         if kind == _TOK_OP and text == "^":
             self.next()
-            k, t, at = self.next()
-            if k != _TOK_INT:
-                raise ParseError("expected integer exponent", self.src, at)
-            p = p ** int(t)
+            tok = self.next()
+            if tok[0] != _TOK_INT:
+                raise ParseError("expected integer exponent", self.src, tok[2])
+            p = p ** self.integer(tok)
         return p
 
     def atom(self, depth: int) -> Poly:
-        kind, text, at = self.next()
+        tok = kind, text, at = self.next()
         if kind == _TOK_IDENT:
             return Poly.variable(self.table, text)
         if kind == _TOK_INT:
-            return Poly.constant(self.table, int(text))
+            return Poly.constant(self.table, self.integer(tok))
         if kind == _TOK_OP and text == "(":
             # rational literal (int / int) gets special treatment
             if (self.tokens[self.pos][0] == _TOK_INT
                     and self.tokens[self.pos + 1][:2] == (_TOK_OP, "/")
                     and self.tokens[self.pos + 2][0] == _TOK_INT
                     and self.tokens[self.pos + 3][:2] == (_TOK_OP, ")")):
-                num = int(self.next()[1])
+                num = self.integer(self.next())
                 self.next()
                 den_tok = self.next()
-                den = int(den_tok[1])
+                den = self.integer(den_tok)
                 if den == 0:
                     raise ParseError("zero denominator", self.src, den_tok[2])
                 self.next()
@@ -946,7 +956,8 @@ def parse_poly(src: str, table: VarTable) -> Poly:
     exponent, parentheses nested at most ``MAX_NESTING`` deep, and rational
     literals written ``(p/q)``.  A digit run right after a variable name is
     an exponent and juxtaposition is a product, so ``2x2y`` means
-    ``2*x^2*y``.
+    ``2*x^2*y``.  An integer literal, exponents included, may have at most
+    as many digits as Python converts to an ``int`` (4300 by default).
     """
     return _Parser(src, table).parse()
 

@@ -10,6 +10,7 @@ import resource
 import subprocess
 import sys
 import time
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from multipoint.atlas import chart_count, covering_collection
 from multipoint.cli import RunSpec, build_parser, main, run
 from multipoint.divdiff import PolyMap
 from multipoint.ideals import kr_equations
-from multipoint.polyring import Poly, VarTable, parse_poly
+from multipoint.polyring import DegreeBoundError, Poly, VarTable, parse_poly
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 FAMILY = ["--vars", "t,x,y", "--map", "t;x2+ty;y2;xy-tx"]
@@ -271,6 +272,39 @@ class TestEqs:
             assert len(entry["projections"]) == 3
             for proj in entry["projections"]:
                 assert len(proj) == 2
+
+    @pytest.mark.parametrize("fmt", [[], ["--format", "json"]])
+    def test_one_chart_alive_at_a_time(self, fmt, monkeypatch):
+        built = []
+
+        def build(*args):
+            alive = [ref().chart.alpha for ref in built if ref() is not None]
+            assert alive == [], f"still alive: {alive}"
+            eqs = ideals.chart_equations(*args)
+            built.append(weakref.ref(eqs))
+            return eqs
+
+        monkeypatch.setattr(cli, "chart_equations", build)
+        code, _ = capture(["eqs", *TRIFOLD, *fmt])
+        assert code == 0
+        assert len(built) == 6
+
+    @pytest.mark.parametrize("fmt", [[], ["--format", "json"]])
+    def test_failure_on_a_later_chart_writes_nothing(self, fmt, monkeypatch, capsys):
+        calls = []
+
+        def build(*args):
+            calls.append(args[3])
+            if len(calls) == 2:
+                raise DegreeBoundError(40000, 32767)
+            return ideals.chart_equations(*args)
+
+        monkeypatch.setattr(cli, "chart_equations", build)
+        assert main(["eqs", *TRIFOLD, *fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "total degree 40000 exceeds the bound 32767" in captured.err
+        assert len(calls) == 2
 
 
 class TestCheck:
@@ -629,6 +663,11 @@ class TestPinnedOutput:
         (["eqs", "--vars", "x,y,z", "--map", "x2+yz;y2-xz;z2+xy", "-r", "4",
           "--collection", "vandermonde", "--chart", "1,1,1", "--chart", "7,5,1"],
          "2a52933c3e1c3e08dadad7d6d50eb575588edf4946dd15b4db3c6e6a66263116"),
+        # the whole 105-chart atlas at -r 4
+        (["eqs", *QUADRIC, "-r", "4", "--collection", "vandermonde", "--format", "json"],
+         "055b514d2588b63fcd97764d81683f9a3bee43fb21e196390ddecd6c6ab5d3ff"),
+        (["eqs", *QUADRIC, "-r", "4", "--collection", "vandermonde"],
+         "68aa5209d154d9b50d327da54c030a5e8a0e1d670509aeb1185986b941674cf1"),
     ])
     def test_stdout_digest(self, argv, digest):
         code, text = capture(argv)
@@ -741,6 +780,12 @@ class TestFlagNamedErrors:
         src = "(" * 300 + "x" + ")" * 300
         self.check(["eqs", "--vars", "x", "--map", src, "-r", "2"],
                    "error: --map: parentheses nested deeper than 100", capsys)
+
+    def test_map_literal_past_the_digit_limit(self, capsys):
+        # well-formed, but longer than Python converts to an int
+        self.check(["eqs", "--vars", "x", "--map", "7" * 5000 + "*x^2", "-r", "2"],
+                   "error: --map: integer literal of 5000 digits, more than 4300",
+                   capsys)
 
     @pytest.mark.parametrize("src", ["x\u00b2", "x^\u00b2"])
     def test_map_with_a_non_ascii_digit(self, src, capsys):

@@ -163,6 +163,26 @@ def test_parse_non_ascii_digit_is_an_error_at_its_position(src, pos):
     assert ei.value.pos == pos
 
 
+@pytest.mark.parametrize("src, pos", [
+    ("{n}*x^2", 0),      # an integer atom
+    ("x^{n}", 2),        # an exponent after ^
+    ("x{n}", 1),         # an exponent right after a name
+    ("({n}/3)*x", 1),    # the numerator of a rational literal
+    ("(3/{n})*x", 3),    # its denominator
+])
+def test_parse_literal_past_the_digit_limit_is_an_error(src, pos):
+    # int() refuses a digit run past Python's limit (4300 by default)
+    with pytest.raises(ParseError) as ei:
+        P(src.format(n="7" * 5000))
+    assert ei.value.pos == pos
+    assert str(ei.value).startswith("integer literal of 5000 digits, more than 4300 at")
+
+
+def test_parse_literal_at_the_digit_limit():
+    assert P("7" * 4300 + "*x") == int("7" * 4300) * P("x")
+    assert P(f"({'7' * 4300}/{'3' * 4300})") == P("(7/3)")
+
+
 # ---- parsing: digit exponents and juxtaposition ---------------------------
 
 
