@@ -11,18 +11,21 @@ nu_j depends only on the form alpha_j that the chart picks at level j, so
 every component of a level, and every chart with the same alpha_j, applies
 one shift.  The map keeps that shift as one ``LevelShift`` (a
 ``Substitution``) per (collection, order, level, alpha_j) for as long as it
-lives, and with it every expansion made through it.  It also keeps level 0,
-its fiber coordinates on the charts' table, once per table.
+lives, and with it every expansion made through it.
 
 The spaces are iterated: level j reads only the first j chart indices, so
-the charts of one order form a tree of alpha prefixes.  The map keeps each
-level below the last per (collection, order, alpha[:j]), and every chart
-under that prefix reads the same ``Poly`` objects, and through
-``PolyMap.generators`` the same normalized generators; only the last level
-is built per chart.  ``verify``'s telescoping check reads ``level_zero`` and
-``shift_for`` of a second ``PolyMap`` built from the map's table,
-coordinates and parameters: the same rules, on separate objects, so it
-reads no expansion or level of the chain's.
+the charts of one order form a tree of alpha prefixes.  The map keeps that
+tree as one prefix table, a node per (collection, order, alpha[:j]) for
+each j below the last level, holding level j and, once read, its
+generators (``normalize`` of each component).  The root, the prefix
+``()``, is level 0: the fiber coordinates moved onto the order's chart
+table.  ``PolyMap.level`` builds a missing node from its parent through
+the level-j shift, so every chart under a prefix reads the same ``Poly``
+objects.  The last level is each chart's own, built by
+``difference_chain`` and never kept.  ``verify``'s telescoping check reads
+level 0 and ``shift_for`` of a second ``PolyMap`` built from the map's
+table, coordinates and parameters: the same rules, on separate objects, so
+it reads no expansion or level of the chain's.
 
 The chain runs on integers: a component is a ``Poly``, an integer term map
 q over one positive denominator d.  Each level is one pass over the
@@ -103,15 +106,11 @@ class PolyMap:
         self.coords = coords
         self.s = s
         self._chart_tables: dict[int, VarTable] = {}  # order -> its charts' table
-        # chart table -> the fiber coordinates on it
-        self._level_zero: dict[VarTable, tuple[Poly, ...]] = {}
         # (collection, order, level, form index at that level) -> level shift
         self._shifts: dict[tuple, LevelShift] = {}
-        # (collection, order, alpha[:j]) -> level j of the charts under that
-        # prefix, for every j below the last level
-        self._levels: dict[tuple, tuple[Poly, ...]] = {}
-        # the same keys -> the kept level's generators, once read
-        self._generators: dict[tuple, tuple[Poly, ...]] = {}
+        # the prefix table: (collection, order, alpha[:j]) -> [level j, its
+        # generators once read], for each j below the order's last level
+        self._prefixes: dict[tuple, list] = {}
 
     @classmethod
     def from_strings(cls, var_names: Sequence[str], coord_srcs: Sequence[str],
@@ -155,15 +154,6 @@ class PolyMap:
         self._chart_tables.setdefault(r, chart.table)
         return chart
 
-    def level_zero(self, chart: Chart) -> tuple[Poly, ...]:
-        """The fiber coordinates on ``chart``'s table; built once per table,
-        so once per order for the charts of ``chart_for``."""
-        level = self._level_zero.get(chart.table)
-        if level is None:
-            level = self._level_zero[chart.table] = tuple(
-                transplant(c, chart.table) for c in self.fiber_coords)
-        return level
-
     def shift_for(self, chart: Chart, j: int) -> LevelShift:
         """The level-j shift of ``chart``, as one ``LevelShift`` for every
         chart of this map that picks the same form at level j: nu_j depends
@@ -175,19 +165,34 @@ class PolyMap:
             shift = self._shifts[key] = LevelShift(chart, j)
         return shift
 
-    def generators(self, chart: Chart, j: int,
-                   level: tuple[Poly, ...]) -> tuple[Poly, ...]:
-        """The chart generators of ``chart``'s level j, ``normalize`` of each
-        component.  For the level the map keeps for ``chart.alpha[:j]`` they
-        are built once and kept with it, so every chart under the prefix
-        holds the same generator objects."""
+    def _node(self, chart: Chart, j: int) -> list:
+        """The prefix table's node of ``chart.alpha[:j]``, for 0 <= j < r - 1,
+        built from its parent on first read: level 0 (the prefix ``()``) is
+        the fiber coordinates moved onto the chart's table, and level j > 0
+        is one pass of ``shift_for(chart, j)`` over level j - 1."""
         key = (chart.cc, chart.r, chart.alpha[:j])
-        if self._levels.get(key) is not level:
-            return tuple(normalize(g) for g in level)
-        got = self._generators.get(key)
-        if got is None:
-            got = self._generators[key] = tuple(normalize(g) for g in level)
-        return got
+        node = self._prefixes.get(key)
+        if node is None:
+            if j:
+                level = _next_level(self.level(chart, j - 1), self.shift_for(chart, j))
+            else:
+                level = tuple(transplant(c, chart.table) for c in self.fiber_coords)
+            node = self._prefixes[key] = [level, None]
+        return node
+
+    def level(self, chart: Chart, j: int) -> tuple[Poly, ...]:
+        """Level j of ``chart``, for 0 <= j < r - 1: level j reads only
+        ``chart.alpha[:j]``, so every chart of one collection and order
+        under that prefix holds the same objects."""
+        return self._node(chart, j)[0]
+
+    def generators(self, chart: Chart, j: int) -> tuple[Poly, ...]:
+        """The chart generators of ``level(chart, j)``, ``normalize`` of each
+        component, built once per prefix on first read."""
+        node = self._node(chart, j)
+        if node[1] is None:
+            node[1] = tuple(normalize(g) for g in node[0])
+        return node[1]
 
     def specialize(self, values: Sequence[Scalar]) -> "PolyMap":
         """Fix the parameters to rational values, yielding a member of the family."""
@@ -271,36 +276,30 @@ class LevelShift(Substitution):
         return got
 
 
-def _next_level(g: Poly, shift: LevelShift) -> Poly:
-    """(g(gamma + nu_j) - g(gamma)) / lambda_j for the level component g, in
-    one pass over g's integer terms: a term with exponent vector E of gamma
-    contributes through ``shift.quotient(E)``, and one with E = 0 cancels.
-    The result is reduced, so the denominator does not grow level by level."""
-    out, lift = _expand(g, g.table, shift, shift.quotient)
-    return Poly.reduced(g.table, out, g.den * lift)
+def _next_level(level: tuple[Poly, ...], shift: LevelShift) -> tuple[Poly, ...]:
+    """(g(gamma + nu_j) - g(gamma)) / lambda_j for each component g of a
+    level, in one pass over g's integer terms: a term with exponent vector E
+    of gamma contributes through ``shift.quotient(E)``, and one with E = 0
+    cancels.  Each result is reduced, so the denominator does not grow level
+    by level."""
+    out = []
+    for g in level:
+        terms, lift = _expand(g, g.table, shift, shift.quotient)
+        out.append(Poly.reduced(g.table, terms, g.den * lift))
+    return tuple(out)
 
 
 def difference_chain(f: PolyMap, chart: Chart) -> DifferenceChain:
-    """Compute difference levels 1..r-1 of f on the chart, on integers: level
-    0 from ``f.level_zero``, each level j in one pass through the shift
-    ``f.shift_for(chart, j)``.  A level below the last is read from the
-    map's levels of ``chart.alpha[:j]`` and, when it is not there yet, built
-    and kept there."""
+    """Difference levels 1..r-1 of f on the chart, on integers: each level
+    below the last from the map's prefix table (``PolyMap.level``), and the
+    last, the chart's own and never kept, in one pass of
+    ``f.shift_for(chart, r - 1)`` over the level before it."""
     _check_compatible(f, chart)
-    level = f.level_zero(chart)
-    levels = []
-    for j in range(1, chart.r):
-        key = (chart.cc, chart.r, chart.alpha[:j])
-        kept = f._levels.get(key)
-        if kept is not None:
-            level = kept
-        else:
-            shift = f.shift_for(chart, j)
-            level = tuple(_next_level(g, shift) for g in level)
-            if j < chart.r - 1:
-                f._levels[key] = level
-        levels.append(level)
-    return DifferenceChain(f=f, chart=chart, levels=tuple(levels))
+    last = chart.r - 1
+    levels = tuple(f.level(chart, j) for j in range(1, last))
+    if last:
+        levels += (_next_level(f.level(chart, last - 1), f.shift_for(chart, last)),)
+    return DifferenceChain(f=f, chart=chart, levels=levels)
 
 
 # ---- classical corank-one divided differences ------------------------------

@@ -347,9 +347,9 @@ def chart_equations(f: PolyMap, r: int, cc: CoveringCollection,
         raise ValueError("order r must be >= 2")
     chart = f.chart_for(cc, alpha, r)
     chain = difference_chain(f, chart)
-    gens = tuple(g for j, level in enumerate(chain.levels, 1)
-                 for g in f.generators(chart, j, level))
-    return ChartEquations(chart=chart, chain=chain, generators=gens)
+    gens = [g for j in range(1, r - 1) for g in f.generators(chart, j)]
+    gens += map(normalize, chain.levels[-1])  # the last level is the chart's own
+    return ChartEquations(chart=chart, chain=chain, generators=tuple(gens))
 
 
 def kr_equations(f: PolyMap, r: int, cc: CoveringCollection) -> list[ChartEquations]:

@@ -21,8 +21,6 @@ A total degree above the cap ``2**(FIELD_BITS - 1) - 1`` = 32767 does not
 pack, and ``DegreeBoundError`` names the bound wherever a monomial would
 exceed it: exponent tuples given to ``Poly``, ``*`` and ``**`` (checked from
 the operands' top degrees) and the lifted terms of the expansion loop.
-A product with a monomial of coefficient 1 shifts every monomial of the
-other factor and multiplies no coefficient.
 
 A Poly keeps no exponent tuples.  Code that needs one variable's exponent
 (``differentiate`` and ``divdiff``'s synthetic division) reads that field
@@ -32,7 +30,10 @@ per Poly, to build the plan it keeps.  ``render`` takes a
 monomial's text from its table (``VarTable.monomial_text``), which builds
 the text of each packed monomial once and keeps it as long as the table
 lives.  The charts of one map and order share one table, so one run builds
-each text once.
+each text once.  ``render`` writes every integer through ``_digits``,
+which raises ``PolyError`` past Python's int-string limit (4300 digits by
+default), the bound under which ``parse_poly`` reads literals: every
+written form re-parses.
 
 ``Poly(table, terms)`` reads exponent tuples to ``int`` or ``Fraction``
 coefficients and checks every term, for input at the edges such as
@@ -442,13 +443,6 @@ class Poly:
         self._check(other)
         codec = self.table.codec
         codec.check_degree(self.top_degree() + other.top_degree())
-        for unit, p in ((other, self), (self, other)):
-            if len(unit.terms) == 1 and unit.den == 1:
-                (m, c), = unit.terms.items()
-                if c == 1:  # a monomial: shift every monomial of p
-                    shift = m - codec.zero
-                    return Poly.from_packed(
-                        self.table, {k + shift: v for k, v in p.terms.items()}, p.den)
         return Poly.reduced(self.table, _product(self.terms, other.terms, codec.zero),
                             self.den * other.den)
 
@@ -965,17 +959,28 @@ def parse_poly(src: str, table: VarTable) -> Poly:
 # ---- rendering -------------------------------------------------------
 
 
+def _digits(v: int) -> str:
+    """``str(v)`` for a coefficient's numerator or denominator.  Past
+    Python's int-string limit (4300 digits by default), which also bounds
+    the literals ``parse_poly`` reads, it raises ``PolyError``: every
+    written form re-parses."""
+    try:
+        return str(v)
+    except ValueError:
+        raise PolyError(f"a coefficient has more than {sys.get_int_max_str_digits()} "
+                        "digits, the most that can be written") from None
+
+
 def render(p: Poly) -> str:
     """Canonical text form; terms sorted descending in the ambient order.
 
     The form is unambiguous and always re-parses to the same polynomial.
-    Monomial texts come from the table's memo, which unpacks each packed
-    monomial once.
+    Monomial texts come from ``VarTable.monomial_text``, and every integer
+    is written through ``_digits``.
     """
     if p.is_zero():
         return "0"
     table = p.table
-    texts = table._texts
     terms, den = p.terms, p.den
     out = []
     for m in sorted(terms, reverse=True):
@@ -983,13 +988,11 @@ def render(p: Poly) -> str:
         sign = "+"
         if c < 0:
             sign, c = "-", -c
-        mono = texts.get(m)
-        if mono is None:
-            mono = table.monomial_text(m)
+        mono = table.monomial_text(m)
         if c.denominator == 1:
-            coeff = str(c.numerator)
+            coeff = _digits(c.numerator)
         else:
-            coeff = f"({c.numerator}/{c.denominator})"
+            coeff = f"({_digits(c.numerator)}/{_digits(c.denominator)})"
         if not mono:
             out.append(sign + coeff)
         elif c == 1:

@@ -170,7 +170,7 @@ def telescoping_failures(chain: DifferenceChain,
     if own is None:
         own = PolyMap(f.table, f.coords, f.s)
     out = []
-    levels = [own.level_zero(chart), *chain.levels]
+    levels = [own.level(chart, 0), *chain.levels]
     for j in range(1, len(chain.levels) + 1):
         shift = own.shift_for(chart, j)
         lam = Poly.variable(chart.table, chart.lambda_names[j - 1])

@@ -82,6 +82,24 @@ class TestExitCodes:
         assert split == capsys.readouterr().out
         assert split.startswith("map (x, y) -> (-x^2+y; y^3)")
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_map_coefficient_past_the_digit_limit(self, fmt, capsys):
+        """(<2500 sevens>*x+1)^2 has a 5000-digit coefficient, more than
+        can be written.  The text header writes the map, so text is bad
+        input with an empty stdout; JSON does not write the map, and its
+        generators (content stripped) have 2501 digits at most."""
+        src = f"({'7' * 2500}*x+1)^2"
+        code = main(["eqs", "--vars", "x", "--map", src, "-r", "2", "--format", fmt])
+        out, err = capsys.readouterr()
+        if fmt == "text":
+            assert code == 2 and out == ""
+            assert err.startswith("error: a coefficient has more than 4300 digits")
+        else:
+            assert code == 0 and err == ""
+            chart, = json.loads(out)["charts"]
+            gens, table = chart["generators"], VarTable(chart["vars"])
+            assert gens and [str(parse_poly(g, table)) for g in gens] == gens
+
     @pytest.mark.parametrize("argv", [
         ["eqs", "--map", "--vars", "x,y"],
         ["eqs", "--vars", "x,y", "--map"],

@@ -205,16 +205,18 @@ def _fresh_chain(make, cc, alpha, r):
     return difference_chain(f, f.chart_for(cc, alpha, r))
 
 
-@pytest.mark.parametrize("r", [2, 3, 4])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
 @pytest.mark.parametrize("kind", ["default", "vandermonde", "rational"])
 def test_shared_shifts_give_the_fresh_chains(kind, r):
     """Every chart's chain from one map, whose level shifts and their
     expansions are shared by all its charts, equals the chain from a map of
-    its own; the map keeps one shift per level and form."""
-    make, cc = _map_and_collection(kind, r)
+    its own; the map keeps one shift per level and form.  The one chart of
+    order 1, with the empty multi-index, has an empty chain."""
+    make, cc = _map_and_collection(kind, max(r, 2))
     shared = make()
-    for alpha in multi_indices(cc.n, r, cc.ell):
+    for alpha in multi_indices(cc.n, r, cc.ell) if r > 1 else [()]:
         chain = difference_chain(shared, shared.chart_for(cc, alpha, r))
+        assert len(chain.levels) == r - 1
         assert chain.levels == _fresh_chain(make, cc, alpha, r).levels
     assert len(shared._shifts) == sum(index_bound(cc.n, cc.ell, j) for j in range(1, r))
 
@@ -225,7 +227,9 @@ def test_charts_of_one_prefix_share_their_levels(kind, r):
     """Charts that agree on alpha[:j] hold one level-j object, in their
     chains and, normalized, in their generators, for every j below the last
     level; it equals the level of a fresh map's chain.  The last level is
-    each chart's own, and the map keeps one level per prefix."""
+    each chart's own.  The map's prefix table holds one node per prefix,
+    the root () included, and every chart of the order and collection reads
+    one level-0 object from it."""
     make, cc = _map_and_collection(kind, r)
     shared = make()
     alphas = multi_indices(cc.n, r, cc.ell)
@@ -238,12 +242,19 @@ def test_charts_of_one_prefix_share_their_levels(kind, r):
             assert same == (j < common), (a, b, j)
             gens = slice(j * width, (j + 1) * width)
             assert all(map(operator.is_, ea.generators[gens], eb.generators[gens])) == same
+    root = shared._prefixes[(cc, r, ())][0]
+    assert root == tuple(transplant(c, shared.chart_for(cc, alphas[0], r).table)
+                         for c in shared.fiber_coords)
     for alpha, e in eqs.items():
         fresh = _fresh_chain(make, cc, alpha, r)
         assert e.chain.levels == fresh.levels
+        assert shared.level(e.chart, 0) is root
         for j in range(1, r - 1):
-            assert e.chain.levels[j - 1] is shared._levels[(cc, r, alpha[:j])]
-    assert len(shared._levels) == len({alpha[:j] for alpha in alphas for j in range(1, r - 1)})
+            level, gens = shared._prefixes[(cc, r, alpha[:j])]
+            assert e.chain.levels[j - 1] is level
+            assert all(map(operator.is_, e.generators[(j - 1) * width:j * width], gens))
+            assert shared.generators(e.chart, j) is gens
+    assert len(shared._prefixes) == len({alpha[:j] for alpha in alphas for j in range(r - 1)})
 
 
 def test_shifts_kept_per_collection():

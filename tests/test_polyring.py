@@ -17,6 +17,7 @@ from multipoint.polyring import (
     NotDivisibleError,
     ParseError,
     Poly,
+    PolyError,
     Substitution,
     TableMismatchError,
     UnknownVariableError,
@@ -247,8 +248,8 @@ def test_pow_negative_rejected():
 @given(st.data())
 @settings(max_examples=80, deadline=None)
 def test_product_by_a_monomial_is_the_general_product(data):
-    """A product with a monomial of coefficient 1, on either side, shifts
-    every monomial; it equals the general term-by-term product."""
+    """A product with a monomial of coefficient 1, on either side, equals
+    the term-by-term product of the two term maps."""
     table = TXY
     mono = st.tuples(*[st.integers(0, 3)] * len(table))
     coeffs = st.fractions(-4, 4, max_denominator=4).filter(bool)
@@ -574,6 +575,30 @@ def test_render_parse_roundtrip_examples():
     for src in ["x^2+2*x*y+y^2", "-x+(3/7)*y^4", "x*y-1", "0", "42"]:
         p = P(src)
         assert P(render(p)) == p
+
+
+SEVENS = 7 * (10 ** 4300 - 1) // 9  # 4300 sevens, built without int-string parsing
+
+
+@pytest.mark.parametrize("coeff", [SEVENS, -SEVENS, Fraction(1, SEVENS),
+                                   Fraction(SEVENS, 3)],
+                         ids=["int", "negative", "denominator", "numerator"])
+def test_render_at_the_digit_limit(coeff):
+    """A numerator or denominator of 4300 digits, the most Python writes
+    as text by default, renders and re-parses."""
+    p = coeff * P("x") + 1
+    text = render(p)
+    assert "7" * 4300 in text and P(text) == p
+
+
+@pytest.mark.parametrize("coeff", [10 * SEVENS + 7, Fraction(1, 10 * SEVENS + 7),
+                                   Fraction(10 * SEVENS + 7, 3)],
+                         ids=["int", "denominator", "numerator"])
+def test_render_past_the_digit_limit_is_an_error(coeff):
+    """A coefficient of 4301 digits cannot be written, as it could not be
+    read: bad input, named by the bound, not Python's ValueError."""
+    with pytest.raises(PolyError, match="more than 4300 digits"):
+        render(coeff * P("x") + 1)
 
 
 # ---- property tests -------------------------------------------------------

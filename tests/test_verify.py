@@ -144,20 +144,20 @@ class TestTelescoping:
         assert all(d.startswith("U(2,1) level 2 ") for d, _, _ in rep.failures)
 
     def test_corrupt_kept_level_is_caught(self):
-        """A corrupted level in the map's kept levels of prefix (1,) is level
-        1 of every later chart under it, and its generators.  Level 2 is
-        built from the corrupt level, and a constant cancels in its
-        difference, so telescoping, which rebuilds nothing from the map,
+        """A corrupted level in the node of prefix (1,) of the map's prefix
+        table is level 1 of every later chart under it, and its generators.
+        Level 2 is built from the corrupt level, and a constant cancels in
+        its difference, so telescoping, which rebuilds nothing from the map,
         reports level 1 only."""
         f = family()
         cc = covering_collection(2, 3)
         difference_chain(f, f.chart_for(cc, (1, 1), 3))
-        key = (cc, 3, (1,))
-        first, *rest = f._levels[key]
-        f._levels[key] = (first + 1, *rest)
+        node = f._prefixes[(cc, 3, (1,))]
+        first, *rest = node[0]
+        node[0] = (first + 1, *rest)
         bad = chart_equations(f, 3, cc, (1, 2))
-        assert bad.chain.levels[0] is f._levels[key]
-        assert bad.generators[:3] == tuple(map(normalize, f._levels[key]))
+        assert bad.chain.levels[0] is node[0]
+        assert bad.generators[:3] == tuple(map(normalize, node[0]))
         rep = check_telescoping(CheckRun([bad], CFG))
         assert [d for d, _, _ in rep.failures] == ["U(1,2) level 1 component 1"]
 
